@@ -29,7 +29,7 @@ fn faultsim_benches() {
 
     g.bench("mc_10k_systems_xed", || {
         let sweep = Sweep::new(10_000, 9).with_threads(1);
-        sweep.monte_carlo().run(black_box(Scheme::Xed))
+        sweep.run_one(black_box(Scheme::Xed))
     });
 }
 

@@ -25,7 +25,7 @@
 //! * [`lanes`] — lane-transposed (bit-sliced) batch entry points: 64
 //!   codewords encoded or validity-classified at once via a 64×64 bit
 //!   transpose and per-H-row XOR folds.
-//! * [`reference`] — the original bit-serial / `Vec`-allocating codecs, kept
+//! * [`mod@reference`] — the original bit-serial / `Vec`-allocating codecs, kept
 //!   as the oracle the word-parallel hot-path kernels are differentially
 //!   tested against.
 //!

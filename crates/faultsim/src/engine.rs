@@ -3,12 +3,13 @@
 //! Everything that evaluates a `(scheme, FIT table, lifetime, parameters)`
 //! configuration — the figure binaries, the bench harnesses and the `xedd`
 //! daemon — funnels through this module, so there is exactly one hot path
-//! behind every consumer (DESIGN.md §15):
+//! behind every consumer (DESIGN.md §15). It is the only public way to
+//! run a lifetime simulation:
 //!
 //! * [`Query`] is the normalized request: scheme, sample budget, seed,
 //!   model parameters, FIT table and an optional `epsilon` early-stop
-//!   target. Execution knobs (threads, kernel, streaming block size) ride
-//!   in [`Exec`] and are *excluded* from the canonical identity.
+//!   target. Execution knobs (threads, streaming block size) ride in
+//!   [`Exec`] and are *excluded* from the canonical identity.
 //! * [`Query::canonical_key`] derives a 128-bit canonical key over the
 //!   canonicalized encoding — sorted FIT rows, canonical scheme tag — so
 //!   semantically-equal queries (reordered FIT rows, alternative scheme
@@ -17,16 +18,16 @@
 //!   results, not merely cache-compatible.
 //! * [`evaluate`] answers a query; [`evaluate_streaming`] additionally
 //!   reports a [`Progress`] snapshot after every trial block, each
-//!   bit-identical to a batch run of that many samples (the
-//!   `merge_from`/`run_range_timed` contract), honoring `epsilon`.
-//! * [`Sweep`] is the batch front door the figure binaries use for
-//!   multi-scheme sweeps over one work-stealing pool.
+//!   bit-identical to a batch run of that many samples (the range-run
+//!   `merge_from` contract), honoring `epsilon`.
+//! * [`Sweep`] is the lifetime run configuration and the batch front door
+//!   the figure binaries use for multi-scheme sweeps over one
+//!   work-stealing pool ([`Sweep::run_all`], [`Sweep::run_one`]), plus the
+//!   single-trial [`Sweep::replay_trial`] behind the golden traces.
 
 use crate::fault::FaultExtent;
 use crate::fit::{FitRates, ModeRate, LIFETIME_YEARS};
-use crate::montecarlo::{
-    MonteCarlo, MonteCarloConfig, RunReport, RunStats, SchemeResult, TrialKernel,
-};
+use crate::montecarlo::{self, RunReport, RunStats, SchemeResult, TrialKernel, TrialReplay};
 use crate::rareevent::{TailConfig, TailEstimate, TailMode, TailSimulator};
 use crate::schemes::{CodeModel, ModelParams, Scheme};
 use std::fmt;
@@ -37,6 +38,12 @@ use xed_telemetry::trace::{self, Phase, SpanCtx, SpanEvent};
 /// 64-lane bit-slice blocks and the 4096-trial steal chunks).
 pub const DEFAULT_BLOCK: u64 = 1 << 18;
 
+/// Longest lifetime, in years, a query may ask for. The lifetime run
+/// keeps one failure counter per simulated year for every worker and
+/// scheme, so an unbounded `years` would let one request exhaust memory; a
+/// millennium is far beyond any DRAM service life.
+pub const MAX_YEARS: f64 = 1_000.0;
+
 /// Version tag absorbed first into every canonical key. Bump whenever the
 /// canonical encoding changes meaning, so stale caches can never alias a
 /// new encoding. v2: absorbs `ModelParams::code_model` (the inferred-code
@@ -44,15 +51,13 @@ pub const DEFAULT_BLOCK: u64 = 1 << 18;
 const KEY_VERSION: u64 = 2;
 
 /// Execution knobs: how a query runs, never *what* it computes. Excluded
-/// from [`Query::canonical_key`] — results are thread-count- and
-/// kernel-invariant by the engine's reproducibility contract, and the
-/// block size only changes where partials are emitted, not their values.
+/// from [`Query::canonical_key`] — results are thread-count-invariant by
+/// the engine's reproducibility contract, and the block size only changes
+/// where partials are emitted, not their values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Exec {
     /// Worker threads; `0` = all available cores.
     pub threads: usize,
-    /// Per-trial evaluation kernel (results bit-identical either way).
-    pub kernel: TrialKernel,
     /// Trials per streamed block ([`evaluate_streaming`]).
     pub block: u64,
 }
@@ -61,7 +66,6 @@ impl Default for Exec {
     fn default() -> Self {
         Self {
             threads: 0,
-            kernel: TrialKernel::default(),
             block: DEFAULT_BLOCK,
         }
     }
@@ -70,7 +74,7 @@ impl Default for Exec {
 /// What kind of estimate the query asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryKind {
-    /// Full-lifetime Monte-Carlo failure probability ([`MonteCarlo`]).
+    /// Full-lifetime Monte-Carlo failure probability (the [`Sweep`] run).
     Lifetime,
     /// Importance-sampled rare-event tail estimate ([`TailSimulator`]).
     Tail {
@@ -139,6 +143,12 @@ impl Query {
         if !(self.years.is_finite() && self.years > 0.0) {
             return Err(format!(
                 "years must be finite and positive, got {}",
+                self.years
+            ));
+        }
+        if self.years > MAX_YEARS {
+            return Err(format!(
+                "years must be at most {MAX_YEARS}, got {}",
                 self.years
             ));
         }
@@ -286,16 +296,15 @@ impl Query {
         h.finish()
     }
 
-    /// The Monte-Carlo configuration this (canonicalized) query maps to.
-    fn mc_config(&self) -> MonteCarloConfig {
-        MonteCarloConfig {
+    /// The lifetime run configuration this (canonicalized) query maps to.
+    fn sweep(&self) -> Sweep {
+        Sweep {
             samples: self.samples,
-            years: self.years,
             seed: self.seed,
+            years: self.years,
             threads: self.exec.threads,
             params: self.params,
             rates: self.rates.clone(),
-            kernel: self.exec.kernel,
         }
     }
 }
@@ -510,8 +519,8 @@ pub fn evaluate(query: &Query) -> Result<Estimate, String> {
 /// 95 % CI width meets the query's `epsilon`, if one is set.
 ///
 /// The returned estimate — and every intermediate snapshot — is a pure
-/// function of the canonicalized query (thread count, kernel and block
-/// size never change values), which is the daemon's bit-reproducibility
+/// function of the canonicalized query (thread count and block size never
+/// change values), which is the daemon's bit-reproducibility
 /// guarantee for streamed responses.
 pub fn evaluate_streaming(
     query: &Query,
@@ -571,13 +580,13 @@ fn evaluate_streaming_inner(
             Ok(Estimate::Tail(Box::new(est)))
         }
         QueryKind::Lifetime => {
-            let mc = MonteCarlo::new(q.mc_config());
+            let sweep = q.sweep();
             let block = q.exec.block.max(1);
             let mut acc: Option<(SchemeResult, RunStats)> = None;
             let mut done = 0u64;
             while done < q.samples {
                 let n = block.min(q.samples - done);
-                let report = mc.run_range_timed(q.scheme, done, n);
+                let report = montecarlo::run_range(&sweep, q.scheme, done, n);
                 done += n;
                 let (result, stats) = match acc.take() {
                     Some((mut result, stats)) => {
@@ -603,10 +612,13 @@ fn evaluate_streaming_inner(
     }
 }
 
-/// Batch front door for multi-scheme sweeps: what the figure and bench
-/// binaries use instead of hand-rolling [`MonteCarloConfig`]s. All
-/// schemes share one work-stealing pool, and each per-scheme result is
+/// The lifetime run configuration and its batch front door for
+/// multi-scheme sweeps: what the figure and bench binaries run through.
+/// All schemes share one work-stealing pool, and each per-scheme result is
 /// bit-identical to evaluating that scheme's [`Sweep::query`] alone.
+///
+/// Results are a pure function of `(seed, scheme, samples, years, params,
+/// rates)`; the thread count only affects wall time.
 #[derive(Debug, Clone)]
 pub struct Sweep {
     /// Trials per scheme.
@@ -617,8 +629,6 @@ pub struct Sweep {
     pub years: f64,
     /// Worker threads; `0` = all available cores.
     pub threads: usize,
-    /// Per-trial evaluation kernel.
-    pub kernel: TrialKernel,
     /// Fault-response model parameters.
     pub params: ModelParams,
     /// Per-chip FIT rates.
@@ -633,7 +643,6 @@ impl Sweep {
             seed,
             years: LIFETIME_YEARS,
             threads: 0,
-            kernel: TrialKernel::default(),
             params: ModelParams::default(),
             rates: FitRates::table_i(),
         }
@@ -667,39 +676,30 @@ impl Sweep {
         self
     }
 
-    /// Sets the per-trial kernel.
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: TrialKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// The [`MonteCarloConfig`] this sweep maps to.
-    pub fn config(&self) -> MonteCarloConfig {
-        MonteCarloConfig {
-            samples: self.samples,
-            years: self.years,
-            seed: self.seed,
-            threads: self.threads,
-            params: self.params,
-            rates: self.rates.clone(),
-            kernel: self.kernel,
-        }
-    }
-
-    /// The simulator for this sweep.
-    pub fn monte_carlo(&self) -> MonteCarlo {
-        MonteCarlo::new(self.config())
-    }
-
-    /// Runs every scheme over one shared work-stealing pool.
+    /// Runs every scheme over one shared work-stealing pool and returns
+    /// the results in order, plus aggregate throughput stats. Each result
+    /// is bit-identical to a solo [`Self::run_one`] of that scheme.
     pub fn run_all(&self, schemes: &[Scheme]) -> (Vec<SchemeResult>, RunStats) {
-        self.monte_carlo().run_all_timed(schemes)
+        montecarlo::run_many(self, schemes, 0, self.samples, TrialKernel::BitSliced)
     }
 
-    /// Runs one scheme.
+    /// Runs one scheme, reporting wall time and samples/sec alongside.
     pub fn run_one(&self, scheme: Scheme) -> RunReport {
-        self.monte_carlo().run_timed(scheme)
+        montecarlo::run_range(self, scheme, 0, self.samples)
+    }
+
+    /// Replays trial `trial` of `scheme` and returns its full decision
+    /// timeline.
+    ///
+    /// The deterministic single-shot evaluation hook behind the golden
+    /// conformance traces (`xed-trace-v1`): it draws from the *same*
+    /// counter-based stream as trial `trial` of [`Self::run_one`] and runs
+    /// the *same* trial body (zero-fault fast path, isolated-fault fast
+    /// path, expiry bookkeeping, stop-at-first-failure) with a recorder
+    /// attached, so aggregating `replay_trial` over every trial index
+    /// reproduces the aggregate [`SchemeResult`] bit-for-bit.
+    pub fn replay_trial(&self, scheme: Scheme, trial: u64) -> TrialReplay {
+        montecarlo::replay_trial(self, scheme, trial)
     }
 
     /// The [`Query`] equivalent of running `scheme` under this sweep —
@@ -716,7 +716,6 @@ impl Sweep {
             rates: self.rates.clone(),
             exec: Exec {
                 threads: self.threads,
-                kernel: self.kernel,
                 block: DEFAULT_BLOCK,
             },
         }
@@ -830,7 +829,6 @@ mod tests {
         let mut b = a.clone();
         b.exec = Exec {
             threads: 3,
-            kernel: TrialKernel::Scalar,
             block: 1024,
         };
         assert_eq!(a.canonical_key(), b.canonical_key());
@@ -1011,7 +1009,7 @@ mod tests {
     #[test]
     fn evaluate_matches_direct_monte_carlo() {
         let q = Query::lifetime(Scheme::Xed, 20_000, 7);
-        let direct = MonteCarlo::new(q.mc_config()).run(Scheme::Xed);
+        let direct = q.sweep().run_one(Scheme::Xed).result;
         match evaluate(&q).expect("valid query") {
             Estimate::Lifetime(report) => assert_eq!(report.result, direct),
             Estimate::Tail(_) => panic!("lifetime query returned a tail estimate"),
@@ -1066,5 +1064,20 @@ mod tests {
         assert!(q.validate().is_err(), "miss probability above 1");
         q.params.on_die_miss = 0.008;
         assert!(q.validate().is_ok());
+    }
+
+    #[test]
+    fn lifetimes_beyond_the_bound_are_rejected_before_any_allocation() {
+        // Each worker keeps one failure counter per simulated year, so an
+        // absurd lifetime must be a validation error, not an allocation
+        // abort inside the run.
+        let mut q = Query::lifetime(Scheme::Xed, 1, 7);
+        q.years = MAX_YEARS;
+        assert!(q.validate().is_ok());
+        for years in [MAX_YEARS + 1.0, 1e15, f64::MAX] {
+            q.years = years;
+            assert!(q.validate().is_err(), "{years} years");
+            assert!(evaluate(&q).is_err(), "{years} years");
+        }
     }
 }

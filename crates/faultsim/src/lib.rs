@@ -20,26 +20,22 @@
 //! * [`schemes`] — the protection schemes the paper compares;
 //! * [`montecarlo`] — the work-stealing, thread-count-invariant
 //!   simulation driver (per-trial counter-based RNG streams, bit-sliced
-//!   64-lane trial classification);
+//!   64-lane trial classification) and its result types;
 //! * [`rareevent`] — the importance-sampled rare-event engine for
 //!   Table-IV-class tail probabilities;
 //! * [`engine`] — the query facade every consumer (figure binaries,
-//!   benches, the `xedd` daemon) evaluates through: canonical config
-//!   keys, streaming partial-confidence evaluation, batch sweeps;
+//!   benches, the `xedd` daemon) evaluates through, and the only public
+//!   way to run a lifetime simulation: canonical config keys, streaming
+//!   partial-confidence evaluation, batch sweeps, trial replay;
 //! * [`analytic`] — closed-form cross-checks for the Monte-Carlo results.
 //!
 //! # Example: probability of system failure under XED
 //!
 //! ```
-//! use xed_faultsim::montecarlo::{MonteCarlo, MonteCarloConfig};
+//! use xed_faultsim::engine::Sweep;
 //! use xed_faultsim::schemes::Scheme;
 //!
-//! let mc = MonteCarlo::new(MonteCarloConfig {
-//!     samples: 20_000,
-//!     seed: 1,
-//!     ..MonteCarloConfig::default()
-//! });
-//! let result = mc.run(Scheme::Xed);
+//! let result = Sweep::new(20_000, 1).run_one(Scheme::Xed).result;
 //! // XED keeps the 7-year failure probability around 5e-4 (paper Fig. 7),
 //! // so a 20k-sample smoke run sees at most a handful of failures.
 //! assert!(result.failure_probability(7.0) < 0.01);
@@ -64,9 +60,7 @@ pub use engine::{
 pub use fault::{FaultExtent, FaultRange, Persistence};
 pub use fit::FitRates;
 pub use geometry::DramGeometry;
-pub use montecarlo::{
-    MonteCarlo, MonteCarloConfig, RunReport, RunStats, SchemeResult, TrialKernel,
-};
+pub use montecarlo::{RunReport, RunStats, SchemeResult};
 pub use rareevent::{TailConfig, TailEstimate, TailMode, TailSimulator};
 pub use schemes::{CodeModel, Scheme};
 pub use system::SystemConfig;

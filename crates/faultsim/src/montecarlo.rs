@@ -3,7 +3,9 @@
 //! Reproduces the paper's methodology (Section III): simulate many
 //! independent systems over a 7-year lifetime, record whether and when each
 //! encounters an uncorrectable (DUE) or silent (SDC) error, and report the
-//! probability of system failure as a function of time.
+//! probability of system failure as a function of time. The public way to
+//! run it is [`crate::engine`] ([`Sweep`], `evaluate`,
+//! `evaluate_streaming`); this module holds the machinery behind it.
 //!
 //! # Engine design (see DESIGN.md §9)
 //!
@@ -17,34 +19,38 @@
 //!   **bit-identical for any thread count** (enforced by tier-1 tests).
 //! * **Work-stealing chunk scheduler.** Workers repeatedly claim the next
 //!   `STEAL_CHUNK`-trial slice from a shared atomic counter spanning
-//!   *all* schemes of the invocation, so [`MonteCarlo::run_all`] is
-//!   parallel across schemes and no core idles at the tail. All
-//!   accumulators are `u64` counters (commutative merges), so the claim
-//!   order cannot affect results.
-//! * **Bit-sliced trial classification.** The default [`TrialKernel`]
-//!   processes trials in 64-lane blocks: the block's headline draws come
-//!   from one Weyl-incremented SplitMix64 sweep, the zero-fault decisions
-//!   transpose into a single `nonzero` word, one popcount credits the
-//!   whole block's zero-fault trials, and only set bits spill to the
-//!   scalar event machinery — bit-identical to the scalar loop by
-//!   construction (see DESIGN.md §14).
+//!   *all* schemes of the invocation, so [`Sweep::run_all`] is parallel
+//!   across schemes and no core idles at the tail. All accumulators are
+//!   `u64` counters (commutative merges), so the claim order cannot
+//!   affect results. The rare-event engine reuses the same scheduler.
+//! * **Bit-sliced trial classification.** Trials run in 64-lane blocks:
+//!   the block's headline draws come from one Weyl-incremented SplitMix64
+//!   sweep, the zero-fault decisions transpose into a single `nonzero`
+//!   word, one popcount credits the whole block's zero-fault trials, and
+//!   only set bits spill to the scalar event machinery — bit-identical to
+//!   the scalar loop by construction (see DESIGN.md §14).
+//! * **One trial timeline.** Every spilled trial, every replayed trial
+//!   ([`Sweep::replay_trial`]) and every rare-event trial walks its faults
+//!   through the same loop: expire closed exposure windows, evaluate the
+//!   arrival against the active set, stop at the first DUE/SDC.
 //! * **Allocation-free hot loop.** Each worker owns reusable event/active
 //!   buffers; `LifetimeSampler::sample_into` writes into them, and the
 //!   zero-fault fast path draws only the Poisson count (one uniform) for
 //!   the ~75 % of lifetimes that see no fault at all.
-//! * **Throughput instrumentation.** [`MonteCarlo::run_timed`] and
-//!   [`MonteCarlo::run_all_timed`] report wall time and samples/sec via
+//! * **Throughput instrumentation.** [`Sweep::run_one`] and
+//!   [`Sweep::run_all`] report wall time and samples/sec via
 //!   [`RunStats`]; the `mc_throughput` bench binary persists the trajectory
 //!   to `BENCH_faultsim.json`.
 
+use crate::engine::Sweep;
 use crate::event::{FaultEvent, LifetimeSampler};
 use crate::fault::Persistence;
-use crate::fit::{FitRates, HOURS_PER_YEAR, LIFETIME_YEARS};
-use crate::schemes::{ModelParams, Scheme, SchemeModel, Verdict};
-use rand::rngs::Streams;
+use crate::fit::HOURS_PER_YEAR;
+use crate::schemes::{Scheme, SchemeModel, Verdict};
+use rand::rngs::{StdRng, Streams};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use xed_telemetry::trace::{self, Phase, SpanCtx, SpanEvent};
+use xed_telemetry::trace::{self, Phase, SpanEvent};
 use xed_telemetry::{registry::metrics, Tallies};
 
 /// Trials claimed per scheduler steal. Large enough that the atomic
@@ -61,61 +67,26 @@ const LANES: u64 = 64;
 /// (the hot loop computes it on every recorded failure).
 const YEAR_RECIP: f64 = 1.0 / HOURS_PER_YEAR;
 
-/// Which per-trial evaluation kernel the driver runs.
+/// Which per-trial evaluation kernel [`run_many`] runs.
 ///
 /// Both kernels consume the identical counter-based streams and produce
-/// **bit-identical** [`SchemeResult`]s (enforced by tier-1 tests and the
-/// ci.sh equivalence gate); the choice only affects how fast the ~75 %
-/// zero-fault trials are classified.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TrialKernel {
-    /// 64-lane bit-sliced classification (default): headline draws for a
-    /// whole trial block are generated with one Weyl add + SplitMix64 mix
-    /// per lane ([`Streams::split_first_block`]), transposed into a single
+/// **bit-identical** [`SchemeResult`]s; the choice only affects how fast
+/// the ~75 % zero-fault trials are classified. Every public run uses the
+/// bit-sliced kernel; the scalar loop is the crate-internal reference the
+/// equivalence tests (and the release-mode ci.sh gate) compare it with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TrialKernel {
+    /// 64-lane bit-sliced classification: headline draws for a whole
+    /// trial block are generated with one Weyl add + SplitMix64 mix per
+    /// lane ([`Streams::split_first_block`]), transposed into a single
     /// `nonzero` word by [`LifetimeSampler::nonzero_mask`], credited to
     /// the zero-fault tally with one popcount, and only the set bits spill
     /// into the scalar event machinery.
-    #[default]
     BitSliced,
-    /// The straight scalar loop, one trial at a time — kept as the live
-    /// differential oracle for the bit-sliced path.
+    /// The straight scalar loop, one trial at a time — the differential
+    /// oracle for the bit-sliced path (constructed only by its tests).
+    #[cfg_attr(not(test), allow(dead_code))]
     Scalar,
-}
-
-/// Monte-Carlo run configuration.
-#[derive(Debug, Clone)]
-pub struct MonteCarloConfig {
-    /// Number of independent systems to simulate per scheme. The paper uses
-    /// 10⁹; 10⁶–10⁸ gives tight estimates at the probabilities involved.
-    pub samples: u64,
-    /// Lifetime in years (paper: 7).
-    pub years: f64,
-    /// Base RNG seed. Results are a pure function of `(seed, scheme,
-    /// samples)` — the thread count never changes them.
-    pub seed: u64,
-    /// Worker threads; `0` = use all available cores.
-    pub threads: usize,
-    /// Fault-response model parameters (on-die ECC, scaling faults, …).
-    pub params: ModelParams,
-    /// Per-chip FIT rates.
-    pub rates: FitRates,
-    /// Per-trial evaluation kernel (bit-sliced by default; results are
-    /// bit-identical either way).
-    pub kernel: TrialKernel,
-}
-
-impl Default for MonteCarloConfig {
-    fn default() -> Self {
-        Self {
-            samples: 1_000_000,
-            years: LIFETIME_YEARS,
-            seed: 0x5EED,
-            threads: 0,
-            params: ModelParams::default(),
-            rates: FitRates::table_i(),
-            kernel: TrialKernel::default(),
-        }
-    }
 }
 
 /// Aggregated outcome of simulating one scheme.
@@ -207,7 +178,7 @@ impl SchemeResult {
     /// range* into this one.
     ///
     /// Every field is a plain `u64` tally, so accumulating the range runs
-    /// `[0, B), [B, 2B), …` produced by [`MonteCarlo::run_range_timed`]
+    /// `[0, B), [B, 2B), …` of `engine::evaluate_streaming`'s trial blocks
     /// is **bit-identical** to one batch run over the union of the ranges
     /// — trial randomness is a pure function of `(seed, scheme, trial)`,
     /// never of how the trial space was partitioned. This is the merge
@@ -240,14 +211,14 @@ impl SchemeResult {
     }
 }
 
-/// One classifier decision inside a replayed trial ([`MonteCarlo::replay_trial`]).
-#[derive(Debug, Clone, PartialEq)]
+/// One classifier decision inside a replayed trial ([`Sweep::replay_trial`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrialStep {
     /// Arrival time of the evaluated fault, in hours since system start.
     pub time_hours: f64,
     /// Global chip index the fault struck; `None` on the isolated-fault
-    /// fast path (the verdict is chip-independent there, and the replay
-    /// mirrors the production loop draw-for-draw).
+    /// fast path (the verdict is chip-independent there, so the trial
+    /// never draws one).
     pub chip: Option<u32>,
     /// Spatial extent of the evaluated fault.
     pub extent: crate::fault::FaultExtent,
@@ -283,7 +254,7 @@ pub struct TrialReplay {
     /// `true` if the lifetime drew zero faults (no steps).
     pub zero_fault: bool,
     /// Every classifier decision, in arrival order. Evaluation stops at
-    /// the first failure, like the production loop.
+    /// the first failure.
     pub steps: Vec<TrialStep>,
     /// The failure that ended the trial, if any.
     pub failure: Option<TrialFailure>,
@@ -343,310 +314,292 @@ pub struct RunReport {
     pub stats: RunStats,
 }
 
-/// The Monte-Carlo simulator.
-#[derive(Debug, Clone)]
-pub struct MonteCarlo {
-    config: MonteCarloConfig,
+/// Worker threads a `threads` setting resolves to: `0` means every
+/// available core.
+pub(crate) fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        threads
+    }
 }
 
-impl MonteCarlo {
-    /// Creates a simulator with the given configuration.
-    pub fn new(config: MonteCarloConfig) -> Self {
-        assert!(config.samples > 0, "need at least one sample");
-        assert!(config.years > 0.0, "lifetime must be positive");
-        Self { config }
-    }
+/// The stream-family key of `(seed, scheme)`: trial `i` of `scheme` draws
+/// from stream `i` of `Streams::new(stream_key(seed, scheme))`. Part of
+/// the reproducibility contract, like `Scheme::stream_tag`.
+pub(crate) fn stream_key(seed: u64, scheme: Scheme) -> u64 {
+    seed.wrapping_add(scheme.stream_tag().wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
 
-    /// The configuration.
-    pub fn config(&self) -> &MonteCarloConfig {
-        &self.config
-    }
-
-    /// Worker threads this configuration resolves to.
-    pub fn threads(&self) -> usize {
-        if self.config.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.config.threads
-        }
-    }
-
-    /// Simulates one scheme across all samples, in parallel.
-    ///
-    /// The result is a pure function of `(seed, scheme, samples, years,
-    /// params, rates)`; thread count only affects wall time.
-    pub fn run(&self, scheme: Scheme) -> SchemeResult {
-        self.run_timed(scheme).result
-    }
-
-    /// Like [`Self::run`], additionally reporting wall time and
-    /// samples/sec for this invocation.
-    pub fn run_timed(&self, scheme: Scheme) -> RunReport {
-        self.run_range_timed(scheme, 0, self.config.samples)
-    }
-
-    /// Simulates trials `[first, first + count)` of one scheme, in
-    /// parallel, ignoring the configured sample count.
-    ///
-    /// Trial randomness is a pure function of `(seed, scheme, trial)`, so
-    /// accumulating consecutive range runs with
-    /// [`SchemeResult::merge_from`] reproduces a single batch run of the
-    /// union **bit-for-bit** — the primitive behind the streaming
-    /// `faultsim::engine` facade and `xedd`'s partial-confidence
-    /// responses. Range boundaries need not align with the 64-lane
-    /// bit-sliced blocks or the work-stealing chunks.
-    pub fn run_range_timed(&self, scheme: Scheme, first: u64, count: u64) -> RunReport {
-        assert!(count > 0, "need at least one trial in the range");
-        let (mut results, stats) = self.run_many(&[scheme], first, count);
-        // invariant: run_many returns exactly one result per input scheme.
-        let result = results.pop().expect("one scheme in, one result out");
-        RunReport { result, stats }
-    }
-
-    /// Runs every scheme in `schemes` and returns the results in order.
-    ///
-    /// The schemes share one work-stealing pool: all `schemes.len() ×
-    /// samples` trials are interleaved across the workers, so a
-    /// seven-scheme sweep saturates the machine instead of running seven
-    /// serial barriers. Each result is bit-identical to what a solo
-    /// [`Self::run`] of that scheme produces, because every trial's
-    /// randomness is keyed by `(seed, scheme, trial)` — never by worker or
-    /// batch composition.
-    pub fn run_all(&self, schemes: &[Scheme]) -> Vec<SchemeResult> {
-        self.run_all_timed(schemes).0
-    }
-
-    /// Like [`Self::run_all`], additionally reporting aggregate throughput
-    /// stats for the whole invocation.
-    pub fn run_all_timed(&self, schemes: &[Scheme]) -> (Vec<SchemeResult>, RunStats) {
-        self.run_many(schemes, 0, self.config.samples)
-    }
-
-    /// Replays one trial of `scheme` and returns its full decision
-    /// timeline.
-    ///
-    /// This is the deterministic single-shot evaluation hook behind the
-    /// golden conformance traces (`xed-trace-v1`): it consumes the *same*
-    /// counter-based stream as trial `trial` of [`Self::run`], mirrors the
-    /// production loop draw-for-draw (zero-fault fast path, isolated-fault
-    /// fast path, expiry bookkeeping, stop-at-first-failure), and so
-    /// aggregating `replay_trial` over every trial index reproduces the
-    /// aggregate [`SchemeResult`] bit-for-bit (asserted by
-    /// `replaying_every_trial_reproduces_the_aggregate_result` below).
-    pub fn replay_trial(&self, scheme: Scheme, trial: u64) -> TrialReplay {
-        let config = &self.config;
-        let years = config.years.ceil() as usize;
-        let model = SchemeModel::new(scheme, config.params);
-        let sampler = LifetimeSampler::new(
-            &config.rates,
-            model.config().geometry,
-            model.config().total_chips(),
-            config.years,
-        );
-        let streams = Streams::new(
-            config
-                .seed
-                .wrapping_add(scheme.stream_tag().wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        );
-        let exposure = model.params().transient_exposure_hours;
-        let mut replay = TrialReplay {
-            scheme,
-            trial,
-            zero_fault: false,
-            steps: Vec::new(),
-            failure: None,
-        };
-
-        let u0 = streams.split_first(trial);
-        if sampler.is_zero_fault(u0) {
-            replay.zero_fault = true;
-            return replay;
-        }
-        let mut rng = streams.split_rest(trial);
-        let count = sampler.count_split(u0, &mut rng);
-        if count == 0 {
-            replay.zero_fault = true;
-            return replay;
-        }
-        if count == 1 {
-            let (extent, persistence, time_hours) = sampler.sample_mode_time(&mut rng);
-            let verdict = model.evaluate_isolated(&mut rng, extent, persistence);
-            replay.steps.push(TrialStep {
-                time_hours,
-                chip: None,
-                extent,
-                persistence,
-                active: 0,
-                verdict,
-            });
-            if matches!(verdict, Verdict::Due | Verdict::Sdc) {
-                replay.failure = Some(TrialFailure {
-                    due: verdict == Verdict::Due,
-                    year: ((time_hours * YEAR_RECIP) as usize).min(years - 1),
-                    extent_index: extent.index(),
-                });
-            }
-            return replay;
-        }
-        let mut events = Vec::new();
-        sampler.events_into(count, &mut rng, &mut events);
-        let mut active: Vec<(f64, FaultEvent)> = Vec::new();
-        let mut view: Vec<FaultEvent> = Vec::new();
-        for e in &events {
-            active.retain(|&(expiry, _)| expiry > e.time_hours);
-            view.clear();
-            view.extend(active.iter().map(|&(_, f)| f));
-            let verdict = model.evaluate(&mut rng, e, &view);
-            replay.steps.push(TrialStep {
-                time_hours: e.time_hours,
-                chip: Some(e.chip),
-                extent: e.fault.extent,
-                persistence: e.fault.persistence,
-                active: view.len(),
-                verdict,
-            });
-            match verdict {
-                Verdict::Due | Verdict::Sdc => {
-                    replay.failure = Some(TrialFailure {
-                        due: verdict == Verdict::Due,
-                        year: ((e.time_hours * YEAR_RECIP) as usize).min(years - 1),
-                        extent_index: e.fault.extent.index(),
-                    });
-                    break;
-                }
-                Verdict::Corrected | Verdict::Benign => match e.fault.persistence {
-                    Persistence::Permanent => active.push((f64::INFINITY, *e)),
-                    Persistence::Transient if exposure > 0.0 => {
-                        active.push((e.time_hours + exposure, *e));
+/// The work-stealing chunk scheduler: `threads` scoped workers each build
+/// their state with `init`, then repeatedly claim the next chunk id of
+/// `0..chunks` from one shared atomic counter and hand it to `work`, until
+/// the space is exhausted. Returns every worker's final state. Which
+/// worker ran which chunk is scheduling noise, so callers must fold the
+/// states order-independently (or by chunk id).
+pub(crate) fn steal_chunks<S: Send>(
+    threads: usize,
+    chunks: u64,
+    init: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, u64) + Sync,
+) -> Vec<S> {
+    let next_chunk = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let (init, work, next_chunk) = (&init, &work, &next_chunk);
+                scope.spawn(move || {
+                    let mut state = init();
+                    loop {
+                        let c = next_chunk.fetch_add(1, Ordering::Relaxed);
+                        if c >= chunks {
+                            break state;
+                        }
+                        work(&mut state, c);
                     }
-                    Persistence::Transient => {}
-                },
-            }
-        }
-        replay
-    }
-
-    /// The shared engine behind `run`/`run_all`/`run_range_timed`:
-    /// simulates trials `[first, first + count)` of every scheme in
-    /// `schemes` over one work-stealing pool.
-    fn run_many(
-        &self,
-        schemes: &[Scheme],
-        first: u64,
-        count: u64,
-    ) -> (Vec<SchemeResult>, RunStats) {
-        let threads = self.threads();
-        let config = &self.config;
-        let years = config.years.ceil() as usize;
-        let models: Vec<SchemeModel> = schemes
-            .iter()
-            .map(|&s| SchemeModel::new(s, config.params))
-            .collect();
-        let chunks_per_scheme = count.div_ceil(STEAL_CHUNK);
-        // invariant: chunks_per_scheme ≤ samples and scheme counts are tiny
-        // (≤ dozens), so the chunk-id space cannot overflow u64 for any
-        // simulation size a machine can actually run.
-        let total_chunks = chunks_per_scheme
-            .checked_mul(models.len() as u64)
-            .expect("chunk-id space overflow");
-        let next_chunk = AtomicU64::new(0);
-
-        // Capture the caller's span context before fanning out: the
-        // scoped workers are fresh threads, so the tracing thread-local
-        // does not propagate on its own.
-        let span_ctx = trace::current();
-
-        // Wall-clock timing is reporting-only metadata; the simulation
-        // itself stays deterministic.
-        let start = Instant::now(); // xed-lint: allow(XL005)
-        let per_worker: Vec<Vec<Partial>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let models = &models;
-                    let next_chunk = &next_chunk;
-                    scope.spawn(move || {
-                        worker(
-                            models,
-                            config,
-                            next_chunk,
-                            chunks_per_scheme,
-                            total_chunks,
-                            first,
-                            count,
-                            years,
-                            span_ctx,
-                        )
-                    })
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    // invariant: workers never panic; a worker panic is a bug
-                    // in the simulator itself, so propagate it.
-                    h.join().expect("monte-carlo worker panicked")
-                })
-                .collect()
-        });
-        let wall_seconds = start.elapsed().as_secs_f64();
-
-        let mut zero_fault_samples = 0u64;
-        let mut bitslice_blocks = 0u64;
-        let mut bitslice_spills = 0u64;
-        let results: Vec<SchemeResult> = schemes
-            .iter()
-            .enumerate()
-            .map(|(si, &scheme)| {
-                let mut result = SchemeResult {
-                    scheme,
-                    samples: count,
-                    failures_by_year: vec![0; years],
-                    due: 0,
-                    sdc: 0,
-                    failures_by_extent: [0; 6],
-                };
-                let mut counts: Tallies<P_SLOTS> = Tallies::new();
-                for partials in &per_worker {
-                    let p = &partials[si];
-                    counts.merge_from(&p.counts);
-                    for (a, b) in result.failures_by_year.iter_mut().zip(&p.failures_by_year) {
-                        *a += b;
-                    }
-                }
-                result.due = counts.get(P_DUE);
-                result.sdc = counts.get(P_SDC);
-                zero_fault_samples += counts.get(P_ZERO_FAULT);
-                bitslice_blocks += counts.get(P_BITSLICE_BLOCKS);
-                bitslice_spills += counts.get(P_BITSLICE_SPILLS);
-                for (i, slot) in result.failures_by_extent.iter_mut().enumerate() {
-                    *slot = counts.get(P_EXTENT0 + i);
-                }
-                result
             })
             .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                // invariant: workers never panic; a worker panic is a bug
+                // in the simulator itself, so propagate it.
+                h.join().expect("simulation worker panicked")
+            })
+            .collect()
+    })
+}
 
-        let samples = count * schemes.len() as u64;
-        let stats = RunStats {
-            wall_seconds,
-            samples_per_sec: samples as f64 / wall_seconds.max(1e-9),
-            threads,
-            samples,
-            zero_fault_samples,
-        };
+/// The sampler and stream family the trials of `model`'s scheme draw from
+/// under `sweep`.
+fn trial_context<'a>(sweep: &'a Sweep, model: &SchemeModel) -> (LifetimeSampler<'a>, Streams) {
+    let sampler = LifetimeSampler::new(
+        &sweep.rates,
+        model.config().geometry,
+        model.config().total_chips(),
+        sweep.years,
+    );
+    (
+        sampler,
+        Streams::new(stream_key(sweep.seed, model.scheme())),
+    )
+}
 
-        // Publish-at-merge (DESIGN.md §11): the hot loop accumulated into
-        // owned tallies; the global registry counters are bumped once per
-        // invocation, here at the join point.
-        if xed_telemetry::enabled() {
-            metrics::FAULTSIM_RUNS.incr();
-            metrics::FAULTSIM_TRIALS.add(samples);
-            metrics::FAULTSIM_ZERO_FAULT_TRIALS.add(zero_fault_samples);
-            metrics::FAULTSIM_DUE.add(results.iter().map(|r| r.due).sum());
-            metrics::FAULTSIM_SDC.add(results.iter().map(|r| r.sdc).sum());
-            metrics::FAULTSIM_BITSLICE_BLOCKS.add(bitslice_blocks);
-            metrics::FAULTSIM_BITSLICE_SPILLS.add(bitslice_spills);
-        }
-        (results, stats)
+/// Simulates trials `[first, first + count)` of one scheme with the
+/// bit-sliced kernel: the range run behind [`Sweep::run_one`], the
+/// streamed blocks of `engine::evaluate_streaming` and the rare-event
+/// engine's plain-MC fallback. Range boundaries need not align with the
+/// 64-lane blocks or the work-stealing chunks.
+pub(crate) fn run_range(sweep: &Sweep, scheme: Scheme, first: u64, count: u64) -> RunReport {
+    let (mut results, stats) = run_many(sweep, &[scheme], first, count, TrialKernel::BitSliced);
+    // invariant: run_many returns exactly one result per input scheme.
+    let result = results.pop().expect("one scheme in, one result out");
+    RunReport { result, stats }
+}
+
+/// The one lifetime run: simulates trials `[first, first + count)` of
+/// every scheme in `schemes` under `sweep` (its `samples` field is not
+/// consulted) over one work-stealing pool.
+///
+/// All `schemes.len() × count` trials interleave across the workers, so a
+/// seven-scheme sweep saturates the machine instead of running seven
+/// serial barriers. Trial randomness is keyed by `(seed, scheme, trial)`
+/// — never by worker, batch composition or range partition — so each
+/// result is bit-identical to a solo run of its scheme, and accumulating
+/// consecutive range runs with [`SchemeResult::merge_from`] reproduces a
+/// batch run of the union.
+pub(crate) fn run_many(
+    sweep: &Sweep,
+    schemes: &[Scheme],
+    first: u64,
+    count: u64,
+    kernel: TrialKernel,
+) -> (Vec<SchemeResult>, RunStats) {
+    assert!(count > 0, "need at least one sample");
+    assert!(sweep.years > 0.0, "lifetime must be positive");
+    let threads = resolve_threads(sweep.threads);
+    let years = sweep.years.ceil() as usize;
+    let models: Vec<SchemeModel> = schemes
+        .iter()
+        .map(|&s| SchemeModel::new(s, sweep.params))
+        .collect();
+    let contexts: Vec<(LifetimeSampler<'_>, Streams)> =
+        models.iter().map(|m| trial_context(sweep, m)).collect();
+    let chunks_per_scheme = count.div_ceil(STEAL_CHUNK);
+    // invariant: chunks_per_scheme ≤ samples and scheme counts are tiny
+    // (≤ dozens), so the chunk-id space cannot overflow u64 for any
+    // simulation size a machine can actually run.
+    let total_chunks = chunks_per_scheme
+        .checked_mul(models.len() as u64)
+        .expect("chunk-id space overflow");
+
+    // Capture the caller's span context before fanning out: the scoped
+    // workers are fresh threads, so the tracing thread-local does not
+    // propagate on its own.
+    let span_ctx = trace::current();
+    // One flag load per run: chunk-grain telemetry costs four atomic
+    // updates and two clock reads per STEAL_CHUNK (4096) trials — ~0.1 %
+    // of a chunk's work — and vanishes entirely under `--no-telemetry`.
+    let telemetry_on = xed_telemetry::enabled();
+
+    // Wall-clock timing is reporting-only metadata; the simulation
+    // itself stays deterministic.
+    let start = Instant::now(); // xed-lint: allow(XL005)
+    let per_worker = steal_chunks(
+        threads,
+        total_chunks,
+        || {
+            let partials: Vec<Partial> = models.iter().map(|_| Partial::new(years)).collect();
+            (partials, Scratch::default())
+        },
+        |(partials, scratch), c| {
+            // Chunk `c` covers trials `[first + offset ..][..n]` of scheme
+            // `c / chunks_per_scheme`.
+            let si = (c / chunks_per_scheme) as usize;
+            let offset = (c % chunks_per_scheme) * STEAL_CHUNK;
+            let n = STEAL_CHUNK.min(count - offset);
+            let (sampler, streams) = &contexts[si];
+            // Chunk wall time is reporting-only metadata (never fed back
+            // into the simulation), same as the outer timer. The clock is
+            // also read when the calling request is traced, so each chunk
+            // can land in the flight recorder as a SchedulerChunk span.
+            let chunk_start = (telemetry_on || span_ctx.is_some()).then(Instant::now); // xed-lint: allow(XL005)
+            run_trials(
+                &models[si],
+                sampler,
+                streams,
+                kernel,
+                first + offset,
+                n,
+                years,
+                &mut partials[si],
+                scratch,
+            );
+            if let Some(start) = chunk_start {
+                let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                if telemetry_on {
+                    metrics::FAULTSIM_STEAL_CHUNKS.incr();
+                    metrics::FAULTSIM_STEAL_CHUNK_TRIALS.record(n);
+                    metrics::FAULTSIM_CHUNK_NS.record(ns);
+                    metrics::FAULTSIM_TRIAL_NS.record(ns / n);
+                }
+                if let Some(ctx) = span_ctx {
+                    let t_end = trace::now_ns();
+                    trace::record_span(SpanEvent {
+                        trace_id: ctx.trace_id,
+                        span_id: trace::next_span_id(),
+                        parent: ctx.span_id,
+                        phase: Phase::SchedulerChunk,
+                        a: n,
+                        t_start: t_end.saturating_sub(ns),
+                        t_end,
+                    });
+                }
+            }
+        },
+    );
+    let wall_seconds = start.elapsed().as_secs_f64();
+
+    let mut zero_fault_samples = 0u64;
+    let mut bitslice_blocks = 0u64;
+    let mut bitslice_spills = 0u64;
+    let results: Vec<SchemeResult> = schemes
+        .iter()
+        .enumerate()
+        .map(|(si, &scheme)| {
+            let mut result = SchemeResult {
+                scheme,
+                samples: count,
+                failures_by_year: vec![0; years],
+                due: 0,
+                sdc: 0,
+                failures_by_extent: [0; 6],
+            };
+            let mut counts: Tallies<P_SLOTS> = Tallies::new();
+            for (partials, _) in &per_worker {
+                let p = &partials[si];
+                counts.merge_from(&p.counts);
+                for (a, b) in result.failures_by_year.iter_mut().zip(&p.failures_by_year) {
+                    *a += b;
+                }
+            }
+            result.due = counts.get(P_DUE);
+            result.sdc = counts.get(P_SDC);
+            zero_fault_samples += counts.get(P_ZERO_FAULT);
+            bitslice_blocks += counts.get(P_BITSLICE_BLOCKS);
+            bitslice_spills += counts.get(P_BITSLICE_SPILLS);
+            for (i, slot) in result.failures_by_extent.iter_mut().enumerate() {
+                *slot = counts.get(P_EXTENT0 + i);
+            }
+            result
+        })
+        .collect();
+
+    let samples = count * schemes.len() as u64;
+    let stats = RunStats {
+        wall_seconds,
+        samples_per_sec: samples as f64 / wall_seconds.max(1e-9),
+        threads,
+        samples,
+        zero_fault_samples,
+    };
+
+    // Publish-at-merge (DESIGN.md §11): the hot loop accumulated into
+    // owned tallies; the global registry counters are bumped once per
+    // invocation, here at the join point.
+    if xed_telemetry::enabled() {
+        metrics::FAULTSIM_RUNS.incr();
+        metrics::FAULTSIM_TRIALS.add(samples);
+        metrics::FAULTSIM_ZERO_FAULT_TRIALS.add(zero_fault_samples);
+        metrics::FAULTSIM_DUE.add(results.iter().map(|r| r.due).sum());
+        metrics::FAULTSIM_SDC.add(results.iter().map(|r| r.sdc).sum());
+        metrics::FAULTSIM_BITSLICE_BLOCKS.add(bitslice_blocks);
+        metrics::FAULTSIM_BITSLICE_SPILLS.add(bitslice_spills);
+    }
+    (results, stats)
+}
+
+/// Replays trial `trial` of `scheme` under `sweep` through the production
+/// trial body, recording every classifier decision (see
+/// [`Sweep::replay_trial`]).
+pub(crate) fn replay_trial(sweep: &Sweep, scheme: Scheme, trial: u64) -> TrialReplay {
+    let years = sweep.years.ceil() as usize;
+    let model = SchemeModel::new(scheme, sweep.params);
+    let (sampler, streams) = trial_context(sweep, &model);
+    let mut partial = Partial::new(years);
+    let mut steps = Vec::new();
+    run_trial(
+        &model,
+        &sampler,
+        &streams,
+        trial,
+        streams.split_first(trial),
+        years,
+        &mut partial,
+        &mut Scratch::default(),
+        |step| steps.push(step),
+    );
+    // A failure can only be the last recorded step; its year bucket is
+    // read back from the tally the aggregate run would fold.
+    let failure = steps
+        .last()
+        .filter(|s| s.verdict.is_failure())
+        .map(|s| TrialFailure {
+            due: s.verdict == Verdict::Due,
+            year: partial
+                .failures_by_year
+                .iter()
+                .position(|&n| n > 0)
+                .unwrap_or(0),
+            extent_index: s.extent.index(),
+        });
+    TrialReplay {
+        scheme,
+        trial,
+        zero_fault: partial.counts.get(P_ZERO_FAULT) > 0,
+        steps,
+        failure,
     }
 }
 
@@ -682,11 +635,13 @@ impl Partial {
     }
 }
 
-/// Reusable per-worker scratch buffers; allocated once per worker, reused
-/// for every trial (the hot loop itself never allocates).
-struct Scratch {
+/// Reusable per-worker scratch buffers, shared by the lifetime driver and
+/// the rare-event engine; allocated once per worker, reused for every
+/// trial (the hot loop itself never allocates).
+#[derive(Default)]
+pub(crate) struct Scratch {
     /// Current trial's fault timeline.
-    events: Vec<FaultEvent>,
+    pub(crate) events: Vec<FaultEvent>,
     /// `(expiry time, fault)`: permanent faults never expire; corrected
     /// transient faults linger for the configured exposure window before a
     /// read/scrub cleans them.
@@ -695,104 +650,9 @@ struct Scratch {
     view: Vec<FaultEvent>,
 }
 
-/// One work-stealing worker: claims chunk ids from `next_chunk` until the
-/// space is exhausted. Chunk `c` maps to trials
-/// `[range_first + (c % chunks_per_scheme) · STEAL_CHUNK ..][..n]` of
-/// scheme `c / chunks_per_scheme`, where the range covers
-/// `[range_first, range_first + range_count)`.
-#[allow(clippy::too_many_arguments)]
-fn worker(
-    models: &[SchemeModel],
-    config: &MonteCarloConfig,
-    next_chunk: &AtomicU64,
-    chunks_per_scheme: u64,
-    total_chunks: u64,
-    range_first: u64,
-    range_count: u64,
-    years: usize,
-    span_ctx: Option<SpanCtx>,
-) -> Vec<Partial> {
-    let mut partials: Vec<Partial> = models.iter().map(|_| Partial::new(years)).collect();
-    let contexts: Vec<(LifetimeSampler<'_>, Streams)> = models
-        .iter()
-        .map(|m| {
-            let sampler = LifetimeSampler::new(
-                &config.rates,
-                m.config().geometry,
-                m.config().total_chips(),
-                config.years,
-            );
-            // Key the stream family by (seed, scheme): trial i of scheme s
-            // draws from stream i of this family.
-            let streams = Streams::new(
-                config
-                    .seed
-                    .wrapping_add(m.scheme().stream_tag().wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            );
-            (sampler, streams)
-        })
-        .collect();
-    let mut scratch = Scratch {
-        events: Vec::new(),
-        active: Vec::new(),
-        view: Vec::new(),
-    };
-    // One flag load per worker: chunk-grain telemetry costs four atomic
-    // updates and two clock reads per STEAL_CHUNK (4096) trials — ~0.1 %
-    // of a chunk's work — and vanishes entirely under `--no-telemetry`.
-    let telemetry_on = xed_telemetry::enabled();
-    loop {
-        let c = next_chunk.fetch_add(1, Ordering::Relaxed);
-        if c >= total_chunks {
-            break;
-        }
-        let si = (c / chunks_per_scheme) as usize;
-        let offset = (c % chunks_per_scheme) * STEAL_CHUNK;
-        let first = range_first + offset;
-        let count = STEAL_CHUNK.min(range_count - offset);
-        let (sampler, streams) = &contexts[si];
-        // Chunk wall time is reporting-only metadata (never fed back into
-        // the simulation), same as run_many's outer timer. The clock is
-        // also read when the calling request is traced, so each chunk can
-        // land in the flight recorder as a SchedulerChunk span.
-        let chunk_start = (telemetry_on || span_ctx.is_some()).then(Instant::now); // xed-lint: allow(XL005)
-        run_trials(
-            &models[si],
-            sampler,
-            streams,
-            config.kernel,
-            first,
-            count,
-            years,
-            &mut partials[si],
-            &mut scratch,
-        );
-        if let Some(start) = chunk_start {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            if telemetry_on {
-                metrics::FAULTSIM_STEAL_CHUNKS.incr();
-                metrics::FAULTSIM_STEAL_CHUNK_TRIALS.record(count);
-                metrics::FAULTSIM_CHUNK_NS.record(ns);
-                metrics::FAULTSIM_TRIAL_NS.record(ns / count);
-            }
-            if let Some(ctx) = span_ctx {
-                let t_end = trace::now_ns();
-                trace::record_span(SpanEvent {
-                    trace_id: ctx.trace_id,
-                    span_id: trace::next_span_id(),
-                    parent: ctx.span_id,
-                    phase: Phase::SchedulerChunk,
-                    a: count,
-                    t_start: t_end.saturating_sub(ns),
-                    t_end,
-                });
-            }
-        }
-    }
-    partials
-}
-
-/// Simulates trials `[first, first + count)` of one scheme into `partial`.
+/// Simulates trials `[first, first + count)` of one scheme into `partial`:
+/// the bit-sliced kernel takes every whole 64-trial block, and the scalar
+/// loop takes whatever is left (all of it under [`TrialKernel::Scalar`]).
 #[allow(clippy::too_many_arguments)]
 fn run_trials(
     model: &SchemeModel,
@@ -805,28 +665,37 @@ fn run_trials(
     partial: &mut Partial,
     scratch: &mut Scratch,
 ) {
-    match kernel {
-        TrialKernel::Scalar => {
-            for trial in first..first + count {
-                // Trial randomness is the split form of stream `trial`:
-                // the headline draw decides the zero-fault fast path
-                // without paying for generator construction, and
-                // `split_rest` carries the (rare) remaining draws. Still a
-                // pure function of `(seed, scheme, trial)` — thread-count
-                // invariance intact.
-                let u0 = streams.split_first(trial);
-                run_trial(model, sampler, streams, trial, u0, years, partial, scratch);
-            }
-        }
+    let end = first + count;
+    let scalar_from = match kernel {
         TrialKernel::BitSliced => {
-            run_trials_bitsliced(
-                model, sampler, streams, first, count, years, partial, scratch,
-            );
+            run_trials_bitsliced(model, sampler, streams, first, end, years, partial, scratch)
         }
+        TrialKernel::Scalar => first,
+    };
+    for trial in scalar_from..end {
+        // Trial randomness is the split form of stream `trial`: the
+        // headline draw decides the zero-fault fast path without paying
+        // for generator construction, and `split_rest` carries the (rare)
+        // remaining draws. Still a pure function of `(seed, scheme,
+        // trial)` — thread-count invariance intact.
+        let u0 = streams.split_first(trial);
+        run_trial(
+            model,
+            sampler,
+            streams,
+            trial,
+            u0,
+            years,
+            partial,
+            scratch,
+            |_| {},
+        );
     }
 }
 
-/// The bit-sliced kernel: classifies whole 64-trial blocks.
+/// The bit-sliced kernel: classifies the whole 64-trial blocks of
+/// `[first, end)` and returns where they stop (the short remainder is left
+/// to the scalar loop).
 ///
 /// Per block, one [`Streams::split_first_block`] fills the 64 headline
 /// draws (one Weyl add + SplitMix64 mix per lane — the index multiply is
@@ -836,19 +705,18 @@ fn run_trials(
 /// [`run_trial`]. Spilled lanes consume *exactly* the draws the scalar
 /// kernel would — `u0` is handed over, `split_rest` is keyed by trial —
 /// so results are bit-identical to [`TrialKernel::Scalar`] by
-/// construction. The tail of a short chunk (< 64 trials) runs scalar.
+/// construction.
 #[allow(clippy::too_many_arguments)]
 fn run_trials_bitsliced(
     model: &SchemeModel,
     sampler: &LifetimeSampler<'_>,
     streams: &Streams,
     first: u64,
-    count: u64,
+    end: u64,
     years: usize,
     partial: &mut Partial,
     scratch: &mut Scratch,
-) {
-    let end = first + count;
+) -> u64 {
     let mut block = first;
     let mut u0s = [0u64; LANES as usize];
     while block + LANES <= end {
@@ -873,21 +741,21 @@ fn run_trials_bitsliced(
                 years,
                 partial,
                 scratch,
+                |_| {},
             );
         }
         block += LANES;
     }
-    for trial in block..end {
-        let u0 = streams.split_first(trial);
-        run_trial(model, sampler, streams, trial, u0, years, partial, scratch);
-    }
+    block
 }
 
-/// Evaluates one trial whose headline draw `u0` is already taken. The
-/// single per-trial body shared by both kernels — the scalar loop calls it
-/// for every trial, the bit-sliced kernel only for spilled lanes (where
-/// the `is_zero_fault` test is a redundant-but-cheap recheck that keeps
-/// the draw sequence identical).
+/// Evaluates one trial whose headline draw `u0` is already taken,
+/// crediting its outcome to `partial` and reporting every classifier
+/// decision to `on_step`. The single per-trial body: the scalar kernel
+/// calls it for every trial, the bit-sliced kernel only for spilled lanes
+/// (where the `is_zero_fault` test is a redundant-but-cheap recheck that
+/// keeps the draw sequence identical), both with a no-op `on_step` that
+/// monomorphises away; [`replay_trial`] passes a recorder.
 #[allow(clippy::too_many_arguments)]
 fn run_trial(
     model: &SchemeModel,
@@ -898,62 +766,96 @@ fn run_trial(
     years: usize,
     partial: &mut Partial,
     scratch: &mut Scratch,
+    mut on_step: impl FnMut(TrialStep),
 ) {
-    let exposure = model.params().transient_exposure_hours;
     if sampler.is_zero_fault(u0) {
         partial.counts.bump(P_ZERO_FAULT);
         return;
     }
     let mut rng = streams.split_rest(trial);
-    let count = sampler.count_split(u0, &mut rng);
-    if count == 0 {
-        // Unreachable for λ ≤ 30 (is_zero_fault caught it); kept for
-        // the chunked large-λ Poisson path, where the headline draw
-        // alone cannot prove the count is zero.
-        partial.counts.bump(P_ZERO_FAULT);
-        return;
-    }
-    if count == 1 {
-        // Single-fault lifetime (~86 % of the non-empty ones): the
-        // only evaluation sees an empty active set, where the verdict
-        // never depends on the chip or address range the fault struck
-        // (`SchemeModel::evaluate_isolated`). Skip those draws, the
-        // event buffer, and the expiry/view bookkeeping entirely.
-        let (extent, persistence, time_hours) = sampler.sample_mode_time(&mut rng);
-        let verdict = model.evaluate_isolated(&mut rng, extent, persistence);
-        if matches!(verdict, Verdict::Due | Verdict::Sdc) {
-            let year = ((time_hours * YEAR_RECIP) as usize).min(years - 1);
-            // indexing: year is clamped to years - 1 above.
-            partial.failures_by_year[year] += 1;
-            partial.counts.bump(P_EXTENT0 + extent.index());
-            partial.counts.bump(if verdict == Verdict::Due {
-                P_DUE
-            } else {
-                P_SDC
-            });
+    let (verdict, time_hours, extent) = match sampler.count_split(u0, &mut rng) {
+        0 => {
+            // Unreachable for λ ≤ 30 (is_zero_fault caught it); kept for
+            // the chunked large-λ Poisson path, where the headline draw
+            // alone cannot prove the count is zero.
+            partial.counts.bump(P_ZERO_FAULT);
+            return;
         }
-        return;
+        1 => {
+            // Single-fault lifetime (~86 % of the non-empty ones): the
+            // only evaluation sees an empty active set, where the verdict
+            // never depends on the chip or address range the fault struck
+            // (`SchemeModel::evaluate_isolated`). Skip those draws, the
+            // event buffer, and the expiry/view bookkeeping entirely.
+            let (extent, persistence, time_hours) = sampler.sample_mode_time(&mut rng);
+            let verdict = model.evaluate_isolated(&mut rng, extent, persistence);
+            on_step(TrialStep {
+                time_hours,
+                chip: None,
+                extent,
+                persistence,
+                active: 0,
+                verdict,
+            });
+            (verdict, time_hours, extent)
+        }
+        count => {
+            sampler.events_into(count, &mut rng, &mut scratch.events);
+            let failed = walk_timeline(model, &mut rng, scratch, |e, active, verdict| {
+                on_step(TrialStep {
+                    time_hours: e.time_hours,
+                    chip: Some(e.chip),
+                    extent: e.fault.extent,
+                    persistence: e.fault.persistence,
+                    active,
+                    verdict,
+                });
+            });
+            let Some((verdict, e)) = failed else {
+                return;
+            };
+            (verdict, e.time_hours, e.fault.extent)
+        }
+    };
+    if verdict.is_failure() {
+        let year = ((time_hours * YEAR_RECIP) as usize).min(years - 1);
+        // indexing: year is clamped to years - 1 above.
+        partial.failures_by_year[year] += 1;
+        partial.counts.bump(P_EXTENT0 + extent.index());
+        partial.counts.bump(if verdict == Verdict::Due {
+            P_DUE
+        } else {
+            P_SDC
+        });
     }
-    sampler.events_into(count, &mut rng, &mut scratch.events);
+}
+
+/// The trial timeline walk: evaluates the faults of `scratch.events` in
+/// arrival order against `model`, first expiring every active fault whose
+/// exposure window has closed, and stops at the first DUE/SDC, returning
+/// it with the fault that caused it. Each decision is reported to
+/// `on_step` as `(fault, faults still active, verdict)`. Corrected and
+/// benign faults stay active — permanent ones for good, transient ones for
+/// the model's `transient_exposure_hours`.
+///
+/// The one copy of this loop: the lifetime driver's multi-fault trials,
+/// [`replay_trial`] and the rare-event engine all walk through it.
+pub(crate) fn walk_timeline(
+    model: &SchemeModel,
+    rng: &mut StdRng,
+    scratch: &mut Scratch,
+    mut on_step: impl FnMut(&FaultEvent, usize, Verdict),
+) -> Option<(Verdict, FaultEvent)> {
+    let exposure = model.params().transient_exposure_hours;
     scratch.active.clear();
     for e in &scratch.events {
         scratch.active.retain(|&(expiry, _)| expiry > e.time_hours);
         scratch.view.clear();
         scratch.view.extend(scratch.active.iter().map(|&(_, f)| f));
-        let verdict = model.evaluate(&mut rng, e, &scratch.view);
+        let verdict = model.evaluate(rng, e, &scratch.view);
+        on_step(e, scratch.view.len(), verdict);
         match verdict {
-            Verdict::Due | Verdict::Sdc => {
-                let year = ((e.time_hours * YEAR_RECIP) as usize).min(years - 1);
-                // indexing: year is clamped to years - 1 above.
-                partial.failures_by_year[year] += 1;
-                partial.counts.bump(P_EXTENT0 + e.fault.extent.index());
-                partial.counts.bump(if verdict == Verdict::Due {
-                    P_DUE
-                } else {
-                    P_SDC
-                });
-                break;
-            }
+            Verdict::Due | Verdict::Sdc => return Some((verdict, *e)),
             Verdict::Corrected | Verdict::Benign => match e.fault.persistence {
                 Persistence::Permanent => scratch.active.push((f64::INFINITY, *e)),
                 Persistence::Transient if exposure > 0.0 => {
@@ -963,25 +865,51 @@ fn run_trial(
             },
         }
     }
+    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fit::{FitRates, ModeRate};
+    use crate::schemes::ModelParams;
 
-    fn quick(samples: u64) -> MonteCarlo {
-        MonteCarlo::new(MonteCarloConfig {
-            samples,
-            seed: 7,
-            ..MonteCarloConfig::default()
-        })
+    fn quick(samples: u64) -> Sweep {
+        Sweep::new(samples, 7)
+    }
+
+    /// One scheme under `sweep` with an explicit kernel.
+    fn run_with(sweep: &Sweep, scheme: Scheme, kernel: TrialKernel) -> SchemeResult {
+        let (mut results, _) = run_many(sweep, &[scheme], 0, sweep.samples, kernel);
+        results.pop().expect("one scheme in, one result out")
+    }
+
+    /// A worn-part configuration that keeps the multi-fault walk and the
+    /// transient expiry busy: 10× the Table I FIT rates and a month-long
+    /// transient exposure window.
+    fn stressed(samples: u64) -> Sweep {
+        let rows = FitRates::table_i()
+            .rows()
+            .iter()
+            .map(|r| ModeRate {
+                transient_fit: r.transient_fit * 10.0,
+                permanent_fit: r.permanent_fit * 10.0,
+                ..*r
+            })
+            .collect();
+        quick(samples)
+            .with_rates(FitRates::custom(rows))
+            .with_params(ModelParams {
+                transient_exposure_hours: 30.0 * 24.0,
+                ..ModelParams::default()
+            })
     }
 
     #[test]
     fn deterministic_given_seed() {
         let mc = quick(20_000);
-        let a = mc.run(Scheme::EccDimm);
-        let b = mc.run(Scheme::EccDimm);
+        let a = mc.run_one(Scheme::EccDimm).result;
+        let b = mc.run_one(Scheme::EccDimm).result;
         assert_eq!(a, b);
     }
 
@@ -992,15 +920,7 @@ mod tests {
         for scheme in [Scheme::Xed, Scheme::EccDimm] {
             let results: Vec<SchemeResult> = [1usize, 3, 8]
                 .iter()
-                .map(|&threads| {
-                    MonteCarlo::new(MonteCarloConfig {
-                        samples: 50_000,
-                        seed: 7,
-                        threads,
-                        ..MonteCarloConfig::default()
-                    })
-                    .run(scheme)
-                })
+                .map(|&threads| quick(50_000).with_threads(threads).run_one(scheme).result)
                 .collect();
             assert_eq!(results[0], results[1], "{scheme}: 1 vs 3 threads");
             assert_eq!(results[0], results[2], "{scheme}: 1 vs 8 threads");
@@ -1019,18 +939,10 @@ mod tests {
         // stream is keyed by (seed, scheme, trial), never by kernel.
         for samples in [6_336u64, 6_337, 6_399] {
             for scheme in [Scheme::EccDimm, Scheme::Xed, Scheme::XedChipkill] {
-                let run = |kernel| {
-                    MonteCarlo::new(MonteCarloConfig {
-                        samples,
-                        seed: 7,
-                        kernel,
-                        ..MonteCarloConfig::default()
-                    })
-                    .run(scheme)
-                };
+                let sweep = quick(samples);
                 assert_eq!(
-                    run(TrialKernel::BitSliced),
-                    run(TrialKernel::Scalar),
+                    run_with(&sweep, scheme, TrialKernel::BitSliced),
+                    run_with(&sweep, scheme, TrialKernel::Scalar),
                     "{scheme} at {samples} samples"
                 );
             }
@@ -1045,13 +957,13 @@ mod tests {
         // 4096-trial steal chunks, so unaligned range starts are covered.
         let mc = quick(20_000);
         for scheme in [Scheme::EccDimm, Scheme::Xed] {
-            let batch = mc.run(scheme);
+            let batch = mc.run_one(scheme).result;
             for block in [1_000u64, 4_096, 4_100, 6_337] {
                 let mut done = 0u64;
                 let mut acc: Option<SchemeResult> = None;
                 while done < 20_000 {
                     let n = block.min(20_000 - done);
-                    let part = mc.run_range_timed(scheme, done, n).result;
+                    let part = run_range(&mc, scheme, done, n).result;
                     match acc.as_mut() {
                         Some(acc) => acc.merge_from(&part),
                         None => acc = Some(part),
@@ -1073,8 +985,8 @@ mod tests {
         // exactly N samples reports — the bit-reproducibility claim xedd
         // makes for every streamed chunk.
         for n in [4_096u64, 5_000, 12_288] {
-            let prefix = quick(20_000).run_range_timed(Scheme::Xed, 0, n).result;
-            let batch = quick(n).run(Scheme::Xed);
+            let prefix = run_range(&quick(20_000), Scheme::Xed, 0, n).result;
+            let batch = quick(n).run_one(Scheme::Xed).result;
             assert_eq!(prefix, batch, "prefix of {n} trials");
         }
     }
@@ -1084,32 +996,54 @@ mod tests {
         // replay_trial must consume the identical stream the aggregate
         // run does, so folding all replays together is the aggregate
         // SchemeResult, bit for bit. This is what licenses the golden
-        // traces to describe "what the simulator did" for a trial.
-        let mc = quick(6_000);
-        for scheme in [Scheme::EccDimm, Scheme::Xed, Scheme::XedChipkill] {
-            let aggregate = mc.run(scheme);
-            let years = mc.config().years.ceil() as usize;
-            let mut folded = SchemeResult {
-                scheme,
-                samples: 6_000,
-                failures_by_year: vec![0; years],
-                due: 0,
-                sdc: 0,
-                failures_by_extent: [0; 6],
-            };
-            for trial in 0..6_000 {
-                let replay = mc.replay_trial(scheme, trial);
-                if let Some(f) = replay.failure {
-                    folded.failures_by_year[f.year] += 1;
-                    folded.failures_by_extent[f.extent_index] += 1;
-                    if f.due {
-                        folded.due += 1;
-                    } else {
-                        folded.sdc += 1;
+        // traces to describe "what the simulator did" for a trial. At
+        // Table I rates few trials reach the multi-fault walk and almost
+        // none see a transient expire, so the stressed set pins those
+        // paths too — under both kernels.
+        for mc in [quick(6_000), stressed(6_000)] {
+            let years = mc.years.ceil() as usize;
+            let mut multi_fault = 0;
+            let mut expiries = 0;
+            for scheme in [Scheme::EccDimm, Scheme::Xed, Scheme::XedChipkill] {
+                let mut folded = SchemeResult {
+                    scheme,
+                    samples: 6_000,
+                    failures_by_year: vec![0; years],
+                    due: 0,
+                    sdc: 0,
+                    failures_by_extent: [0; 6],
+                };
+                for trial in 0..6_000 {
+                    let replay = mc.replay_trial(scheme, trial);
+                    multi_fault += usize::from(replay.steps.len() > 1);
+                    // With a positive exposure window every surviving
+                    // fault joins the active set, so a step that sees no
+                    // more active faults than its predecessor did follows
+                    // an expiry.
+                    expiries += replay
+                        .steps
+                        .windows(2)
+                        .filter(|w| w[1].active <= w[0].active)
+                        .count();
+                    if let Some(f) = replay.failure {
+                        folded.failures_by_year[f.year] += 1;
+                        folded.failures_by_extent[f.extent_index] += 1;
+                        if f.due {
+                            folded.due += 1;
+                        } else {
+                            folded.sdc += 1;
+                        }
                     }
                 }
+                for kernel in [TrialKernel::BitSliced, TrialKernel::Scalar] {
+                    let aggregate = run_with(&mc, scheme, kernel);
+                    assert_eq!(folded, aggregate, "{scheme} ({kernel:?})");
+                }
             }
-            assert_eq!(folded, aggregate, "{scheme}");
+            assert!(multi_fault > 0, "no multi-fault trial");
+            if mc.params.transient_exposure_hours > 0.0 {
+                assert!(expiries > 0, "no transient expired");
+            }
         }
     }
 
@@ -1157,17 +1091,17 @@ mod tests {
         // scheme's result (streams are keyed by scheme, not batch).
         let mc = quick(30_000);
         let schemes = [Scheme::EccDimm, Scheme::Xed, Scheme::Chipkill];
-        let batched = mc.run_all(&schemes);
+        let (batched, _) = mc.run_all(&schemes);
         for (scheme, batched) in schemes.iter().zip(&batched) {
-            assert_eq!(*batched, mc.run(*scheme), "{scheme}");
+            assert_eq!(*batched, mc.run_one(*scheme).result, "{scheme}");
         }
     }
 
     #[test]
     fn run_timed_reports_consistent_stats() {
         let mc = quick(40_000);
-        let report = mc.run_timed(Scheme::EccDimm);
-        assert_eq!(report.result, mc.run(Scheme::EccDimm));
+        let report = mc.run_one(Scheme::EccDimm);
+        assert_eq!(report.result, mc.run_one(Scheme::EccDimm).result);
         assert_eq!(report.stats.samples, 40_000);
         assert!(report.stats.wall_seconds > 0.0);
         assert!(report.stats.samples_per_sec > 0.0);
@@ -1237,7 +1171,7 @@ mod tests {
     #[test]
     fn ecc_dimm_fails_around_13_percent() {
         // Analytic: P ≈ 1 − exp(−72 · 33.3e-9 · 61320) ≈ 0.137.
-        let r = quick(60_000).run(Scheme::EccDimm);
+        let r = quick(60_000).run_one(Scheme::EccDimm).result;
         let p = r.failure_probability(7.0);
         assert!((0.11..0.16).contains(&p), "p = {p}");
     }
@@ -1245,8 +1179,8 @@ mod tests {
     #[test]
     fn xed_orders_of_magnitude_better_than_ecc_dimm() {
         let mc = quick(120_000);
-        let ecc = mc.run(Scheme::EccDimm).failure_probability(7.0);
-        let xed = mc.run(Scheme::Xed).failure_probability(7.0);
+        let ecc = mc.run_one(Scheme::EccDimm).result.failure_probability(7.0);
+        let xed = mc.run_one(Scheme::Xed).result.failure_probability(7.0);
         assert!(xed > 0.0, "xed should see some failures at 120k samples");
         assert!(ecc / xed > 30.0, "ecc {ecc} / xed {xed} = {}", ecc / xed);
     }
@@ -1254,16 +1188,16 @@ mod tests {
     #[test]
     fn chipkill_between_ecc_and_xed() {
         let mc = quick(120_000);
-        let ecc = mc.run(Scheme::EccDimm).failure_probability(7.0);
-        let ck = mc.run(Scheme::Chipkill).failure_probability(7.0);
-        let xed = mc.run(Scheme::Xed).failure_probability(7.0);
+        let ecc = mc.run_one(Scheme::EccDimm).result.failure_probability(7.0);
+        let ck = mc.run_one(Scheme::Chipkill).result.failure_probability(7.0);
+        let xed = mc.run_one(Scheme::Xed).result.failure_probability(7.0);
         assert!(ck < ecc, "chipkill {ck} vs ecc {ecc}");
         assert!(xed <= ck, "xed {xed} vs chipkill {ck}");
     }
 
     #[test]
     fn curve_is_monotone() {
-        let r = quick(40_000).run(Scheme::EccDimm);
+        let r = quick(40_000).run_one(Scheme::EccDimm).result;
         let c = r.curve();
         assert_eq!(c.len(), 7);
         assert!(c.windows(2).all(|w| w[0] <= w[1]));
@@ -1272,51 +1206,49 @@ mod tests {
 
     #[test]
     fn non_ecc_failures_are_silent() {
-        let r = quick(30_000).run(Scheme::NonEcc);
+        let r = quick(30_000).run_one(Scheme::NonEcc).result;
         assert_eq!(r.due, 0);
         assert!(r.sdc > 0);
     }
 
     #[test]
     fn double_chipkill_very_reliable() {
-        let r = quick(50_000).run(Scheme::DoubleChipkill);
+        let r = quick(50_000).run_one(Scheme::DoubleChipkill).result;
         assert!(r.failure_probability(7.0) < 2e-3);
     }
 
     #[test]
     fn coarse_intersection_model_is_more_pessimistic() {
-        use crate::schemes::ModelParams;
-        let strict = quick(400_000).run(Scheme::Xed).failure_probability(7.0);
-        let coarse = MonteCarlo::new(MonteCarloConfig {
-            samples: 400_000,
-            seed: 7,
-            params: ModelParams {
+        let strict = quick(400_000)
+            .run_one(Scheme::Xed)
+            .result
+            .failure_probability(7.0);
+        let coarse = quick(400_000)
+            .with_params(ModelParams {
                 require_line_intersection: false,
                 ..Default::default()
-            },
-            ..MonteCarloConfig::default()
-        })
-        .run(Scheme::Xed)
-        .failure_probability(7.0);
+            })
+            .run_one(Scheme::Xed)
+            .result
+            .failure_probability(7.0);
         assert!(coarse > strict, "coarse {coarse} vs strict {strict}");
     }
 
     #[test]
     fn transient_exposure_window_increases_failures() {
-        use crate::schemes::ModelParams;
-        let immediate = quick(400_000).run(Scheme::Xed).failure_probability(7.0);
+        let immediate = quick(400_000)
+            .run_one(Scheme::Xed)
+            .result
+            .failure_probability(7.0);
         // A month-long exposure lets transient faults pair up.
-        let exposed = MonteCarlo::new(MonteCarloConfig {
-            samples: 400_000,
-            seed: 7,
-            params: ModelParams {
+        let exposed = quick(400_000)
+            .with_params(ModelParams {
                 transient_exposure_hours: 30.0 * 24.0,
                 ..Default::default()
-            },
-            ..MonteCarloConfig::default()
-        })
-        .run(Scheme::Xed)
-        .failure_probability(7.0);
+            })
+            .run_one(Scheme::Xed)
+            .result
+            .failure_probability(7.0);
         assert!(
             exposed >= immediate,
             "exposure must not reduce failures: {exposed} vs {immediate}"

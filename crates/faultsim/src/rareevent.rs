@@ -24,20 +24,20 @@
 //!    the trial (≥ 1 by construction).
 //!
 //! Both layers keep the counter-based `(seed, scheme, trial)` stream
-//! discipline of the plain driver: every trial's randomness is a pure
-//! function of its index, worker partial sums are folded in chunk order,
-//! and the resulting [`TailEstimate`] is **bit-identical for any thread
-//! count**.
+//! discipline of the plain driver and share its work-stealing scheduler
+//! and trial timeline walk: every trial's randomness is a pure function of
+//! its index, worker partial sums are folded in chunk order, and the
+//! resulting [`TailEstimate`] is **bit-identical for any thread count**.
 
 use crate::analytic::p_line_overlap_n;
+use crate::engine::Sweep;
 use crate::event::{FaultEvent, LifetimeSampler, POISSON_CHUNK};
 use crate::fault::{Fault, FaultExtent, FaultRange, Persistence};
 use crate::fit::{FitRates, HOURS_PER_YEAR, LIFETIME_YEARS};
-use crate::montecarlo::{MonteCarlo, MonteCarloConfig};
+use crate::montecarlo::{self, resolve_threads, steal_chunks, walk_timeline, Scratch};
 use crate::schemes::{ModelParams, Scheme, SchemeModel, Verdict};
 use rand::rngs::{StdRng, Streams};
 use rand::Rng;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use xed_telemetry::registry::metrics;
 
@@ -77,8 +77,8 @@ pub enum TailMode {
     /// unweighted except for the `P(N ≥ k)` factor. Valid for every
     /// scheme and parameter set (with λ ≤ 30).
     CountConditioned,
-    /// Plain Monte-Carlo (delegates to [`MonteCarlo`]): the fallback when
-    /// λ exceeds the truncated-walk regime.
+    /// Plain Monte-Carlo (delegates to the lifetime run): the fallback
+    /// when λ exceeds the truncated-walk regime.
     PlainMc,
 }
 
@@ -93,7 +93,8 @@ impl TailMode {
     }
 }
 
-/// Rare-event run configuration (mirrors [`MonteCarloConfig`]).
+/// Rare-event run configuration (the lifetime [`Sweep`]'s fields plus a
+/// mode override).
 #[derive(Debug, Clone)]
 pub struct TailConfig {
     /// Conditioned trials to simulate per scheme.
@@ -486,18 +487,10 @@ struct TailPlan<'a> {
     pmf_k: f64,
     lambda: f64,
     hours: f64,
-    exposure: f64,
     clique: Option<CliquePlan>,
     /// Count-draw tilt for the clique-forced path (`None` until the pilot
     /// probe installs it, and always `None` for the fallback modes).
     count_tilt: Option<CountTilt>,
-}
-
-/// Per-worker reusable buffers, like the plain driver's scratch.
-struct Scratch {
-    events: Vec<FaultEvent>,
-    active: Vec<(f64, FaultEvent)>,
-    view: Vec<FaultEvent>,
 }
 
 /// Per-chunk accumulator. Chunks are folded in ascending chunk-id order at
@@ -517,8 +510,13 @@ impl<'a> TailPlan<'a> {
     /// walking the Poisson pmf upward from `k` (exact inverse-CDF).
     fn draw_count(&self, rng: &mut StdRng) -> u32 {
         let target = rng.gen::<f64>() * self.p_ge_k;
-        let mut n = self.k;
-        let mut pmf = self.pmf_k;
+        self.walk_count(self.k, self.pmf_k, target)
+    }
+
+    /// The inverse-CDF walk up the Poisson pmf: starting at count `n`
+    /// (whose pmf is `pmf`), returns the first count at which the mass
+    /// accumulated from `n` exceeds `target`.
+    fn walk_count(&self, mut n: u32, mut pmf: f64, target: f64) -> u32 {
         let mut cdf = pmf;
         // invariant: the pmf decays geometrically once n > λ, so the walk
         // terminates; COUNT_WALK_CAP only guards a floating-point stall.
@@ -545,18 +543,10 @@ impl<'a> TailPlan<'a> {
             1 => self.k + 1,
             2 => self.k + 2,
             _ => {
-                // In-bucket draw from `P(N = n | N ≥ k+3)`: same walk as
-                // `draw_count`, started at the lump boundary.
+                // In-bucket draw from `P(N = n | N ≥ k+3)`: the same walk
+                // as `draw_count`, started at the lump boundary.
                 let target = rng.gen::<f64>() * tilt.p_lump;
-                let mut n = self.k + 3;
-                let mut pmf = tilt.pmf_lump;
-                let mut cdf = pmf;
-                while cdf <= target && pmf > 0.0 && n < self.k + COUNT_WALK_CAP {
-                    n += 1;
-                    pmf *= self.lambda / f64::from(n);
-                    cdf += pmf;
-                }
-                n
+                self.walk_count(self.k + 3, tilt.pmf_lump, target)
             }
         };
         // indexing: b is a partition_point over the 4-entry cum array,
@@ -752,15 +742,7 @@ impl<'a> TailPlan<'a> {
                 None => fixed_n,
                 Some((p_lump, pmf_start)) => {
                     let target = rng.gen::<f64>() * p_lump;
-                    let mut n = fixed_n;
-                    let mut pmf = pmf_start;
-                    let mut cdf = pmf;
-                    while cdf <= target && pmf > 0.0 && n < self.k + COUNT_WALK_CAP {
-                        n += 1;
-                        pmf *= self.lambda / f64::from(n);
-                        cdf += pmf;
-                    }
-                    n
+                    self.walk_count(fixed_n, pmf_start, target)
                 }
             };
             scratch.events.clear();
@@ -901,27 +883,10 @@ impl<'a> TailPlan<'a> {
         }
     }
 
-    /// Replays the event timeline against the scheme model — the same
-    /// expiry/first-failure loop as the plain driver's multi-fault path.
+    /// Walks the event timeline against the scheme model — the plain
+    /// driver's own multi-fault walk — returning the failing verdict.
     fn evaluate_timeline(&self, rng: &mut StdRng, scratch: &mut Scratch) -> Option<Verdict> {
-        scratch.active.clear();
-        for e in &scratch.events {
-            scratch.active.retain(|&(expiry, _)| expiry > e.time_hours);
-            scratch.view.clear();
-            scratch.view.extend(scratch.active.iter().map(|&(_, f)| f));
-            let verdict = self.model.evaluate(rng, e, &scratch.view);
-            match verdict {
-                Verdict::Due | Verdict::Sdc => return Some(verdict),
-                Verdict::Corrected | Verdict::Benign => match e.fault.persistence {
-                    Persistence::Permanent => scratch.active.push((f64::INFINITY, *e)),
-                    Persistence::Transient if self.exposure > 0.0 => {
-                        scratch.active.push((e.time_hours + self.exposure, *e));
-                    }
-                    Persistence::Transient => {}
-                },
-            }
-        }
-        None
+        walk_timeline(&self.model, rng, scratch, |_, _, _| {}).map(|(verdict, _)| verdict)
     }
 }
 
@@ -958,15 +923,6 @@ impl TailSimulator {
     /// The configuration.
     pub fn config(&self) -> &TailConfig {
         &self.config
-    }
-
-    /// Worker threads this configuration resolves to.
-    pub fn threads(&self) -> usize {
-        if self.config.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.config.threads
-        }
     }
 
     /// Estimates the tail failure probability of one scheme.
@@ -1047,20 +1003,15 @@ impl TailSimulator {
             pmf_k: pmf,
             lambda,
             hours: config.years * HOURS_PER_YEAR,
-            exposure: config.params.transient_exposure_hours,
             clique,
             count_tilt: None,
         };
 
-        let threads = self.threads();
+        let threads = resolve_threads(config.threads);
         let streams = Streams::new(
-            config
-                .seed
-                .wrapping_add(scheme.stream_tag().wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .wrapping_add(TAIL_STREAM_SALT),
+            montecarlo::stream_key(config.seed, scheme).wrapping_add(TAIL_STREAM_SALT),
         );
         let chunks = config.samples.div_ceil(TAIL_CHUNK);
-        let next_chunk = AtomicU64::new(0);
 
         let start = Instant::now(); // xed-lint: allow(XL005)
 
@@ -1081,11 +1032,7 @@ impl TailSimulator {
         // it is part of the run's cost.
         let pilot: Option<(Vec<f64>, CountTilt)> = plan.clique.as_ref().map(|clique| {
             let mut probe_rng = streams.stream(u64::MAX);
-            let mut scratch = Scratch {
-                events: Vec::new(),
-                active: Vec::new(),
-                view: Vec::new(),
-            };
+            let mut scratch = Scratch::default();
             // Conditional bucket probabilities P(N ∈ b | N ≥ k) for
             // buckets {k, k+1, k+2, ≥k+3}.
             let pmf_k1 = pmf * lambda / f64::from(k + 1);
@@ -1158,61 +1105,37 @@ impl TailSimulator {
             plan.count_tilt = Some(count_tilt);
         }
         let plan = plan;
-        let per_worker: Vec<Vec<(u64, ChunkSums)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let plan = &plan;
-                    let streams = &streams;
-                    let next_chunk = &next_chunk;
-                    scope.spawn(move || {
-                        let mut scratch = Scratch {
-                            events: Vec::new(),
-                            active: Vec::new(),
-                            view: Vec::new(),
-                        };
-                        let mut out: Vec<(u64, ChunkSums)> = Vec::new();
-                        loop {
-                            let c = next_chunk.fetch_add(1, Ordering::Relaxed);
-                            if c >= chunks {
-                                break;
-                            }
-                            let first = c * TAIL_CHUNK;
-                            let count = TAIL_CHUNK.min(config.samples - first);
-                            let mut sums = ChunkSums::default();
-                            for trial in first..first + count {
-                                let (y, verdict) = plan.run_trial(trial, streams, &mut scratch);
-                                if let Some(v) = verdict {
-                                    sums.y += y;
-                                    sums.y2 += y * y;
-                                    sums.failures += 1;
-                                    if v == Verdict::Due {
-                                        sums.due += y;
-                                    } else {
-                                        sums.sdc += y;
-                                    }
-                                }
-                            }
-                            out.push((c, sums));
+        let per_worker = steal_chunks(
+            threads,
+            chunks,
+            || (Vec::new(), Scratch::default()),
+            |(out, scratch): &mut (Vec<(u64, ChunkSums)>, Scratch), c| {
+                let first = c * TAIL_CHUNK;
+                let count = TAIL_CHUNK.min(config.samples - first);
+                let mut sums = ChunkSums::default();
+                for trial in first..first + count {
+                    let (y, verdict) = plan.run_trial(trial, &streams, scratch);
+                    if let Some(v) = verdict {
+                        sums.y += y;
+                        sums.y2 += y * y;
+                        sums.failures += 1;
+                        if v == Verdict::Due {
+                            sums.due += y;
+                        } else {
+                            sums.sdc += y;
                         }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    // invariant: workers never panic; a worker panic is a
-                    // bug in the estimator itself, so propagate it.
-                    h.join().expect("rare-event worker panicked")
-                })
-                .collect()
-        });
+                    }
+                }
+                out.push((c, sums));
+            },
+        );
         let wall_seconds = start.elapsed().as_secs_f64();
 
         // Deterministic fold: gather every worker's chunk partials, order
         // by chunk id, and sum in that fixed order — the floating-point
         // result is bit-identical for any thread count.
-        let mut chunks_sorted: Vec<(u64, ChunkSums)> = per_worker.into_iter().flatten().collect();
+        let mut chunks_sorted: Vec<(u64, ChunkSums)> =
+            per_worker.into_iter().flat_map(|(out, _)| out).collect();
         chunks_sorted.sort_unstable_by_key(|&(c, _)| c);
         let mut total = ChunkSums::default();
         for (_, s) in &chunks_sorted {
@@ -1269,16 +1192,15 @@ impl TailSimulator {
     /// explicit override).
     fn run_plain(&self, scheme: Scheme) -> TailEstimate {
         let config = &self.config;
-        let report = MonteCarlo::new(MonteCarloConfig {
+        let sweep = Sweep {
             samples: config.samples,
-            years: config.years,
             seed: config.seed,
+            years: config.years,
             threads: config.threads,
             params: config.params,
             rates: config.rates.clone(),
-            ..MonteCarloConfig::default()
-        })
-        .run_timed(scheme);
+        };
+        let report = sweep.run_one(scheme);
         if xed_telemetry::enabled() {
             metrics::FAULTSIM_TAIL_RUNS.incr();
             metrics::FAULTSIM_TAIL_TRIALS.add(config.samples);
@@ -1322,7 +1244,7 @@ impl TailSimulator {
             failures: 0,
             variance: 0.0,
             wall_seconds: 0.0,
-            threads: self.threads(),
+            threads: resolve_threads(self.config.threads),
         }
     }
 }
@@ -1578,6 +1500,71 @@ mod tests {
             coarse.p_fail,
             strict.p_fail
         );
+    }
+
+    #[test]
+    fn estimates_are_pinned_bit_for_bit_in_every_mode() {
+        // Golden bits for a fixed seed at 10× Table I rates with a
+        // month-long transient window, one per tail mode: a change to the
+        // stream keying, the shared scheduler's fold, the timeline walk or
+        // the plain-MC delegation shows up here as a bit flip.
+        let rows = FitRates::table_i()
+            .rows()
+            .iter()
+            .map(|r| crate::fit::ModeRate {
+                transient_fit: r.transient_fit * 10.0,
+                permanent_fit: r.permanent_fit * 10.0,
+                ..*r
+            })
+            .collect();
+        let config = TailConfig {
+            samples: 20_000,
+            seed: 7,
+            params: ModelParams {
+                transient_exposure_hours: 720.0,
+                ..ModelParams::default()
+            },
+            rates: FitRates::custom(rows),
+            ..TailConfig::default()
+        };
+        // (forced mode, mode run, p_fail bits, variance bits, failures);
+        // every failure here is a DUE, so p_due == p_fail and p_sdc == 0.
+        let pinned = [
+            (
+                None,
+                TailMode::CliqueForced,
+                0x3f6b_75f1_fba1_9a5d_u64,
+                0x3e50_5a1b_89a1_bb7e_u64,
+                968,
+            ),
+            (
+                Some(TailMode::CountConditioned),
+                TailMode::CountConditioned,
+                0x3f6e_822b_57bd_d4cb,
+                0x3e88_66ea_351b_2266,
+                76,
+            ),
+            (
+                Some(TailMode::PlainMc),
+                TailMode::PlainMc,
+                0x3f6b_089a_0275_2546,
+                0x3e86_12a5_e042_6f88,
+                66,
+            ),
+        ];
+        for (force_mode, mode, p_fail, variance, failures) in pinned {
+            let est = TailSimulator::new(TailConfig {
+                force_mode,
+                ..config.clone()
+            })
+            .run(Scheme::XedChipkill);
+            assert_eq!(est.mode, mode);
+            assert_eq!(est.p_fail.to_bits(), p_fail, "{mode:?} p_fail");
+            assert_eq!(est.p_due.to_bits(), p_fail, "{mode:?} p_due");
+            assert_eq!(est.p_sdc, 0.0, "{mode:?} p_sdc");
+            assert_eq!(est.variance.to_bits(), variance, "{mode:?} variance");
+            assert_eq!(est.failures, failures, "{mode:?} failures");
+        }
     }
 
     #[test]

@@ -22,8 +22,8 @@
 
 use crate::seeds;
 use xed_faultsim::analytic;
+use xed_faultsim::engine::Sweep;
 use xed_faultsim::fit::{FitRates, HOURS_PER_YEAR};
-use xed_faultsim::montecarlo::{MonteCarlo, MonteCarloConfig};
 use xed_faultsim::rareevent::{TailConfig, TailMode, TailSimulator};
 use xed_faultsim::schemes::Scheme;
 use xed_faultsim::system::SystemConfig;
@@ -110,12 +110,8 @@ fn row(label: &'static str, mc: f64, analytic: f64, noise: f64, model_band: f64)
 /// Runs every gate row.
 pub fn run(scope: GateScope) -> GateReport {
     let samples = scope.samples();
-    let mc = MonteCarlo::new(MonteCarloConfig {
-        samples,
-        seed: seeds::ANALYTIC_GATE,
-        ..MonteCarloConfig::default()
-    });
-    let years = mc.config().years;
+    let mc = Sweep::new(samples, seeds::ANALYTIC_GATE);
+    let years = mc.years;
     let rates = FitRates::table_i();
     let x8 = SystemConfig::x8_ecc_dimm();
     let x4 = SystemConfig::x4_chipkill();
@@ -124,7 +120,7 @@ pub fn run(scope: GateScope) -> GateReport {
     // ECC-DIMM dies on the first multi-bit chip fault anywhere in the
     // system: a pure Poisson survival term, so the band is narrow (the
     // only truncation is double-counting of multi-fault trials).
-    let r = mc.run(Scheme::EccDimm);
+    let r = mc.run_one(Scheme::EccDimm).result;
     rows.push(row(
         "ecc-dimm vs single-fault Poisson",
         r.lifetime_failure_probability(),
@@ -136,7 +132,7 @@ pub fn run(scope: GateScope) -> GateReport {
     // XED fails on intersecting cross-chip pairs within a rank, plus the
     // escaped-transient-word DUE budget of Table IV. First-order pair
     // counting over coarse line-overlap probabilities: wide band.
-    let r = mc.run(Scheme::Xed);
+    let r = mc.run_one(Scheme::Xed).result;
     let xed_pairs = analytic::p_fail_double_fault(&rates, &x8, 9, 8, years);
     let xed_escape =
         analytic::xed_vulnerability(&rates, &x8, x8.total_chips(), 0.008, years).due_word_fault;
@@ -149,7 +145,7 @@ pub fn run(scope: GateScope) -> GateReport {
     ));
 
     // Chipkill: same pair model over the 18-chip channel domain.
-    let r = mc.run(Scheme::Chipkill);
+    let r = mc.run_one(Scheme::Chipkill).result;
     rows.push(row(
         "chipkill vs double-fault pairs",
         r.lifetime_failure_probability(),
@@ -162,7 +158,7 @@ pub fn run(scope: GateScope) -> GateReport {
     // channel. The first-order triple sum is the coarsest closed form in
     // the crate; the expected count at CI sample sizes is O(1), so the
     // binomial noise term dominates anyway.
-    let r = mc.run(Scheme::DoubleChipkill);
+    let r = mc.run_one(Scheme::DoubleChipkill).result;
     rows.push(row(
         "double-chipkill vs triple-fault",
         r.lifetime_failure_probability(),
@@ -175,7 +171,7 @@ pub fn run(scope: GateScope) -> GateReport {
     // the lifetime) = exp(−λ·chips). This closed form is *exact* for the
     // Poisson sampler — the model band is zero and the gate is the
     // sharpest statistical check in the suite.
-    let report = mc.run_timed(Scheme::EccDimm);
+    let report = mc.run_one(Scheme::EccDimm);
     let p0_mc = report.stats.zero_fault_samples as f64 / report.stats.samples as f64;
     let p0_an = (-rates.expected_faults(years * HOURS_PER_YEAR) * x8.total_chips() as f64).exp();
     let noise = 2.576 * (p0_an * (1.0 - p0_an) / report.stats.samples as f64).sqrt();

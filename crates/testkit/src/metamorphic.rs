@@ -26,7 +26,7 @@ use xed_core::alert::{AlertDimm, AlertMode};
 use xed_core::chip::{ChipGeometry, OnDieCode, WordAddr};
 use xed_core::fault::{FaultKind, InjectedFault};
 use xed_ecc::infer::{profile, SyndromeCode};
-use xed_faultsim::montecarlo::{MonteCarlo, MonteCarloConfig};
+use xed_faultsim::engine::Sweep;
 use xed_faultsim::scaling::ScalingFaults;
 use xed_faultsim::schemes::{ModelParams, Scheme};
 
@@ -69,13 +69,8 @@ impl LawReport {
     }
 }
 
-fn mc_with(samples: u64, params: ModelParams) -> MonteCarlo {
-    MonteCarlo::new(MonteCarloConfig {
-        samples,
-        seed: seeds::METAMORPHIC,
-        params,
-        ..MonteCarloConfig::default()
-    })
+fn mc_with(samples: u64, params: ModelParams) -> Sweep {
+    Sweep::new(samples, seeds::METAMORPHIC).with_params(params)
 }
 
 /// Runs every law at `samples` Monte-Carlo trials (the exact invariances
@@ -87,7 +82,9 @@ pub fn run(samples: u64) -> LawReport {
     // model that can never mark a word faulty must be bit-identical to
     // no scaling model at all, not merely statistically close.
     {
-        let base = mc_with(samples, ModelParams::default()).run(Scheme::Xed);
+        let base = mc_with(samples, ModelParams::default())
+            .run_one(Scheme::Xed)
+            .result;
         let zeroed = mc_with(
             samples,
             ModelParams {
@@ -95,7 +92,8 @@ pub fn run(samples: u64) -> LawReport {
                 ..ModelParams::default()
             },
         )
-        .run(Scheme::Xed);
+        .run_one(Scheme::Xed)
+        .result;
         laws.push(LawResult {
             law: "scaling(rate=0) ≡ no scaling",
             detail: format!("failures {} vs {}", base.failures(), zeroed.failures()),
@@ -108,9 +106,9 @@ pub fn run(samples: u64) -> LawReport {
     // must reproduce identical per-scheme results.
     {
         let m = mc_with(samples, ModelParams::default());
-        let fwd = m.run_all(&[Scheme::EccDimm, Scheme::Xed, Scheme::Chipkill]);
-        let rev = m.run_all(&[Scheme::Chipkill, Scheme::Xed, Scheme::EccDimm]);
-        let solo = m.run(Scheme::Xed);
+        let (fwd, _) = m.run_all(&[Scheme::EccDimm, Scheme::Xed, Scheme::Chipkill]);
+        let (rev, _) = m.run_all(&[Scheme::Chipkill, Scheme::Xed, Scheme::EccDimm]);
+        let solo = m.run_one(Scheme::Xed).result;
         let holds = fwd[0] == rev[2] && fwd[1] == rev[1] && fwd[2] == rev[0] && fwd[1] == solo;
         laws.push(LawResult {
             law: "scheme evaluation order invariance",
@@ -139,7 +137,8 @@ pub fn run(samples: u64) -> LawReport {
                         ..ModelParams::default()
                     },
                 )
-                .run(Scheme::Xed)
+                .run_one(Scheme::Xed)
+                .result
                 .failures()
             })
             .collect();
@@ -156,11 +155,11 @@ pub fn run(samples: u64) -> LawReport {
     // Margins are ~20× at these sample sizes.
     {
         let m = mc_with(samples, ModelParams::default());
-        let ecc = m.run(Scheme::EccDimm);
-        let xed = m.run(Scheme::Xed);
-        let ckx4 = m.run(Scheme::ChipkillX4);
-        let xed_ck = m.run(Scheme::XedChipkill);
-        let dck = m.run(Scheme::DoubleChipkill);
+        let ecc = m.run_one(Scheme::EccDimm).result;
+        let xed = m.run_one(Scheme::Xed).result;
+        let ckx4 = m.run_one(Scheme::ChipkillX4).result;
+        let xed_ck = m.run_one(Scheme::XedChipkill).result;
+        let dck = m.run_one(Scheme::DoubleChipkill).result;
         let holds = xed.failures() <= ecc.failures()
             && xed.sdc <= ecc.sdc
             && xed_ck.failures() <= ckx4.failures()
@@ -224,7 +223,8 @@ pub fn run(samples: u64) -> LawReport {
                 ..ModelParams::default()
             },
         )
-        .run(Scheme::Xed);
+        .run_one(Scheme::Xed)
+        .result;
         let run1 = mc_with(
             samples,
             ModelParams {
@@ -232,7 +232,8 @@ pub fn run(samples: u64) -> LawReport {
                 ..ModelParams::default()
             },
         )
-        .run(Scheme::Xed);
+        .run_one(Scheme::Xed)
+        .result;
         laws.push(LawResult {
             law: "inferred-code column-perm invariance",
             detail: format!(

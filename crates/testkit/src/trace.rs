@@ -2,7 +2,7 @@
 //!
 //! A trace is a stable JSON rendering of everything a small, seeded
 //! Monte-Carlo run did: every non-trivial trial replayed step by step
-//! ([`MonteCarlo::replay_trial`]), the aggregate result, and the
+//! ([`Sweep::replay_trial`]), the aggregate result, and the
 //! telemetry the run is expected to publish. The rendered document is
 //! compared byte-for-byte against a golden file checked into
 //! `crates/testkit/golden/` — any change to the RNG streams, the fault
@@ -19,7 +19,8 @@
 //! platforms.
 
 use crate::seeds;
-use xed_faultsim::montecarlo::{MonteCarlo, MonteCarloConfig, TrialReplay};
+use xed_faultsim::engine::Sweep;
+use xed_faultsim::montecarlo::TrialReplay;
 use xed_faultsim::schemes::Scheme;
 
 /// Trace format identifier; bump on any rendering change.
@@ -74,19 +75,14 @@ pub fn expected_telemetry(replays: &[TrialReplay], due: u64, sdc: u64) -> [(&'st
     ]
 }
 
-fn mc(scheme_samples: u64) -> MonteCarlo {
-    MonteCarlo::new(MonteCarloConfig {
-        samples: scheme_samples,
-        seed: seeds::GOLDEN_TRACE,
-        threads: 1,
-        ..MonteCarloConfig::default()
-    })
+fn mc(scheme_samples: u64) -> Sweep {
+    Sweep::new(scheme_samples, seeds::GOLDEN_TRACE).with_threads(1)
 }
 
 /// Renders the `xed-trace-v1` document for one scheme.
 pub fn render(scheme: Scheme) -> String {
     let m = mc(SAMPLES);
-    let result = m.run(scheme);
+    let result = m.run_one(scheme).result;
     let replays: Vec<TrialReplay> = (0..SAMPLES).map(|t| m.replay_trial(scheme, t)).collect();
     let telemetry = expected_telemetry(&replays, result.due, result.sdc);
 

@@ -778,6 +778,10 @@ mod tests {
             query_from_params(&params(&[("scheme", "xed"), ("force", "clique")])).is_err(),
             "force without kind=tail"
         );
+        assert!(
+            query_from_params(&params(&[("scheme", "xed"), ("years", "1e15")])).is_err(),
+            "years beyond the lifetime bound"
+        );
     }
 
     #[test]

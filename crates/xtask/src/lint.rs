@@ -41,6 +41,7 @@
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
+use xed_telemetry::export::json_string;
 
 /// Severity of a finding. Errors make the process exit nonzero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,23 +96,6 @@ impl Finding {
             json_string(&self.message)
         )
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// The library crates the source rules scan.

@@ -14,8 +14,9 @@
 //!    the exporters and `xedtop` iterate `ALL`, so a variant missing
 //!    from it would silently vanish from every span count;
 //! 3. no library code discards a span guard with `let _ = Span::start`
-//!    (the `#[must_use]` on [`Span::start`] is defeated by a `_`
-//!    binding, which drops the guard immediately and records a
+//!    (the `#[must_use]` on
+//!    [`Span::start`](xed_telemetry::span::Span::start) is defeated by a
+//!    `_` binding, which drops the guard immediately and records a
 //!    zero-length span).
 //!
 //! Waivers use the shared `// xed-lint: allow(XL012)` form.

@@ -31,7 +31,7 @@
 
 use std::path::Path;
 use std::process::ExitCode;
-use xed_faultsim::montecarlo::{MonteCarlo, MonteCarloConfig};
+use xed_faultsim::engine::Sweep;
 use xed_faultsim::schemes::Scheme;
 use xed_testkit::analytic_gate::{self, GateScope};
 use xed_testkit::infer_gate::{self, InferScope};
@@ -294,14 +294,9 @@ fn regenerate_golden() -> Section {
 /// exactly the one run.
 fn telemetry_cross_check() -> Section {
     xed_telemetry::set_enabled(true);
-    let m = MonteCarlo::new(MonteCarloConfig {
-        samples: trace::SAMPLES,
-        seed: seeds::GOLDEN_TRACE,
-        threads: 1,
-        ..MonteCarloConfig::default()
-    });
+    let m = Sweep::new(trace::SAMPLES, seeds::GOLDEN_TRACE).with_threads(1);
     let before = xed_telemetry::registry::snapshot();
-    let result = m.run(Scheme::Xed);
+    let result = m.run_one(Scheme::Xed).result;
     let after = xed_telemetry::registry::snapshot();
     let diff = after.diff(&before);
     let replays: Vec<_> = (0..trace::SAMPLES)

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example reliability_study`
 //! (release mode recommended; this simulates 4M systems in a few seconds).
 
-use xed::faultsim::montecarlo::{MonteCarlo, MonteCarloConfig};
+use xed::faultsim::engine::Sweep;
 use xed::faultsim::scaling::ScalingFaults;
 use xed::faultsim::schemes::{ModelParams, Scheme};
 
@@ -13,18 +13,14 @@ fn main() {
     let samples = 500_000;
     println!("Monte-Carlo: {samples} systems per scheme, 7-year lifetime, Table I FIT rates\n");
 
-    let mc = MonteCarlo::new(MonteCarloConfig {
-        samples,
-        seed: 2016,
-        ..Default::default()
-    });
+    let mc = Sweep::new(samples, 2016);
     println!(
         "{:45} {:>12} {:>8} {:>8}",
         "scheme", "P(fail, 7y)", "DUE", "SDC"
     );
     // One work-stealing pool simulates all seven schemes; the results are
     // identical to seven solo runs (and to any thread count).
-    let (results, stats) = mc.run_all_timed(&Scheme::ALL);
+    let (results, stats) = mc.run_all(&Scheme::ALL);
     let mut baseline = None;
     for (scheme, r) in Scheme::ALL.into_iter().zip(&results) {
         let p = r.failure_probability(7.0);
@@ -54,17 +50,12 @@ fn main() {
     // (Figure 8): XED still wins because on-die ECC absorbs scaling faults
     // and catch-words expose everything else.
     println!("\nwith scaling faults at rate 1e-4 (Figure 8):");
-    let mc = MonteCarlo::new(MonteCarloConfig {
-        samples,
-        seed: 2016,
-        params: ModelParams {
-            scaling: ScalingFaults::paper_default(),
-            ..Default::default()
-        },
+    let mc = mc.with_params(ModelParams {
+        scaling: ScalingFaults::paper_default(),
         ..Default::default()
     });
     let schemes = [Scheme::EccDimm, Scheme::Xed, Scheme::Chipkill];
-    for (scheme, r) in schemes.iter().zip(&mc.run_all(&schemes)) {
+    for (scheme, r) in schemes.iter().zip(&mc.run_all(&schemes).0) {
         println!(
             "{:45} {:>12.3e}",
             scheme.label(),
@@ -73,12 +64,7 @@ fn main() {
     }
 
     // Year-by-year failure CDF for XED (the curve the figures plot).
-    let r = MonteCarlo::new(MonteCarloConfig {
-        samples: 2_000_000,
-        seed: 7,
-        ..Default::default()
-    })
-    .run(Scheme::Xed);
+    let r = Sweep::new(2_000_000, 7).run_one(Scheme::Xed).result;
     println!("\nXED cumulative failure probability by year:");
     for (year, p) in r.curve().iter().enumerate() {
         println!("  year {:>2}: {:.2e}", year + 1, p);

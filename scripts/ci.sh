@@ -23,6 +23,11 @@ cargo run -q -p xtask -- lint
 step "xed-analyze (call-graph hot-path proofs)"
 cargo run -q -p xtask -- analyze
 
+# Gating: every intra-doc link must resolve, so a refactor cannot leave
+# the docs naming items it deleted.
+step "cargo doc (broken intra-doc links are errors)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace
+
 # --workspace: the root manifest is both package and workspace, and a
 # bare build would compile only the `xed` facade — the smoke steps below
 # need the xed-bench binaries. XEDD_GIT_HASH bakes the commit into the

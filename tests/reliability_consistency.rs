@@ -2,29 +2,25 @@
 //! closed-form analytic model, and the paper's qualitative claims.
 
 use xed::faultsim::analytic;
+use xed::faultsim::engine::Sweep;
 use xed::faultsim::fit::FitRates;
-use xed::faultsim::montecarlo::{MonteCarlo, MonteCarloConfig};
 use xed::faultsim::scaling::ScalingFaults;
 use xed::faultsim::schemes::{ModelParams, Scheme};
 use xed::faultsim::system::SystemConfig;
 use xed::testkit::seeds;
 
-fn mc(samples: u64) -> MonteCarlo {
-    MonteCarlo::new(MonteCarloConfig {
-        samples,
-        seed: seeds::RELIABILITY_CONSISTENCY,
-        ..Default::default()
-    })
+fn mc(samples: u64) -> Sweep {
+    Sweep::new(samples, seeds::RELIABILITY_CONSISTENCY)
 }
 
 #[test]
 fn paper_ordering_holds() {
     // Figure 1 + Figure 7: NonECC ≈ EccDimm ≫ Chipkill ≥ Xed.
     let m = mc(300_000);
-    let non_ecc = m.run(Scheme::NonEcc).failure_probability(7.0);
-    let ecc = m.run(Scheme::EccDimm).failure_probability(7.0);
-    let ck = m.run(Scheme::Chipkill).failure_probability(7.0);
-    let xed = m.run(Scheme::Xed).failure_probability(7.0);
+    let non_ecc = m.run_one(Scheme::NonEcc).result.failure_probability(7.0);
+    let ecc = m.run_one(Scheme::EccDimm).result.failure_probability(7.0);
+    let ck = m.run_one(Scheme::Chipkill).result.failure_probability(7.0);
+    let xed = m.run_one(Scheme::Xed).result.failure_probability(7.0);
     assert!(
         ecc / non_ecc < 1.3 && non_ecc / ecc < 1.3,
         "ECC-DIMM ≈ Non-ECC: {ecc} vs {non_ecc}"
@@ -37,9 +33,18 @@ fn paper_ordering_holds() {
 fn x4_ordering_holds() {
     // Figure 9: XED+CK ≤ Double-CK < Single-CK.
     let m = mc(2_000_000);
-    let single = m.run(Scheme::ChipkillX4).failure_probability(7.0);
-    let double = m.run(Scheme::DoubleChipkill).failure_probability(7.0);
-    let xed_ck = m.run(Scheme::XedChipkill).failure_probability(7.0);
+    let single = m
+        .run_one(Scheme::ChipkillX4)
+        .result
+        .failure_probability(7.0);
+    let double = m
+        .run_one(Scheme::DoubleChipkill)
+        .result
+        .failure_probability(7.0);
+    let xed_ck = m
+        .run_one(Scheme::XedChipkill)
+        .result
+        .failure_probability(7.0);
     assert!(double < single / 5.0, "double {double} vs single {single}");
     assert!(xed_ck <= double, "xed+ck {xed_ck} vs double {double}");
 }
@@ -49,7 +54,7 @@ fn monte_carlo_matches_analytic_single_fault_model() {
     // ECC-DIMM fails on any large fault; the analytic closed form must
     // agree with the Monte-Carlo within a few percent.
     let m = mc(400_000);
-    let simulated = m.run(Scheme::EccDimm).failure_probability(7.0);
+    let simulated = m.run_one(Scheme::EccDimm).result.failure_probability(7.0);
     let analytic = analytic::p_fail_single_fault(&FitRates::table_i(), 72, 7.0);
     let rel = (simulated - analytic).abs() / analytic;
     assert!(
@@ -63,7 +68,7 @@ fn monte_carlo_matches_analytic_double_fault_model() {
     // XED fails (mostly) on intersecting chip pairs; analytic and MC agree
     // within Monte-Carlo noise and the model's first-order error.
     let m = mc(4_000_000);
-    let simulated = m.run(Scheme::Xed).failure_probability(7.0);
+    let simulated = m.run_one(Scheme::Xed).result.failure_probability(7.0);
     let cfg = SystemConfig::x8_ecc_dimm();
     let analytic = analytic::p_fail_double_fault(&FitRates::table_i(), &cfg, 9, 8, 7.0);
     assert!(simulated > 0.0);
@@ -81,15 +86,10 @@ fn scaling_faults_do_not_change_the_ordering() {
         scaling: ScalingFaults::paper_default(),
         ..Default::default()
     };
-    let m = MonteCarlo::new(MonteCarloConfig {
-        samples: 300_000,
-        seed: seeds::SCALING_ORDERING,
-        params,
-        ..Default::default()
-    });
-    let ecc = m.run(Scheme::EccDimm).failure_probability(7.0);
-    let xed = m.run(Scheme::Xed).failure_probability(7.0);
-    let ck = m.run(Scheme::Chipkill).failure_probability(7.0);
+    let m = Sweep::new(300_000, seeds::SCALING_ORDERING).with_params(params);
+    let ecc = m.run_one(Scheme::EccDimm).result.failure_probability(7.0);
+    let xed = m.run_one(Scheme::Xed).result.failure_probability(7.0);
+    let ck = m.run_one(Scheme::Chipkill).result.failure_probability(7.0);
     assert!(xed < ecc / 20.0);
     assert!(ck < ecc / 20.0);
 }
@@ -98,18 +98,16 @@ fn scaling_faults_do_not_change_the_ordering() {
 fn without_on_die_ecc_non_ecc_dimm_collapses() {
     // The whole premise: on-die ECC absorbs the (dominant-rate) bit
     // faults. Without it, a non-ECC DIMM fails on every bit fault too.
-    let with = mc(200_000).run(Scheme::NonEcc).failure_probability(7.0);
+    let with = mc(200_000)
+        .run_one(Scheme::NonEcc)
+        .result
+        .failure_probability(7.0);
     let params = ModelParams {
         on_die_ecc: false,
         ..Default::default()
     };
-    let m = MonteCarlo::new(MonteCarloConfig {
-        samples: 200_000,
-        seed: seeds::RELIABILITY_CONSISTENCY,
-        params,
-        ..Default::default()
-    });
-    let without = m.run(Scheme::NonEcc).failure_probability(7.0);
+    let m = mc(200_000).with_params(params);
+    let without = m.run_one(Scheme::NonEcc).result.failure_probability(7.0);
     assert!(
         without > with * 1.5,
         "without on-die {without} vs with {with}"
@@ -118,18 +116,13 @@ fn without_on_die_ecc_non_ecc_dimm_collapses() {
 
 #[test]
 fn higher_on_die_miss_rate_hurts_xed() {
-    let base = mc(3_000_000).run(Scheme::Xed);
+    let base = mc(3_000_000).run_one(Scheme::Xed).result;
     let params = ModelParams {
         on_die_miss: 0.5,
         ..Default::default()
     };
-    let m = MonteCarlo::new(MonteCarloConfig {
-        samples: 3_000_000,
-        seed: seeds::RELIABILITY_CONSISTENCY,
-        params,
-        ..Default::default()
-    });
-    let worse = m.run(Scheme::Xed);
+    let m = mc(3_000_000).with_params(params);
+    let worse = m.run_one(Scheme::Xed).result;
     assert!(
         worse.failure_probability(7.0) > base.failure_probability(7.0),
         "0.8% -> 50% miss rate must hurt: {} vs {}",
@@ -141,7 +134,7 @@ fn higher_on_die_miss_rate_hurts_xed() {
 #[test]
 fn failure_curves_are_monotone_nondecreasing() {
     for scheme in Scheme::ALL {
-        let r = mc(100_000).run(scheme);
+        let r = mc(100_000).run_one(scheme).result;
         let curve = r.curve();
         assert!(
             curve.windows(2).all(|w| w[0] <= w[1]),

@@ -7,17 +7,15 @@
 //! stealing chunks in arbitrary interleavings must produce bit-identical
 //! output. This test pins that contract from outside the crate.
 
-use xed_faultsim::montecarlo::{MonteCarlo, MonteCarloConfig, SchemeResult};
+use xed_faultsim::engine::Sweep;
+use xed_faultsim::montecarlo::SchemeResult;
 use xed_faultsim::schemes::Scheme;
 
 fn run(scheme: Scheme, threads: usize, samples: u64, seed: u64) -> SchemeResult {
-    MonteCarlo::new(MonteCarloConfig {
-        samples,
-        seed,
-        threads,
-        ..MonteCarloConfig::default()
-    })
-    .run(scheme)
+    Sweep::new(samples, seed)
+        .with_threads(threads)
+        .run_one(scheme)
+        .result
 }
 
 #[test]
@@ -39,13 +37,9 @@ fn batched_run_all_identical_to_solo_runs_across_thread_counts() {
     let schemes = [Scheme::EccDimm, Scheme::Xed];
     let reference: Vec<SchemeResult> = schemes.iter().map(|&s| run(s, 1, 40_000, 7)).collect();
     for threads in [3usize, 8] {
-        let batched = MonteCarlo::new(MonteCarloConfig {
-            samples: 40_000,
-            seed: 7,
-            threads,
-            ..MonteCarloConfig::default()
-        })
-        .run_all(&schemes);
+        let (batched, _) = Sweep::new(40_000, 7)
+            .with_threads(threads)
+            .run_all(&schemes);
         assert_eq!(batched, reference, "run_all at {threads} threads");
     }
 }
