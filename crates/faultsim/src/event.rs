@@ -359,9 +359,8 @@ impl<'a> LifetimeSampler<'a> {
     /// largest count seen.
     #[inline]
     pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<FaultEvent>) {
-        out.clear();
         let count = self.poisson.sample(rng);
-        self.push_events(count, rng, out);
+        self.events_into(count, rng, out, false);
     }
 
     /// `true` if a trial whose first uniform draw is `u0` sees no fault at
@@ -391,9 +390,8 @@ impl<'a> LifetimeSampler<'a> {
         rng: &mut R,
         out: &mut Vec<FaultEvent>,
     ) {
-        out.clear();
         let count = self.poisson.sample_split(u0, rng);
-        self.push_events(count, rng, out);
+        self.events_into(count, rng, out, false);
     }
 
     /// The trial's fault count, split form (see
@@ -423,44 +421,60 @@ impl<'a> LifetimeSampler<'a> {
 
     /// Generates exactly `count` events into `out` (cleared first), sorted
     /// by arrival time — [`Self::sample_into`] with the count already
-    /// drawn.
+    /// drawn. `elide_bits` is passed through to [`Self::events_append`];
+    /// returns the number of events it elided.
     #[inline]
-    pub fn events_into<R: Rng + ?Sized>(&self, count: u32, rng: &mut R, out: &mut Vec<FaultEvent>) {
+    pub fn events_into<R: Rng + ?Sized>(
+        &self,
+        count: u32,
+        rng: &mut R,
+        out: &mut Vec<FaultEvent>,
+        elide_bits: bool,
+    ) -> u32 {
         out.clear();
-        self.push_events(count, rng, out);
+        let elided = self.events_append(count, rng, out, elide_bits);
+        if out.len() > 1 {
+            out.sort_unstable_by(|a, b| a.time_hours.total_cmp(&b.time_hours));
+        }
+        elided
     }
 
-    /// Appends exactly `count` fresh events to `out` **without clearing
-    /// or sorting** — the rare-event engine interleaves these with forced
-    /// fault cliques and orders the combined timeline itself.
+    /// Draws exactly `count` fresh events and appends them to `out`
+    /// **without clearing or sorting** — the one event generator behind
+    /// every timeline (the rare-event engine interleaves these with forced
+    /// fault cliques and orders the combined timeline itself).
+    ///
+    /// With `elide_bits`, single-bit events are drawn in full (mode, time,
+    /// chip and all four range coordinates — the stream contract depends
+    /// on every draw) but not appended; returns how many were elided.
+    /// Callers set it when the scheme model proves single-bit faults inert
+    /// (`SchemeModel::bit_always_benign`): such a fault is always benign,
+    /// draws nothing when evaluated, and is invisible to every other
+    /// fault's concurrency count, so walking it cannot change a verdict.
     #[inline]
     pub fn events_append<R: Rng + ?Sized>(
         &self,
         count: u32,
         rng: &mut R,
         out: &mut Vec<FaultEvent>,
-    ) {
+        elide_bits: bool,
+    ) -> u32 {
         out.reserve(count as usize);
+        let mut elided = 0u32;
         for _ in 0..count {
             let (extent, persistence) = self.sample_mode(rng);
-            out.push(FaultEvent {
+            let event = FaultEvent {
                 time_hours: rng.gen::<f64>() * self.hours,
                 chip: rng.gen_range(0..self.total_chips),
                 fault: Fault::sample(rng, extent, persistence, &self.geom),
-            });
+            };
+            if elide_bits && extent == FaultExtent::Bit {
+                elided += 1;
+            } else {
+                out.push(event);
+            }
         }
-    }
-
-    /// Generates `count` events into `out`, sorted by arrival time.
-    #[inline]
-    fn push_events<R: Rng + ?Sized>(&self, count: u32, rng: &mut R, out: &mut Vec<FaultEvent>) {
-        if count == 0 {
-            return;
-        }
-        self.events_append(count, rng, out);
-        if out.len() > 1 {
-            out.sort_unstable_by(|a, b| a.time_hours.total_cmp(&b.time_hours));
-        }
+        elided
     }
 }
 

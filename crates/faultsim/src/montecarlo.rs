@@ -33,10 +33,19 @@
 //!   ([`Sweep::replay_trial`]) and every rare-event trial walks its faults
 //!   through the same loop: expire closed exposure windows, evaluate the
 //!   arrival against the active set, stop at the first DUE/SDC.
-//! * **Allocation-free hot loop.** Each worker owns reusable event/active
-//!   buffers; `LifetimeSampler::sample_into` writes into them, and the
-//!   zero-fault fast path draws only the Poisson count (one uniform) for
-//!   the ~75 % of lifetimes that see no fault at all.
+//! * **Only the work that can change a verdict.** When the model proves
+//!   single-bit faults inert (on-die ECC, no scaling faults: always
+//!   benign, no draws, invisible to the concurrency count), the sampler
+//!   draws them in full but leaves them out of the timeline that is
+//!   sorted and walked; the kernels tally them and publish
+//!   `faultsim.timeline.inert_elided` at merge. The replay keeps every
+//!   fault. The walk hands its active set to the classifier as a slice,
+//!   compacting expired faults in place only once the earliest expiry has
+//!   passed.
+//! * **Allocation-free hot loop.** Each worker owns reusable event and
+//!   active-set buffers; `LifetimeSampler::events_into` writes into them,
+//!   and the zero-fault fast path draws only the Poisson count (one
+//!   uniform) for the ~75 % of lifetimes that see no fault at all.
 //! * **Throughput instrumentation.** [`Sweep::run_one`] and
 //!   [`Sweep::run_all`] report wall time and samples/sec via
 //!   [`RunStats`]; the `mc_throughput` bench binary persists the trajectory
@@ -504,6 +513,7 @@ pub(crate) fn run_many(
     let mut zero_fault_samples = 0u64;
     let mut bitslice_blocks = 0u64;
     let mut bitslice_spills = 0u64;
+    let mut inert_elided = 0u64;
     let results: Vec<SchemeResult> = schemes
         .iter()
         .enumerate()
@@ -529,6 +539,7 @@ pub(crate) fn run_many(
             zero_fault_samples += counts.get(P_ZERO_FAULT);
             bitslice_blocks += counts.get(P_BITSLICE_BLOCKS);
             bitslice_spills += counts.get(P_BITSLICE_SPILLS);
+            inert_elided += counts.get(P_INERT_ELIDED);
             for (i, slot) in result.failures_by_extent.iter_mut().enumerate() {
                 *slot = counts.get(P_EXTENT0 + i);
             }
@@ -556,6 +567,7 @@ pub(crate) fn run_many(
         metrics::FAULTSIM_SDC.add(results.iter().map(|r| r.sdc).sum());
         metrics::FAULTSIM_BITSLICE_BLOCKS.add(bitslice_blocks);
         metrics::FAULTSIM_BITSLICE_SPILLS.add(bitslice_spills);
+        metrics::FAULTSIM_TIMELINE_INERT_ELIDED.add(inert_elided);
     }
     (results, stats)
 }
@@ -576,6 +588,7 @@ pub(crate) fn replay_trial(sweep: &Sweep, scheme: Scheme, trial: u64) -> TrialRe
         trial,
         streams.split_first(trial),
         years,
+        false,
         &mut partial,
         &mut Scratch::default(),
         |step| steps.push(step),
@@ -615,7 +628,10 @@ const P_BITSLICE_BLOCKS: usize = P_EXTENT0 + 6;
 /// Trials a bit-sliced block spilled to the scalar event machinery
 /// (the popcount of the block's `nonzero` word).
 const P_BITSLICE_SPILLS: usize = P_BITSLICE_BLOCKS + 1;
-const P_SLOTS: usize = P_BITSLICE_SPILLS + 1;
+/// Single-bit faults sampled but never walked because the model proves
+/// them inert (see [`run_trial`]).
+const P_INERT_ELIDED: usize = P_BITSLICE_SPILLS + 1;
+const P_SLOTS: usize = P_INERT_ELIDED + 1;
 
 /// Per-worker, per-scheme accumulator. The fixed-size counters live in
 /// one owned [`Tallies`] block (plain adds, commutative merge — the
@@ -637,17 +653,19 @@ impl Partial {
 
 /// Reusable per-worker scratch buffers, shared by the lifetime driver and
 /// the rare-event engine; allocated once per worker, reused for every
-/// trial (the hot loop itself never allocates).
+/// trial (the hot loop itself never allocates once they have grown to the
+/// largest timeline seen).
 #[derive(Default)]
 pub(crate) struct Scratch {
     /// Current trial's fault timeline.
     pub(crate) events: Vec<FaultEvent>,
-    /// `(expiry time, fault)`: permanent faults never expire; corrected
-    /// transient faults linger for the configured exposure window before a
-    /// read/scrub cleans them.
-    active: Vec<(f64, FaultEvent)>,
-    /// The faults of `active`, projected for `SchemeModel::evaluate`.
-    view: Vec<FaultEvent>,
+    /// Faults still active during the walk: the slice
+    /// `SchemeModel::evaluate` reads, compacted in place as faults expire.
+    active: Vec<FaultEvent>,
+    /// `expiry[i]` is when `active[i]` stops counting (kept in lockstep):
+    /// permanent faults never expire; corrected transient faults linger
+    /// for the configured exposure window before a read/scrub cleans them.
+    expiry: Vec<f64>,
 }
 
 /// Simulates trials `[first, first + count)` of one scheme into `partial`:
@@ -686,6 +704,7 @@ fn run_trials(
             trial,
             u0,
             years,
+            true,
             partial,
             scratch,
             |_| {},
@@ -739,6 +758,7 @@ fn run_trials_bitsliced(
                 block + lane,
                 u0,
                 years,
+                true,
                 partial,
                 scratch,
                 |_| {},
@@ -756,6 +776,13 @@ fn run_trials_bitsliced(
 /// (where the `is_zero_fault` test is a redundant-but-cheap recheck that
 /// keeps the draw sequence identical), both with a no-op `on_step` that
 /// monomorphises away; [`replay_trial`] passes a recorder.
+///
+/// With `elide_inert` (the kernels' setting) and a model whose single-bit
+/// faults are inert ([`SchemeModel::bit_always_benign`]), a multi-fault
+/// trial draws its single-bit faults in full but leaves them out of the
+/// timeline it sorts and walks: they could not change a verdict or a draw.
+/// The replay passes `false`, so its steps and active counts still show
+/// every fault.
 #[allow(clippy::too_many_arguments)]
 fn run_trial(
     model: &SchemeModel,
@@ -764,6 +791,7 @@ fn run_trial(
     trial: u64,
     u0: u64,
     years: usize,
+    elide_inert: bool,
     partial: &mut Partial,
     scratch: &mut Scratch,
     mut on_step: impl FnMut(TrialStep),
@@ -786,7 +814,7 @@ fn run_trial(
             // only evaluation sees an empty active set, where the verdict
             // never depends on the chip or address range the fault struck
             // (`SchemeModel::evaluate_isolated`). Skip those draws, the
-            // event buffer, and the expiry/view bookkeeping entirely.
+            // event buffer, and the active-set bookkeeping entirely.
             let (extent, persistence, time_hours) = sampler.sample_mode_time(&mut rng);
             let verdict = model.evaluate_isolated(&mut rng, extent, persistence);
             on_step(TrialStep {
@@ -800,7 +828,9 @@ fn run_trial(
             (verdict, time_hours, extent)
         }
         count => {
-            sampler.events_into(count, &mut rng, &mut scratch.events);
+            let elide_bits = elide_inert && model.bit_always_benign();
+            let elided = sampler.events_into(count, &mut rng, &mut scratch.events, elide_bits);
+            partial.counts.add(P_INERT_ELIDED, u64::from(elided));
             let failed = walk_timeline(model, &mut rng, scratch, |e, active, verdict| {
                 on_step(TrialStep {
                     time_hours: e.time_hours,
@@ -838,6 +868,11 @@ fn run_trial(
 /// benign faults stay active — permanent ones for good, transient ones for
 /// the model's `transient_exposure_hours`.
 ///
+/// The active set is one `Vec` handed to `evaluate` as a slice, with the
+/// expiry times alongside; it is compacted in place only when the earliest
+/// expiry has passed, which never happens with a zero exposure window
+/// (transients then never join, and permanent faults never expire).
+///
 /// The one copy of this loop: the lifetime driver's multi-fault trials,
 /// [`replay_trial`] and the rare-event engine all walk through it.
 pub(crate) fn walk_timeline(
@@ -847,25 +882,56 @@ pub(crate) fn walk_timeline(
     mut on_step: impl FnMut(&FaultEvent, usize, Verdict),
 ) -> Option<(Verdict, FaultEvent)> {
     let exposure = model.params().transient_exposure_hours;
-    scratch.active.clear();
-    for e in &scratch.events {
-        scratch.active.retain(|&(expiry, _)| expiry > e.time_hours);
-        scratch.view.clear();
-        scratch.view.extend(scratch.active.iter().map(|&(_, f)| f));
-        let verdict = model.evaluate(rng, e, &scratch.view);
-        on_step(e, scratch.view.len(), verdict);
-        match verdict {
+    let Scratch {
+        events,
+        active,
+        expiry,
+    } = scratch;
+    active.clear();
+    expiry.clear();
+    let mut next_expiry = f64::INFINITY;
+    for e in events.iter() {
+        if next_expiry <= e.time_hours {
+            next_expiry = expire(active, expiry, e.time_hours);
+        }
+        let verdict = model.evaluate(rng, e, active);
+        on_step(e, active.len(), verdict);
+        let until = match verdict {
             Verdict::Due | Verdict::Sdc => return Some((verdict, *e)),
             Verdict::Corrected | Verdict::Benign => match e.fault.persistence {
-                Persistence::Permanent => scratch.active.push((f64::INFINITY, *e)),
-                Persistence::Transient if exposure > 0.0 => {
-                    scratch.active.push((e.time_hours + exposure, *e));
-                }
-                Persistence::Transient => {}
+                Persistence::Permanent => f64::INFINITY,
+                Persistence::Transient if exposure > 0.0 => e.time_hours + exposure,
+                Persistence::Transient => continue,
             },
-        }
+        };
+        next_expiry = next_expiry.min(until);
+        active.push(*e);
+        expiry.push(until);
     }
     None
+}
+
+/// Drops every active fault whose expiry is at or before `now`, keeping
+/// the survivors' order, and returns the earliest remaining expiry.
+fn expire(active: &mut Vec<FaultEvent>, expiry: &mut Vec<f64>, now: f64) -> f64 {
+    let mut kept = 0;
+    let mut next = f64::INFINITY;
+    for i in 0..active.len() {
+        // indexing: expiry is kept in lockstep with active, and
+        // kept ≤ i < active.len().
+        let until = expiry[i];
+        if until > now {
+            // indexing: kept ≤ i < active.len() = expiry.len().
+            active[kept] = active[i];
+            // indexing: as above.
+            expiry[kept] = until;
+            kept += 1;
+            next = next.min(until);
+        }
+    }
+    active.truncate(kept);
+    expiry.truncate(kept);
+    next
 }
 
 #[cfg(test)]
@@ -991,6 +1057,27 @@ mod tests {
         }
     }
 
+    /// Single-bit faults the bit-sliced kernel left out of the walked
+    /// timelines of `scheme` under `sweep`.
+    fn inert_elided(sweep: &Sweep, scheme: Scheme) -> u64 {
+        let years = sweep.years.ceil() as usize;
+        let model = SchemeModel::new(scheme, sweep.params);
+        let (sampler, streams) = trial_context(sweep, &model);
+        let mut partial = Partial::new(years);
+        run_trials(
+            &model,
+            &sampler,
+            &streams,
+            TrialKernel::BitSliced,
+            0,
+            sweep.samples,
+            years,
+            &mut partial,
+            &mut Scratch::default(),
+        );
+        partial.counts.get(P_INERT_ELIDED)
+    }
+
     #[test]
     fn replaying_every_trial_reproduces_the_aggregate_result() {
         // replay_trial must consume the identical stream the aggregate
@@ -998,13 +1085,31 @@ mod tests {
         // SchemeResult, bit for bit. This is what licenses the golden
         // traces to describe "what the simulator did" for a trial. At
         // Table I rates few trials reach the multi-fault walk and almost
-        // none see a transient expire, so the stressed set pins those
-        // paths too — under both kernels.
-        for mc in [quick(6_000), stressed(6_000)] {
+        // none see a transient expire, so the stressed sets pin those
+        // paths too — under both kernels, for every scheme.
+        //
+        // The replay walks every fault, while the kernels leave inert
+        // single-bit faults out of their timelines; agreement here is what
+        // shows the elision changes no verdict and no draw. The last set
+        // makes single-bit faults live (scaling faults collide with half
+        // the struck words, and the coarse intersection model counts any
+        // coexisting fault), so the kernels keep every fault there.
+        let live_bits = ModelParams {
+            scaling: crate::scaling::ScalingFaults::with_rate(1e-2),
+            require_line_intersection: false,
+            ..stressed(0).params
+        };
+        let sets = [
+            quick(6_000),
+            stressed(6_000),
+            stressed(6_000).with_params(live_bits),
+        ];
+        for (set, mc) in sets.iter().enumerate() {
             let years = mc.years.ceil() as usize;
             let mut multi_fault = 0;
             let mut expiries = 0;
-            for scheme in [Scheme::EccDimm, Scheme::Xed, Scheme::XedChipkill] {
+            let mut elided = 0;
+            for scheme in Scheme::ALL {
                 let mut folded = SchemeResult {
                     scheme,
                     samples: 6_000,
@@ -1036,13 +1141,19 @@ mod tests {
                     }
                 }
                 for kernel in [TrialKernel::BitSliced, TrialKernel::Scalar] {
-                    let aggregate = run_with(&mc, scheme, kernel);
-                    assert_eq!(folded, aggregate, "{scheme} ({kernel:?})");
+                    let aggregate = run_with(mc, scheme, kernel);
+                    assert_eq!(folded, aggregate, "set {set}: {scheme} ({kernel:?})");
                 }
+                elided += inert_elided(mc, scheme);
             }
-            assert!(multi_fault > 0, "no multi-fault trial");
+            assert!(multi_fault > 0, "set {set}: no multi-fault trial");
             if mc.params.transient_exposure_hours > 0.0 {
-                assert!(expiries > 0, "no transient expired");
+                assert!(expiries > 0, "set {set}: no transient expired");
+            }
+            if SchemeModel::new(Scheme::Xed, mc.params).bit_always_benign() {
+                assert!(elided > 0, "set {set}: no inert fault elided");
+            } else {
+                assert_eq!(elided, 0, "set {set}: live single-bit faults elided");
             }
         }
     }

@@ -336,14 +336,8 @@ impl CliquePlan {
         if (0..k as usize).any(|slot| slot_modes(slot).is_empty()) {
             return None;
         }
-        let scheme = model.scheme();
         let config = model.config();
-        let domain_span = if scheme.domain_is_channel() {
-            config.ranks_per_channel * config.chips_per_rank
-        } else {
-            config.chips_per_rank
-        };
-        debug_assert_eq!(domain_span, scheme.domain_chips());
+        let domain_span = model.domain_span();
         if domain_span < k {
             return None;
         }
@@ -747,8 +741,12 @@ impl<'a> TailPlan<'a> {
             };
             scratch.events.clear();
             self.plant_clique(plan, rng, &mut scratch.events);
-            self.sampler
-                .events_append(n - plan.j as u32, rng, &mut scratch.events);
+            self.sampler.events_append(
+                n - plan.j as u32,
+                rng,
+                &mut scratch.events,
+                self.model.bit_always_benign(),
+            );
             scratch
                 .events
                 .sort_unstable_by(|a, b| a.time_hours.total_cmp(&b.time_hours));
@@ -853,8 +851,12 @@ impl<'a> TailPlan<'a> {
                 let normal = n - plan.j as u32;
                 scratch.events.clear();
                 let tuple_index = self.plant_clique(plan, &mut rng, &mut scratch.events);
-                self.sampler
-                    .events_append(normal, &mut rng, &mut scratch.events);
+                self.sampler.events_append(
+                    normal,
+                    &mut rng,
+                    &mut scratch.events,
+                    self.model.bit_always_benign(),
+                );
                 scratch
                     .events
                     .sort_unstable_by(|a, b| a.time_hours.total_cmp(&b.time_hours));
@@ -874,7 +876,12 @@ impl<'a> TailPlan<'a> {
             }
             _ => {
                 let n = self.draw_count(&mut rng);
-                self.sampler.events_into(n, &mut rng, &mut scratch.events);
+                self.sampler.events_into(
+                    n,
+                    &mut rng,
+                    &mut scratch.events,
+                    self.model.bit_always_benign(),
+                );
                 match self.evaluate_timeline(&mut rng, scratch) {
                     Some(verdict) => (self.p_ge_k, Some(verdict)),
                     None => (0.0, None),
@@ -1565,6 +1572,102 @@ mod tests {
             assert_eq!(est.variance.to_bits(), variance, "{mode:?} variance");
             assert_eq!(est.failures, failures, "{mode:?} failures");
         }
+    }
+
+    #[test]
+    fn inert_faults_never_change_the_clique_count() {
+        // The tail engine leaves inert single-bit faults out of its
+        // timelines, and S(x) — the clique count in the likelihood ratio —
+        // is read off the elided timeline. It counts multi-bit members
+        // only, so it must equal the count over the full timeline. The
+        // sampler half of the contract is checked alongside: eliding
+        // draws exactly what keeping does, and drops exactly the
+        // single-bit events.
+        use rand::SeedableRng;
+        let rows = FitRates::table_i()
+            .rows()
+            .iter()
+            .map(|r| crate::fit::ModeRate {
+                transient_fit: r.transient_fit * 10.0,
+                permanent_fit: r.permanent_fit * 10.0,
+                ..*r
+            })
+            .collect();
+        let rates = FitRates::custom(rows);
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let (mut timelines, mut elided_total, mut several) = (0u32, 0u32, 0u32);
+        for scheme in [
+            Scheme::Chipkill,
+            Scheme::ChipkillX4,
+            Scheme::XedChipkill,
+            Scheme::DoubleChipkill,
+        ] {
+            for require_line_intersection in [true, false] {
+                for ordered in [true, false] {
+                    let model = SchemeModel::new(
+                        scheme,
+                        ModelParams {
+                            require_line_intersection,
+                            ..ModelParams::default()
+                        },
+                    );
+                    assert!(model.bit_always_benign());
+                    let k = min_failing_faults(scheme);
+                    let clique = CliquePlan::build(&model, &rates, k, ordered)
+                        .expect("a clique plan at default parameters");
+                    let sampler = LifetimeSampler::new(
+                        &rates,
+                        model.config().geometry,
+                        model.config().total_chips(),
+                        LIFETIME_YEARS,
+                    );
+                    let plan = TailPlan {
+                        lambda: sampler.lambda(),
+                        model,
+                        sampler,
+                        mode: TailMode::CliqueForced,
+                        k,
+                        p_ge_k: 1.0,
+                        pmf_k: 0.0,
+                        hours: LIFETIME_YEARS * HOURS_PER_YEAR,
+                        clique: None,
+                        count_tilt: None,
+                    };
+                    for _ in 0..100 {
+                        let mut full = Vec::new();
+                        plan.plant_clique(&clique, &mut rng, &mut full);
+                        let mut elided = full.clone();
+                        let mut keep_rng = rng.clone();
+                        plan.sampler
+                            .events_append(16, &mut keep_rng, &mut full, false);
+                        let n = plan.sampler.events_append(16, &mut rng, &mut elided, true);
+                        assert_eq!(rng, keep_rng, "eliding must draw what keeping draws");
+                        full.sort_unstable_by(|a, b| a.time_hours.total_cmp(&b.time_hours));
+                        elided.sort_unstable_by(|a, b| a.time_hours.total_cmp(&b.time_hours));
+                        let multi_bit: Vec<FaultEvent> = full
+                            .iter()
+                            .filter(|e| e.fault.extent.is_multi_bit())
+                            .copied()
+                            .collect();
+                        assert_eq!(elided, multi_bit);
+                        assert_eq!(n as usize, full.len() - elided.len());
+                        let s = plan.count_cliques(&clique, &full);
+                        assert!(s >= 1, "{scheme:?}: the planted clique was not counted");
+                        assert_eq!(
+                            s,
+                            plan.count_cliques(&clique, &elided),
+                            "{scheme:?} (strict {require_line_intersection}, ordered {ordered})"
+                        );
+                        timelines += 1;
+                        elided_total += n;
+                        several += u32::from(s > 1);
+                    }
+                }
+            }
+        }
+        assert_eq!(timelines, 1_600);
+        assert!(elided_total > 1_600, "only {elided_total} faults elided");
+        assert!(several > 0, "no timeline held a second clique");
     }
 
     #[test]

@@ -356,6 +356,12 @@ pub struct SchemeModel {
     /// without consuming randomness). Half of Table I's faults are
     /// single-bit, so the Monte-Carlo hot loop short-circuits on this.
     bit_always_benign: bool,
+    /// Chips per protection domain. Domains are contiguous chip blocks
+    /// (`[lo, lo + domain_span)` with `lo` a multiple of the span), so
+    /// membership is one subtraction and one compare, and a chip's offset
+    /// in its domain indexes a `u64` bitmask (the widest domain has 36
+    /// chips).
+    domain_span: u32,
     /// Precomputed `params.code_model.effective_on_die_miss(on_die_miss)`
     /// — under [`CodeModel::Known`] and [`CodeModel::InferredExact`] this
     /// is exactly `params.on_die_miss`, keeping those runs bit-identical.
@@ -366,11 +372,21 @@ impl SchemeModel {
     /// Builds the model for a scheme with the given parameters.
     pub fn new(scheme: Scheme, params: ModelParams) -> Self {
         let config = scheme.system_config();
+        let domain_span = if scheme.domain_is_channel() {
+            config.ranks_per_channel * config.chips_per_rank
+        } else {
+            config.chips_per_rank
+        };
+        debug_assert!(
+            domain_span <= u64::BITS,
+            "domain offsets must fit a u64 mask"
+        );
         Self {
             scheme,
             params,
             config,
             bit_always_benign: params.on_die_ecc && !params.scaling.enabled(),
+            domain_span,
             effective_on_die_miss: params.code_model.effective_on_die_miss(params.on_die_miss),
         }
     }
@@ -396,13 +412,25 @@ impl SchemeModel {
         &self.params
     }
 
+    /// `true` if every single-bit fault is inert: always
+    /// [`Verdict::Benign`], evaluated without drawing randomness, and
+    /// never counted by [`Self::concurrent_chips`] (which sees only
+    /// multi-bit faults). Holds with on-die ECC present and scaling faults
+    /// disabled — the paper's default parameters. Timeline walks may then
+    /// drop single-bit faults without changing any verdict or draw.
+    pub(crate) fn bit_always_benign(&self) -> bool {
+        self.bit_always_benign
+    }
+
+    /// Chips per protection domain (the domain is the contiguous block of
+    /// chips `[lo, lo + span)`, `lo` a multiple of the span).
+    pub(crate) fn domain_span(&self) -> u32 {
+        self.domain_span
+    }
+
     /// `true` if chips `a` and `b` share this scheme's protection domain.
     pub fn same_domain(&self, a: u32, b: u32) -> bool {
-        if self.scheme.domain_is_channel() {
-            self.config.channel_of(a) == self.config.channel_of(b)
-        } else {
-            self.config.rank_of(a) == self.config.rank_of(b)
-        }
+        a / self.domain_span == b / self.domain_span
     }
 
     /// Counts the largest set of distinct chips (including `e.chip`) in
@@ -410,32 +438,62 @@ impl SchemeModel {
     /// intersect one common cache line with `e`'s fault (or, with
     /// `require_line_intersection` disabled, merely coexist in the
     /// domain).
+    ///
+    /// Neither divides nor allocates per active fault: domain membership
+    /// is `chip − lo < span`, and the chips taken so far are a bitmask of
+    /// domain offsets with `e`'s own chip preset, so a second fault on an
+    /// already-counted chip is skipped by the same test.
     pub fn concurrent_chips(&self, e: &FaultEvent, active: &[FaultEvent]) -> u32 {
-        let visible = |a: &&FaultEvent| {
-            a.chip != e.chip && a.fault.extent.is_multi_bit() && self.same_domain(a.chip, e.chip)
-        };
+        let span = self.domain_span;
+        let lo = e.chip - e.chip % span;
+        let own = 1u64 << (e.chip - lo);
         if !self.params.require_line_intersection {
-            let mut chips: Vec<u32> = active.iter().filter(visible).map(|a| a.chip).collect();
-            chips.sort_unstable();
-            chips.dedup();
-            return 1 + chips.len() as u32;
+            let mut used = own;
+            for a in active {
+                let off = a.chip.wrapping_sub(lo);
+                if off < span && a.fault.extent.is_multi_bit() {
+                    used |= 1 << off;
+                }
+            }
+            return used.count_ones();
         }
         let line = FaultRange {
             bit: None,
             ..e.fault.range
         };
-        let cands: Vec<(u32, FaultRange)> = active
-            .iter()
-            .filter(visible)
-            .filter_map(|a| {
-                let r = FaultRange {
-                    bit: None,
-                    ..a.fault.range
-                };
-                line.intersect(&r).map(|x| (a.chip, x))
-            })
-            .collect();
-        1 + max_chips_with_common_line(&line, &cands)
+        self.widest_common_line(line, active, lo, own)
+    }
+
+    /// Subset search behind [`Self::concurrent_chips`]: the most chips
+    /// (counting the `used` ones) whose faults share one line of
+    /// `current`, extending `used` only by visible faults of `active` on
+    /// chips not yet taken. Later subsets start after the fault that
+    /// extended the current one, so each subset is visited once; active
+    /// sets are a handful of faults, so the brute force is cheap.
+    fn widest_common_line(
+        &self,
+        current: FaultRange,
+        active: &[FaultEvent],
+        lo: u32,
+        used: u64,
+    ) -> u32 {
+        let mut best = used.count_ones();
+        for (i, a) in active.iter().enumerate() {
+            let off = a.chip.wrapping_sub(lo);
+            if off >= self.domain_span || used >> off & 1 != 0 || !a.fault.extent.is_multi_bit() {
+                continue;
+            }
+            let range = FaultRange {
+                bit: None,
+                ..a.fault.range
+            };
+            if let Some(next) = current.intersect(&range) {
+                // indexing: i < active.len(), so i + 1 is a valid start.
+                let rest = &active[i + 1..];
+                best = best.max(self.widest_common_line(next, rest, lo, used | 1 << off));
+            }
+        }
+        best
     }
 
     /// Evaluates one fault arrival against the currently active faults.
@@ -700,31 +758,6 @@ impl SchemeModel {
     }
 }
 
-/// Finds the largest number of distinct chips whose candidate line-ranges
-/// (already intersected with the new fault's line range) share one common
-/// line. Brute-force subset search — candidate counts are tiny in practice.
-fn max_chips_with_common_line(base: &FaultRange, cands: &[(u32, FaultRange)]) -> u32 {
-    fn rec(current: FaultRange, cands: &[(u32, FaultRange)], used: &mut Vec<u32>, best: &mut u32) {
-        *best = (*best).max(used.len() as u32);
-        for (i, (chip, range)) in cands.iter().enumerate() {
-            if used.contains(chip) {
-                continue;
-            }
-            if let Some(next) = current.intersect(range) {
-                // Tiny per-call scratch Vec, bounded by the candidate count.
-                // alloc: at most chips-per-rank pushes, amortized growth.
-                used.push(*chip);
-                // indexing: i < cands.len(), so i + 1 is a valid start.
-                rec(next, &cands[i + 1..], used, best);
-                used.pop();
-            }
-        }
-    }
-    let mut best = 0;
-    rec(*base, cands, &mut Vec::new(), &mut best);
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -774,6 +807,75 @@ mod tests {
 
     fn model(scheme: Scheme) -> SchemeModel {
         SchemeModel::new(scheme, ModelParams::default())
+    }
+
+    /// The original concurrency search, kept as the differential oracle
+    /// for [`SchemeModel::concurrent_chips`]: domain membership through
+    /// `rank_of`/`channel_of`, candidates collected into a `Vec`, and a
+    /// subset search that tracks used chips in another `Vec`.
+    fn reference_concurrent_chips(m: &SchemeModel, e: &FaultEvent, active: &[FaultEvent]) -> u32 {
+        let visible = |a: &&FaultEvent| {
+            a.chip != e.chip
+                && a.fault.extent.is_multi_bit()
+                && reference_same_domain(m, a.chip, e.chip)
+        };
+        if !m.params().require_line_intersection {
+            let mut chips: Vec<u32> = active.iter().filter(visible).map(|a| a.chip).collect();
+            chips.sort_unstable();
+            chips.dedup();
+            return 1 + chips.len() as u32;
+        }
+        let line = FaultRange {
+            bit: None,
+            ..e.fault.range
+        };
+        let cands: Vec<(u32, FaultRange)> = active
+            .iter()
+            .filter(visible)
+            .filter_map(|a| {
+                let r = FaultRange {
+                    bit: None,
+                    ..a.fault.range
+                };
+                line.intersect(&r).map(|x| (a.chip, x))
+            })
+            .collect();
+        1 + max_chips_with_common_line(&line, &cands)
+    }
+
+    fn reference_same_domain(m: &SchemeModel, a: u32, b: u32) -> bool {
+        if m.scheme().domain_is_channel() {
+            m.config().channel_of(a) == m.config().channel_of(b)
+        } else {
+            m.config().rank_of(a) == m.config().rank_of(b)
+        }
+    }
+
+    /// Largest number of distinct chips whose candidate line-ranges
+    /// (already intersected with the new fault's line range) share one
+    /// common line.
+    fn max_chips_with_common_line(base: &FaultRange, cands: &[(u32, FaultRange)]) -> u32 {
+        fn rec(
+            current: FaultRange,
+            cands: &[(u32, FaultRange)],
+            used: &mut Vec<u32>,
+            best: &mut u32,
+        ) {
+            *best = (*best).max(used.len() as u32);
+            for (i, (chip, range)) in cands.iter().enumerate() {
+                if used.contains(chip) {
+                    continue;
+                }
+                if let Some(next) = current.intersect(range) {
+                    used.push(*chip);
+                    rec(next, &cands[i + 1..], used, best);
+                    used.pop();
+                }
+            }
+        }
+        let mut best = 0;
+        rec(*base, cands, &mut Vec::new(), &mut best);
+        best
     }
 
     #[test]
@@ -1019,6 +1121,92 @@ mod tests {
         let m = model(Scheme::Xed);
         let active = [bank_fault(1, 0), bank_fault(1, 1), chip_fault(1)];
         assert_eq!(m.concurrent_chips(&chip_fault(0), &active), 2);
+    }
+
+    #[test]
+    fn concurrent_chips_matches_the_reference_search() {
+        // Random active sets of up to 10 faults on a tiny address space
+        // (2 banks × 2 rows × 2 columns), so ranges meet often and the
+        // subset search has real work. Chips cluster on the domain
+        // boundaries — `lo`, `lo + span − 1` and both neighbouring
+        // domains' edge chips — and repeat, covering the offset mask's
+        // edges and the one-bit-per-chip dedup.
+        let tiny = crate::geometry::DramGeometry {
+            banks: 2,
+            rows: 2,
+            cols: 2,
+            word_bits: 4,
+        };
+        let mut rng = StdRng::seed_from_u64(0xC0C0);
+        let mut compared = 0u32;
+        let mut multi_chip = 0u32;
+        // Every scheme: rank domains of 8, 9 and 18 chips, channel
+        // domains of 18 and 36.
+        for scheme in Scheme::ALL {
+            for require_line_intersection in [true, false] {
+                let m = SchemeModel::new(
+                    scheme,
+                    ModelParams {
+                        require_line_intersection,
+                        ..ModelParams::default()
+                    },
+                );
+                let span = m.domain_span();
+                assert_eq!(span, scheme.domain_chips());
+                let total = m.config().total_chips();
+                // The second domain, so both neighbours exist.
+                let lo = span;
+                let picks = [
+                    lo,
+                    lo + 1,
+                    lo + span - 1,
+                    lo + span - 2,
+                    lo - 1,
+                    lo + span,
+                    0,
+                    total - 1,
+                ];
+                for _ in 0..400 {
+                    let draw = |rng: &mut StdRng| {
+                        let chip = if rng.gen_bool(0.8) {
+                            picks[rng.gen_range(0..picks.len())]
+                        } else {
+                            rng.gen_range(0..total)
+                        };
+                        let extent = FaultExtent::ALL[rng.gen_range(0..6)];
+                        let persistence = Persistence::Permanent;
+                        ev(
+                            chip,
+                            extent,
+                            persistence,
+                            FaultRange::sample(rng, extent, &tiny),
+                        )
+                    };
+                    let e = draw(&mut rng);
+                    let n = rng.gen_range(0..=10);
+                    let active: Vec<FaultEvent> = (0..n).map(|_| draw(&mut rng)).collect();
+                    let want = reference_concurrent_chips(&m, &e, &active);
+                    assert_eq!(
+                        m.concurrent_chips(&e, &active),
+                        want,
+                        "{scheme:?} (intersection {require_line_intersection}): {e:?} vs {active:?}"
+                    );
+                    for a in &active {
+                        assert_eq!(
+                            m.same_domain(a.chip, e.chip),
+                            reference_same_domain(&m, a.chip, e.chip)
+                        );
+                    }
+                    compared += 1;
+                    multi_chip += u32::from(want >= 3);
+                }
+            }
+        }
+        assert_eq!(compared, 5_600);
+        assert!(
+            multi_chip > 100,
+            "only {multi_chip} sets reached three chips"
+        );
     }
 
     #[test]

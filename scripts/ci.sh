@@ -41,12 +41,16 @@ cargo test -q --workspace
 
 # Gating: the bit-sliced trial kernel must stay bit-identical to the
 # scalar path under *release* codegen too — the debug `cargo test`
-# above proves the unoptimized build, this re-runs the equivalence and
-# thread-invariance sweeps at the optimization level the benchmarks
-# and figure binaries actually ship (DESIGN.md §14.1).
-step "bit-sliced vs scalar kernel equivalence (release)"
-cargo test -q --release -p xed-faultsim --lib \
-    bit_sliced_kernel_is_bit_identical_to_scalar
+# above proves the unoptimized build, this re-runs the equivalence
+# sweeps at the optimization level the benchmarks and figure binaries
+# actually ship (DESIGN.md §14.1). The replay test is the oracle for the
+# multi-fault walk: per-trial replays keep every fault, the kernels
+# elide inert ones, and the two must fold to the same result for every
+# scheme under both kernels (DESIGN.md §9.3).
+step "bit-sliced vs scalar kernel and replay equivalence (release)"
+cargo test -q --release -p xed-faultsim --lib -- \
+    bit_sliced_kernel_is_bit_identical_to_scalar \
+    replaying_every_trial_reproduces_the_aggregate_result
 
 # Gating: the xed-testkit cross-validation matrix (DESIGN.md §12) —
 # exhaustive small-geometry oracle, analytic gate, metamorphic laws,
