@@ -13,8 +13,8 @@
 //! ```
 
 use crate::catch_word::CatchWord;
-use crate::fault::{FaultKind, InjectedFault};
-use std::collections::HashMap;
+use crate::cells::CellArray;
+use crate::fault::InjectedFault;
 use xed_ecc::secded::{DecodeOutcome, SecDed};
 use xed_ecc::{CodeWord72, Crc8Atm, Hamming7264};
 
@@ -146,38 +146,30 @@ pub struct BusWord {
 /// A functional DRAM chip with on-die ECC.
 #[derive(Debug, Clone)]
 pub struct DramChip {
-    geometry: ChipGeometry,
     engine: Engine,
-    /// Sparse store of written codewords; unwritten words read as
-    /// encode(0).
-    store: HashMap<WordAddr, CodeWord72>,
-    /// Injected faults; transient corruption is healed per-address on
-    /// write.
-    faults: Vec<(InjectedFault, HashMap<WordAddr, bool>)>,
+    /// Stored codewords, injected faults and heal state (unwritten words
+    /// read as encode(0); see [`crate::cells`]).
+    cells: CellArray<CodeWord72>,
     xed_enable: bool,
     catch_word: Option<CatchWord>,
-    zero: CodeWord72,
 }
 
 impl DramChip {
     /// Builds a chip with the given geometry and on-die code.
     pub fn new(geometry: ChipGeometry, code: OnDieCode) -> Self {
         let engine = Engine::new(code);
-        let zero = engine.encode(0);
+        let cells = CellArray::new(geometry, engine.encode(0));
         Self {
-            geometry,
             engine,
-            store: HashMap::new(),
-            faults: Vec::new(),
+            cells,
             xed_enable: false,
             catch_word: None,
-            zero,
         }
     }
 
     /// The chip's geometry.
     pub fn geometry(&self) -> ChipGeometry {
-        self.geometry
+        self.cells.geometry()
     }
 
     /// Sets the XED-Enable mode register (paper Section V-A).
@@ -197,13 +189,13 @@ impl DramChip {
 
     /// Injects a fault into the chip.
     pub fn inject_fault(&mut self, fault: InjectedFault) {
-        self.faults.push((fault, HashMap::new()));
+        self.cells.inject(fault);
     }
 
     /// Removes all injected faults (test helper; real chips cannot do
     /// this).
     pub fn clear_faults(&mut self) {
-        self.faults.clear();
+        self.cells.clear_faults();
     }
 
     /// Writes a 64-bit data word: the chip encodes it with the on-die code
@@ -214,40 +206,25 @@ impl DramChip {
     ///
     /// Panics if `addr` is outside the chip geometry.
     pub fn write(&mut self, addr: WordAddr, data: u64) {
-        assert!(
-            self.geometry.contains(addr),
-            "address {addr:?} out of geometry"
-        );
-        self.store.insert(addr, self.engine.encode(data));
-        for (fault, healed) in &mut self.faults {
-            if fault.kind == FaultKind::Transient && fault.region.covers(addr) {
-                healed.insert(addr, true);
-            }
-        }
+        self.cells.write(addr, self.engine.encode(data));
     }
 
     /// The raw (possibly corrupted) codeword currently at `addr`, before
     /// on-die decoding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is outside the chip geometry.
     pub fn raw_codeword(&self, addr: WordAddr) -> CodeWord72 {
-        assert!(
-            self.geometry.contains(addr),
-            "address {addr:?} out of geometry"
-        );
-        let mut w = *self.store.get(&addr).unwrap_or(&self.zero);
-        for (fault, healed) in &self.faults {
-            let healed_here =
-                fault.kind == FaultKind::Transient && healed.get(&addr).copied().unwrap_or(false);
-            if healed_here {
-                continue;
-            }
-            let (dx, cx) = fault.corruption(addr);
-            w = CodeWord72::new(w.data() ^ dx, w.check() ^ cx);
-        }
-        w
+        self.cells.read(addr)
     }
 
     /// Reads the word at `addr`: on-die decode, then DC-Mux selection
     /// (paper Figure 3).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is outside the chip geometry.
     pub fn read(&self, addr: WordAddr) -> BusWord {
         let received = self.raw_codeword(addr);
         let outcome = self.engine.decode(received);
@@ -278,6 +255,7 @@ impl DramChip {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultKind;
 
     fn addr(bank: u32, row: u32, col: u32) -> WordAddr {
         WordAddr { bank, row, col }

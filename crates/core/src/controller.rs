@@ -209,7 +209,8 @@ impl XedController {
         }
 
         let words = self.bus_read(addr);
-        let catchers = self.catching_chips(&words);
+        let (catcher_buf, ncatch) = self.catching_chips(&words);
+        let catchers = &catcher_buf[..ncatch];
         self.stats.catch_words_observed += catchers.len() as u64;
         if !catchers.is_empty() && xed_telemetry::enabled() {
             metrics::CORE_XED_CATCH_WORDS.add(catchers.len() as u64);
@@ -244,11 +245,21 @@ impl XedController {
         words
     }
 
-    /// Which chips transmitted their catch-word.
-    pub(crate) fn catching_chips(&self, words: &[u64; TOTAL_CHIPS]) -> Vec<usize> {
-        (0..TOTAL_CHIPS)
-            .filter(|&i| self.catch_words.identify(i, words[i]))
-            .collect()
+    /// Which chips transmitted their catch-word: the first `n` entries of
+    /// the returned buffer, in chip order.
+    pub(crate) fn catching_chips(
+        &self,
+        words: &[u64; TOTAL_CHIPS],
+    ) -> ([usize; TOTAL_CHIPS], usize) {
+        let mut chips = [0usize; TOTAL_CHIPS];
+        let mut n = 0;
+        for (i, &w) in words.iter().enumerate() {
+            if self.catch_words.identify(i, w) {
+                chips[n] = i;
+                n += 1;
+            }
+        }
+        (chips, n)
     }
 
     /// Erasure-reconstructs `chip`'s word from the other eight (Equation 3),
@@ -362,20 +373,17 @@ impl XedController {
         let words = self.bus_read(addr);
         // Any *other* chip presenting its catch-word means two concurrent
         // erasures: uncorrectable.
-        let others: Vec<usize> = self
-            .catching_chips(&words)
-            .into_iter()
-            .filter(|&c| c != dead)
-            .collect();
-        if !others.is_empty() {
+        let (catchers, ncatch) = self.catching_chips(&words);
+        let others = catchers[..ncatch].iter().filter(|&&c| c != dead).count();
+        if others > 0 {
             self.stats.due_events += 1;
             xed_telemetry::tick(&metrics::CORE_XED_DUE);
             if xed_telemetry::enabled() {
                 self.ring
-                    .record(EventKind::Due, others.len() as u64 + 1, event_addr(addr));
+                    .record(EventKind::Due, others as u64 + 1, event_addr(addr));
             }
             return Err(XedError::MultipleFaultyChips {
-                catch_words: others.len() as u32 + 1,
+                catch_words: others as u32 + 1,
             });
         }
         self.reconstruct(addr, &words, dead)

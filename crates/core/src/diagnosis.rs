@@ -92,7 +92,8 @@ impl XedController {
                 col,
             };
             let words = self.bus_read(line);
-            for chip in self.catching_chips(&words) {
+            let (catchers, ncatch) = self.catching_chips(&words);
+            for &chip in &catchers[..ncatch] {
                 counts[chip] += 1;
             }
         }

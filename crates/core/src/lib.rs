@@ -10,6 +10,8 @@
 //!
 //! * [`catch_word`] — catch-word values, registers and collision math;
 //! * [`chip`] — a DRAM chip with on-die ECC and the DC-Mux;
+//! * `cells` (crate-private) — the paged codeword store, injected faults
+//!   and heal state both chip widths share;
 //! * [`fault`] — fault injection (bit/word/column/row/bank/chip);
 //! * [`dimm`] — a 9-chip ECC-DIMM in XED mode;
 //! * [`controller`] — the XED memory-controller read/write algorithm;
@@ -39,6 +41,7 @@
 pub mod alert;
 pub mod analysis;
 pub mod catch_word;
+mod cells;
 pub mod chip;
 pub mod controller;
 pub mod diagnosis;

@@ -15,13 +15,13 @@
 //! check mismatch (an on-die miss) it falls back to blind single-symbol
 //! correction.
 
+use crate::cells::CellArray;
 use crate::chip::{ChipGeometry, WordAddr};
 use crate::controller::{event_addr, XedStats};
 use crate::error::XedError;
-use crate::fault::{FaultKind, InjectedFault};
+use crate::fault::{FaultRegion, InjectedFault};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use xed_ecc::gf::Field;
 use xed_ecc::rs::{ReedSolomon, RsScratch};
 use xed_ecc::secded32::{CodeWord40, Crc8Atm32};
@@ -40,56 +40,37 @@ const PLANES: usize = 4;
 /// A functional x4 DRAM device with (40,32) on-die ECC and a DC-Mux.
 #[derive(Debug, Clone)]
 struct X4Chip {
-    geometry: ChipGeometry,
     code: Crc8Atm32,
-    store: HashMap<WordAddr, CodeWord40>,
-    faults: Vec<(InjectedFault, HashMap<WordAddr, bool>)>,
+    /// Stored codewords, injected faults and heal state (see
+    /// [`crate::cells`]).
+    cells: CellArray<CodeWord40>,
     xed_enable: bool,
     catch_word: u32,
-    zero: CodeWord40,
 }
 
 impl X4Chip {
     fn new(geometry: ChipGeometry, catch_word: u32) -> Self {
         let code = Crc8Atm32::new();
-        let zero = code.encode(0);
+        let cells = CellArray::new(geometry, code.encode(0));
         Self {
-            geometry,
             code,
-            store: HashMap::new(),
-            faults: Vec::new(),
+            cells,
             xed_enable: true,
             catch_word,
-            zero,
         }
     }
 
+    /// Encodes and stores `data`, healing transient corruption at `addr`.
+    /// Panics if `addr` is outside the geometry.
     fn write(&mut self, addr: WordAddr, data: u32) {
-        assert!(self.geometry.contains(addr));
-        self.store.insert(addr, self.code.encode(data));
-        for (fault, healed) in &mut self.faults {
-            if fault.kind == FaultKind::Transient && fault.region.covers(addr) {
-                healed.insert(addr, true);
-            }
-        }
+        self.cells.write(addr, self.code.encode(data));
     }
 
-    fn raw(&self, addr: WordAddr) -> CodeWord40 {
-        let mut w = *self.store.get(&addr).unwrap_or(&self.zero);
-        for (fault, healed) in &self.faults {
-            if fault.kind == FaultKind::Transient && healed.get(&addr).copied().unwrap_or(false) {
-                continue;
-            }
-            let (dx, cx) = fault.corruption40(addr);
-            w = CodeWord40::new(w.data() ^ dx, w.check() ^ cx);
-        }
-        w
-    }
-
-    /// DC-Mux read: data, or the catch-word on any on-die event.
+    /// DC-Mux read: data, or the catch-word on any on-die event. Panics if
+    /// `addr` is outside the geometry.
     fn read(&self, addr: WordAddr) -> u32 {
         use xed_ecc::secded32::Decode32;
-        let received = self.raw(addr);
+        let received = self.cells.read(addr);
         match self.code.decode(received) {
             Decode32::Clean { data } => data,
             outcome if self.xed_enable => {
@@ -215,6 +196,10 @@ impl XedChipkillSystem {
     }
 
     /// Writes at an explicit address.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is outside the chip geometry.
     pub fn write_line_at(&mut self, addr: WordAddr, data: &[u32; DATA_CHIPS]) {
         self.stats.writes += 1;
         xed_telemetry::tick(&metrics::CORE_XED_WRITES);
@@ -258,6 +243,10 @@ impl XedChipkillSystem {
     /// # Errors
     ///
     /// Returns [`XedError`] when the corruption exceeds two erasures.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is outside the chip geometry.
     pub fn read_line_at(&mut self, addr: WordAddr) -> Result<X4LineReadout, XedError> {
         self.stats.reads += 1;
         xed_telemetry::tick(&metrics::CORE_XED_READS);
@@ -550,16 +539,17 @@ impl XedChipkillSystem {
 
 impl X4Chip {
     fn inject_fault_checked(&mut self, fault: InjectedFault) {
-        if let crate::fault::FaultRegion::Bit { bit, .. } = fault.region {
+        if let FaultRegion::Bit { bit, .. } = fault.region {
             assert!(bit < 40, "x4 devices have 40-bit codewords (bit {bit})");
         }
-        self.faults.push((fault, HashMap::new()));
+        self.cells.inject(fault);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultKind;
 
     const LINE: [u32; 16] = [
         0x0101_0101,
@@ -722,6 +712,18 @@ mod tests {
         let mut sys = XedChipkillSystem::new(1);
         let addr = sys.geometry().addr(0);
         sys.inject_fault(0, InjectedFault::bit(addr, 50, FaultKind::Permanent));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of geometry")]
+    fn out_of_geometry_read_panics() {
+        let mut sys = loaded();
+        let g = sys.geometry();
+        let _ = sys.read_line_at(WordAddr {
+            bank: 0,
+            row: g.rows,
+            col: 0,
+        });
     }
 
     #[test]

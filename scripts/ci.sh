@@ -70,6 +70,16 @@ step "xedd --selftest (incl. trace-propagation gate)"
 ./target/release/xedd --selftest | tee target/xedd.selftest.log
 grep -q "traced request exports" target/xedd.selftest.log
 
+# Gating: the benchmark's self-test (perfbench/BENCHMARK.md). Every
+# workload runs in smoke mode, traced and untraced; each section's
+# outputs must match the pinned goldens (including the datapath section's
+# XedStats fingerprints of the functional chip models), the metric names
+# and units must match BENCHMARK.json, and a deliberately wrong golden
+# must drive success_rate below 1. It builds perfbench into its own
+# target directory (.bench_build).
+step "perfbench/run.py --selftest"
+python3 perfbench/run.py --selftest
+
 # Non-gating: exercise the benchmark harness end to end (engine, thread
 # sweep, JSON writer) at smoke scale. Throughput numbers from a loaded CI
 # box are noise, so a slow run must not fail the gate — only a crash or a
