@@ -5,6 +5,13 @@
 //! corresponding `can_*` query passes, and every `issue_*` updates the
 //! registers per the JEDEC constraint graph (tRCD, tRP, tRAS, tRC, tCCD,
 //! tRRD, tFAW, tWTR, tWR, tRTP, tRTRS, tREFI/tRFC).
+//!
+//! The same registers are exposed as thresholds for the scheduler's
+//! one-pass scan: `Dram::bank_gates` folds every bank-, rank- and
+//! channel-level constraint into one earliest cycle per bank for a column
+//! access to its open row and one for the command a row miss needs (ACT
+//! when closed, PRE when open), so each `can_*` predicate is exactly
+//! `now >= threshold` plus its open-row condition.
 
 use crate::timing::DdrTiming;
 use std::collections::VecDeque;
@@ -32,6 +39,23 @@ impl Bank {
     }
 }
 
+/// The marker [`BankGate::open_row`] holds for a closed bank: never a row
+/// index, since a row is below `Topology::rows`.
+pub(crate) const CLOSED: u32 = u32::MAX;
+
+/// One bank's issue thresholds at the current state, for one queue's
+/// column command (READ or WRITE).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BankGate {
+    /// The open row, or [`CLOSED`].
+    pub(crate) open_row: u32,
+    /// Earliest cycle of a column access to `open_row`.
+    pub(crate) hit: u64,
+    /// Earliest cycle of the command a request for any other row needs:
+    /// ACT when the bank is closed, PRE when it is open.
+    pub(crate) miss: u64,
+}
+
 /// Per-rank activity counters (drive the power model).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RankStats {
@@ -51,6 +75,8 @@ pub struct RankStats {
 #[derive(Debug, Clone)]
 pub struct Rank {
     banks: Vec<Bank>,
+    /// Banks holding an open row (kept by activate and precharge).
+    open_banks: u32,
     /// Times of the last four ACTs (tFAW window).
     act_window: VecDeque<u64>,
     next_act_rrd: u64,
@@ -66,6 +92,7 @@ impl Rank {
     fn new(banks: u32, refresh_offset: u64) -> Self {
         Self {
             banks: (0..banks).map(|_| Bank::new()).collect(),
+            open_banks: 0,
             act_window: VecDeque::with_capacity(4),
             next_act_rrd: 0,
             next_read_cas: 0,
@@ -82,8 +109,21 @@ impl Rank {
     }
 
     /// `true` if any bank holds an open row.
+    #[inline]
     pub fn any_bank_open(&self) -> bool {
-        self.banks.iter().any(|b| b.open_row.is_some())
+        self.open_banks > 0
+    }
+
+    /// The cycle this rank is next due for a refresh.
+    #[inline]
+    pub(crate) fn next_refresh_due(&self) -> u64 {
+        self.next_refresh_due
+    }
+
+    /// The cycle the rank's current refresh ends (in the past when idle).
+    #[inline]
+    pub(crate) fn refresh_until(&self) -> u64 {
+        self.refresh_until
     }
 }
 
@@ -144,6 +184,52 @@ impl Dram {
 
     fn rank_mut(&mut self, c: u32, r: u32) -> &mut Rank {
         &mut self.channels[c as usize].ranks[r as usize]
+    }
+
+    /// Fills `out` with the gates of every bank of channel `c`, indexed
+    /// `rank * banks + bank`, for a column command of the given kind.
+    /// A command may issue at `now` iff `now >= ` its threshold: this folds
+    /// the bank's registers (tRCD, tRAS, tRC, tRP, tRTP, tWR) with its
+    /// rank's (refresh, tCCD, tWTR, tRRD, tFAW) and the data bus (occupancy
+    /// plus tRTRS on a rank switch), exactly as the `can_*` predicates do.
+    pub(crate) fn bank_gates(&self, c: u32, writes: bool, out: &mut Vec<BankGate>) {
+        let t = &self.timing;
+        let ch = self.channel(c);
+        out.clear();
+        for (r, rank) in ch.ranks.iter().enumerate() {
+            let mut bus = ch.data_bus_free;
+            if ch.last_data_rank.is_some_and(|last| last as usize != r) {
+                bus += t.t_rtrs;
+            }
+            let refresh = rank.refresh_until;
+            let column = if writes {
+                refresh
+                    .max(rank.next_write_cas)
+                    .max(bus.saturating_sub(t.t_cwd))
+            } else {
+                refresh
+                    .max(rank.next_read_cas)
+                    .max(bus.saturating_sub(t.t_cas))
+            };
+            let mut act = refresh.max(rank.next_act_rrd);
+            if rank.act_window.len() == 4 {
+                if let Some(&oldest) = rank.act_window.front() {
+                    act = act.max(oldest + t.t_faw);
+                }
+            }
+            out.extend(rank.banks.iter().map(|b| match b.open_row {
+                Some(row) => BankGate {
+                    open_row: row,
+                    hit: column.max(if writes { b.next_write } else { b.next_read }),
+                    miss: refresh.max(b.next_pre),
+                },
+                None => BankGate {
+                    open_row: CLOSED,
+                    hit: u64::MAX,
+                    miss: act.max(b.next_act),
+                },
+            }));
+        }
     }
 
     /// Accounts one elapsed cycle of active-standby time (call once per
@@ -220,7 +306,9 @@ impl Dram {
         let t = self.timing;
         let rank = self.rank_mut(c, r);
         let bank = &mut rank.banks[b as usize];
-        bank.open_row = Some(row);
+        if bank.open_row.replace(row).is_none() {
+            rank.open_banks += 1;
+        }
         bank.next_read = now + t.t_rcd;
         bank.next_write = now + t.t_rcd;
         bank.next_pre = now + t.t_ras;
@@ -249,8 +337,11 @@ impl Dram {
     pub fn issue_precharge(&mut self, c: u32, r: u32, b: u32, now: u64) {
         debug_assert!(self.can_precharge(c, r, b, now));
         let t_rp = self.timing.t_rp;
-        let bank = &mut self.rank_mut(c, r).banks[b as usize];
-        bank.open_row = None;
+        let rank = self.rank_mut(c, r);
+        let bank = &mut rank.banks[b as usize];
+        if bank.open_row.take().is_some() {
+            rank.open_banks -= 1;
+        }
         bank.next_act = bank.next_act.max(now + t_rp);
     }
 
@@ -331,6 +422,21 @@ impl Dram {
         bank.next_pre = bank.next_pre.max(data_end + t.t_wr);
         rank.stats.writes += 1;
         data_end
+    }
+}
+
+#[cfg(test)]
+impl Dram {
+    /// [`Dram::tick_stats`] with the bank scan the open-bank count
+    /// replaced (the reference scheduler's accounting).
+    pub(crate) fn tick_stats_scanning(&mut self) {
+        for ch in &mut self.channels {
+            for rank in &mut ch.ranks {
+                if rank.banks.iter().any(|b| b.open_row.is_some()) {
+                    rank.stats.active_cycles += 1;
+                }
+            }
+        }
     }
 }
 
@@ -452,6 +558,74 @@ mod tests {
         assert!(d.can_activate(0, 0, 0, due + t_rfc));
         // Next due advanced by tREFI.
         assert!(!d.refresh_due(0, 0, due + t_rfc));
+    }
+
+    /// `bank_gates` must agree with every `can_*` predicate, at the
+    /// current cycle and at each later one, over seeded random command
+    /// sequences that cross refreshes, rank switches and the tFAW window.
+    #[test]
+    fn bank_gates_agree_with_the_predicates() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let timings = [
+            DdrTiming::ddr3_1600(),
+            DdrTiming::ddr4_2400(),
+            DdrTiming::ddr3_1600().with_extra_burst(4),
+        ];
+        for (seed, timing) in timings.into_iter().enumerate() {
+            let (ranks, banks) = (2, 8);
+            let mut d = Dram::new(timing, 1, ranks, banks);
+            let mut rng = StdRng::seed_from_u64(seed as u64);
+            let (mut reads, mut writes) = (Vec::new(), Vec::new());
+            let mut now = 0;
+            for _ in 0..6000 {
+                d.bank_gates(0, false, &mut reads);
+                d.bank_gates(0, true, &mut writes);
+                for t in now..now + 40 {
+                    for r in 0..ranks {
+                        for b in 0..banks {
+                            let i = (r * banks + b) as usize;
+                            let (rg, wg) = (reads[i], writes[i]);
+                            assert_eq!(rg.open_row, wg.open_row);
+                            assert_eq!(rg.miss, wg.miss);
+                            let open = rg.open_row != CLOSED;
+                            assert_eq!(d.can_activate(0, r, b, t), !open && t >= rg.miss);
+                            assert_eq!(d.can_precharge(0, r, b, t), open && t >= rg.miss);
+                            for row in [rg.open_row, 7] {
+                                let hit = open && row == rg.open_row;
+                                assert_eq!(d.can_read(0, r, b, row, t), hit && t >= rg.hit);
+                                assert_eq!(d.can_write(0, r, b, row, t), hit && t >= wg.hit);
+                            }
+                        }
+                    }
+                }
+                // Issue one random legal command, then advance time.
+                let (r, b) = (rng.gen_range(0..ranks), rng.gen_range(0..banks));
+                let row = rng.gen_range(0..4);
+                let open = d.channel(0).rank(r).bank(b).open_row;
+                if d.refresh_due(0, r, now) && !d.refreshing(0, r, now) {
+                    // Quiesce the rank, then refresh it.
+                    if !d.channel(0).rank(r).any_bank_open() {
+                        d.issue_refresh(0, r, now);
+                    } else if d.can_precharge(0, r, b, now) {
+                        d.issue_precharge(0, r, b, now);
+                    }
+                } else if d.can_activate(0, r, b, now) {
+                    d.issue_activate(0, r, b, row, now);
+                } else if let Some(open) = open {
+                    if rng.gen_bool(0.6) && d.can_precharge(0, r, b, now) {
+                        d.issue_precharge(0, r, b, now);
+                    } else if rng.gen_bool(0.5) && d.can_read(0, r, b, open, now) {
+                        d.issue_read(0, r, b, open, now);
+                    } else if d.can_write(0, r, b, open, now) {
+                        d.issue_write(0, r, b, open, now);
+                    }
+                }
+                now += rng.gen_range(0..4);
+            }
+            assert!(d.channel(0).rank(0).stats.refreshes > 0);
+            assert!(d.channel(0).rank(1).stats.writes > 0);
+        }
     }
 
     #[test]

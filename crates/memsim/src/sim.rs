@@ -123,7 +123,8 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if the run exceeds `max_cycles` (a wedged configuration).
+    /// Panics if the run exceeds `max_cycles` (a wedged configuration), or
+    /// if `sched` is invalid (see [`MemController::new`]).
     pub fn run(self) -> SimResult {
         let cfg = self.config;
         let scheme = cfg.scheme;
@@ -176,7 +177,7 @@ impl Simulation {
         let mut now: u64 = 0;
         loop {
             // Completions → cores (after the optional functional decode).
-            for id in controller.tick(now) {
+            for &id in controller.tick(now) {
                 if let Some((core, instr, line_addr)) = read_owner.remove(&id) {
                     if let Some(path) = eccpath.as_mut() {
                         let _ = path.read_line(line_addr);

@@ -52,6 +52,13 @@ cargo test -q --release -p xed-faultsim --lib -- \
     bit_sliced_kernel_is_bit_identical_to_scalar \
     replaying_every_trial_reproduces_the_aggregate_result
 
+# Gating: the one-pass FR-FCFS scheduler with per-channel wake cycles
+# must match the three-pass reference controller it replaced, kept as a
+# test oracle, completion for completion and counter for counter, under
+# release codegen too (DESIGN.md §3.2).
+step "one-pass vs three-pass scheduler lockstep (release)"
+cargo test -q --release -p xed-memsim --lib -- scheduler::reference::
+
 # Gating: the xed-testkit cross-validation matrix (DESIGN.md §12) —
 # exhaustive small-geometry oracle, analytic gate, metamorphic laws,
 # golden xed-trace-v1 conformance, de-flake audit, telemetry-diff pin.

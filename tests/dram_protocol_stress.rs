@@ -48,9 +48,7 @@ fn stress(topology: Topology, timing: DdrTiming, seed: u64, requests: u64) {
                 next_id += 1;
             }
         }
-        for id in mc.tick(now) {
-            completed.push(id);
-        }
+        completed.extend_from_slice(mc.tick(now));
         now += 1;
         assert!(
             now < 40_000_000,

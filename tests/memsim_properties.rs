@@ -142,3 +142,63 @@ fn deterministic_across_runs() {
     let b = run("ferret", ReliabilityScheme::xed(), 30_000);
     assert_eq!(a, b);
 }
+
+/// FNV-1a 64 of `text`, the fingerprint the benchmark's goldens use.
+fn fingerprint(text: &str) -> u64 {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    for b in text.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// Pins the exact output of a small roster: `cycles` plus a fingerprint
+/// of the whole `SimResult` (stats, power, ECC counters). Any change to
+/// the scheduler, the DRAM state machines, the front end or the overlays
+/// that moves a single simulated cycle or counter fails here.
+#[test]
+fn small_roster_output_is_pinned() {
+    let schemes = [
+        ReliabilityScheme::baseline_secded(),
+        ReliabilityScheme::chipkill_extra_burst(),
+        ReliabilityScheme::double_chipkill_extra_burst(),
+        ReliabilityScheme::chipkill_extra_transaction(),
+    ];
+    let mut got = Vec::new();
+    for workload in ["mcf", "lbm", "comm1"] {
+        for scheme in schemes {
+            let r = Simulation::new(SimConfig {
+                workload: Workload::by_name(workload).unwrap(),
+                scheme,
+                instructions_per_core: 20_000,
+                functional_ecc: true,
+                ..Default::default()
+            })
+            .run();
+            got.push(format!(
+                "{workload}/{}: {}/{:016x}",
+                r.scheme_name,
+                r.cycles,
+                fingerprint(&format!("{r:?}"))
+            ));
+        }
+    }
+    // Recorded before the one-pass FR-FCFS scheduler replaced the
+    // three-pass one; the two must agree cycle for cycle.
+    let expected = [
+        "mcf/SECDED (ECC-DIMM, 9 chips): 14798/f22a84f2fbb6fbbb",
+        "mcf/Chipkill via extra burst: 16561/2c968b9360e0840b",
+        "mcf/Double-Chipkill via extra burst: 18235/9ac93b93544c4282",
+        "mcf/Chipkill via extra transaction: 20656/b5f7f88ef0c54f36",
+        "lbm/SECDED (ECC-DIMM, 9 chips): 7369/8d0cc5d240e24b63",
+        "lbm/Chipkill via extra burst: 8476/8d7edb757ce36769",
+        "lbm/Double-Chipkill via extra burst: 9583/4e9c159762d46636",
+        "lbm/Chipkill via extra transaction: 10826/b0259adac639e1d9",
+        "comm1/SECDED (ECC-DIMM, 9 chips): 6686/e14420588fad3c44",
+        "comm1/Chipkill via extra burst: 7200/4895e42bca7e0ee4",
+        "comm1/Double-Chipkill via extra burst: 7651/7b7f56c117b548df",
+        "comm1/Chipkill via extra transaction: 8213/e65fd413bc129387",
+    ];
+    assert_eq!(got, expected);
+}
