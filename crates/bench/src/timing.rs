@@ -11,9 +11,9 @@
 //!
 //! The report half centralizes what each binary used to hand-roll: the
 //! `[engine]` throughput footer ([`engine_footer`]) and JSON rendering.
-//! Every JSON artifact the binaries write — `BENCH_*.json` trajectories,
-//! `results/fig*.json` sidecars, `xedstat --telemetry` output — shares
-//! the `xed-report-v1` envelope (schema documented on [`Report`]).
+//! Every JSON artifact the binaries write — `BENCH_*.json` trajectories
+//! and the `results/fig*.json` sidecars — shares the `xed-report-v1`
+//! envelope (schema documented on [`Report`]).
 
 use std::fmt::Write as _;
 use std::hint::black_box;

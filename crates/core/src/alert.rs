@@ -22,7 +22,7 @@ use crate::error::XedError;
 use crate::fault::InjectedFault;
 use xed_ecc::parity;
 use xed_telemetry::registry::metrics;
-use xed_telemetry::{EventKind, Ring, Tallies};
+use xed_telemetry::{EventKind, Ring};
 
 /// How much the alert signal reveals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,18 +34,7 @@ pub enum AlertMode {
     Identified,
 }
 
-/// Tally-slot layout of the controller's accumulator.
-const A_READS: usize = 0;
-const A_ALERTS: usize = 1;
-const A_RECONSTRUCTIONS: usize = 2;
-const A_DIAGNOSES: usize = 3;
-const A_DUE: usize = 4;
-const A_SLOTS: usize = 5;
-
 /// Statistics of the alert-based controller.
-///
-/// A thin snapshot view over the DIMM's owned [`Tallies`] block (see
-/// [`AlertDimm::stats`]); accumulation rides the telemetry primitives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AlertStats {
     /// Reads served.
@@ -66,7 +55,7 @@ pub struct AlertDimm {
     chips: Vec<DramChip>,
     mode: AlertMode,
     geometry: ChipGeometry,
-    tallies: Tallies<A_SLOTS>,
+    stats: AlertStats,
     ring: Ring,
 }
 
@@ -84,7 +73,7 @@ impl AlertDimm {
             chips,
             mode,
             geometry,
-            tallies: Tallies::new(),
+            stats: AlertStats::default(),
             ring: Ring::new(),
         }
     }
@@ -94,15 +83,9 @@ impl AlertDimm {
         self.mode
     }
 
-    /// Controller statistics, as a snapshot view of the owned tally block.
+    /// Controller statistics.
     pub fn stats(&self) -> AlertStats {
-        AlertStats {
-            reads: self.tallies.get(A_READS),
-            alerts: self.tallies.get(A_ALERTS),
-            reconstructions: self.tallies.get(A_RECONSTRUCTIONS),
-            diagnoses: self.tallies.get(A_DIAGNOSES),
-            due_events: self.tallies.get(A_DUE),
-        }
+        self.stats
     }
 
     /// The most recent controller events (alerts, reconstructions,
@@ -139,8 +122,7 @@ impl AlertDimm {
     /// Returns [`XedError`] when the alert cannot be resolved to a single
     /// chip (anonymous mode + transient fault, or multiple faulty chips).
     pub fn read_line(&mut self, line: u64) -> Result<[u64; DATA_CHIPS], XedError> {
-        self.tallies.bump(A_READS);
-        xed_telemetry::tick(&metrics::CORE_ALERT_READS);
+        self.stats.reads += 1;
         let addr = self.geometry.addr(line);
         let reads: Vec<_> = self.chips.iter().map(|c| c.read(addr)).collect();
         let mut words = [0u64; TOTAL_CHIPS];
@@ -153,8 +135,7 @@ impl AlertDimm {
         }
         let alert = !alerting.is_empty();
         if alert {
-            self.tallies.bump(A_ALERTS);
-            xed_telemetry::tick(&metrics::CORE_ALERT_ALERTS);
+            self.stats.alerts += 1;
             if xed_telemetry::enabled() {
                 // The wire-OR'd pin carries no chip identity; record the
                 // suspect count instead.
@@ -180,8 +161,7 @@ impl AlertDimm {
                 // The pin says "somebody"; find out with pattern diagnosis
                 // (permanent faults only — the write destroys transient
                 // evidence).
-                self.tallies.bump(A_DIAGNOSES);
-                xed_telemetry::tick(&metrics::CORE_ALERT_DIAGNOSES);
+                self.stats.diagnoses += 1;
                 if xed_telemetry::enabled() {
                     self.ring.record(EventKind::Diagnosis, 1, line);
                 }
@@ -201,8 +181,7 @@ impl AlertDimm {
                 if chip < DATA_CHIPS {
                     data[chip] = parity::reconstruct(&data, words[DATA_CHIPS], chip);
                 }
-                self.tallies.bump(A_RECONSTRUCTIONS);
-                xed_telemetry::tick(&metrics::CORE_ALERT_RECONSTRUCTIONS);
+                self.stats.reconstructions += 1;
                 if xed_telemetry::enabled() {
                     self.ring
                         .record(EventKind::ErasureReconstructed, chip as u64, line);
@@ -211,8 +190,7 @@ impl AlertDimm {
                 Ok(data)
             }
             None => {
-                self.tallies.bump(A_DUE);
-                xed_telemetry::tick(&metrics::CORE_ALERT_DUE);
+                self.stats.due_events += 1;
                 if xed_telemetry::enabled() {
                     self.ring
                         .record(EventKind::Due, alerting.len() as u64, line);
@@ -241,6 +219,21 @@ impl AlertDimm {
             self.chips[i].write(addr, w);
         }
         (0..TOTAL_CHIPS).filter(|&i| suspect[i]).collect()
+    }
+}
+
+/// Drop is the DIMM's merge point: its totals are published once (the
+/// type is not `Clone`), gated on [`xed_telemetry::enabled`].
+impl Drop for AlertDimm {
+    fn drop(&mut self) {
+        if !xed_telemetry::enabled() {
+            return;
+        }
+        metrics::CORE_ALERT_READS.add(self.stats.reads);
+        metrics::CORE_ALERT_ALERTS.add(self.stats.alerts);
+        metrics::CORE_ALERT_RECONSTRUCTIONS.add(self.stats.reconstructions);
+        metrics::CORE_ALERT_DIAGNOSES.add(self.stats.diagnoses);
+        metrics::CORE_ALERT_DUE.add(self.stats.due_events);
     }
 }
 

@@ -64,6 +64,25 @@ pub struct XedStats {
     pub scrub_writes: u64,
 }
 
+impl XedStats {
+    /// Adds these totals to the `core.xed.*` registry counters, gated on
+    /// [`xed_telemetry::enabled`]; the XED controllers call it on drop.
+    pub(crate) fn publish(&self) {
+        if !xed_telemetry::enabled() {
+            return;
+        }
+        metrics::CORE_XED_READS.add(self.reads);
+        metrics::CORE_XED_WRITES.add(self.writes);
+        metrics::CORE_XED_CATCH_WORDS.add(self.catch_words_observed);
+        metrics::CORE_XED_RECONSTRUCTIONS.add(self.reconstructions);
+        metrics::CORE_XED_SERIAL_MODES.add(self.serial_modes);
+        metrics::CORE_XED_CATCHWORD_COLLISIONS.add(self.collisions);
+        metrics::CORE_XED_DIAGNOSIS_RUNS.add(self.inter_line_runs + self.intra_line_runs);
+        metrics::CORE_XED_DUE.add(self.due_events);
+        metrics::CORE_XED_SCRUB_WRITES.add(self.scrub_writes);
+    }
+}
+
 /// Result of a successful cache-line read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LineReadout {
@@ -183,7 +202,6 @@ impl XedController {
     /// their XOR to the parity chip (Equation 1).
     pub fn write_line(&mut self, addr: WordAddr, data: &[u64; DATA_CHIPS]) {
         self.stats.writes += 1;
-        xed_telemetry::tick(&metrics::CORE_XED_WRITES);
         self.store_line(addr, data);
     }
 
@@ -202,7 +220,6 @@ impl XedController {
     /// can reconstruct, or when diagnosis cannot identify the faulty chip.
     pub fn read_line(&mut self, addr: WordAddr) -> Result<LineReadout, XedError> {
         self.stats.reads += 1;
-        xed_telemetry::tick(&metrics::CORE_XED_READS);
 
         if let Some(dead) = self.condemned_chip {
             return self.read_with_condemned_chip(addr, dead);
@@ -213,7 +230,6 @@ impl XedController {
         let catchers = &catcher_buf[..ncatch];
         self.stats.catch_words_observed += catchers.len() as u64;
         if !catchers.is_empty() && xed_telemetry::enabled() {
-            metrics::CORE_XED_CATCH_WORDS.add(catchers.len() as u64);
             self.ring
                 .record(EventKind::CatchWord, catchers[0] as u64, event_addr(addr));
         }
@@ -295,7 +311,6 @@ impl XedController {
         let collision = self.catch_words.identify(chip, reconstructed_value);
         if collision {
             self.stats.collisions += 1;
-            xed_telemetry::tick(&metrics::CORE_XED_CATCHWORD_COLLISIONS);
             if xed_telemetry::enabled() {
                 self.ring
                     .record(EventKind::Collision, chip as u64, event_addr(addr));
@@ -304,7 +319,6 @@ impl XedController {
         }
 
         self.stats.reconstructions += 1;
-        xed_telemetry::tick(&metrics::CORE_XED_RECONSTRUCTIONS);
         if xed_telemetry::enabled() {
             self.ring.record(
                 EventKind::ErasureReconstructed,
@@ -327,7 +341,6 @@ impl XedController {
     /// then verify with parity.
     fn serial_mode(&mut self, addr: WordAddr, catch_words: u32) -> Result<LineReadout, XedError> {
         self.stats.serial_modes += 1;
-        xed_telemetry::tick(&metrics::CORE_XED_SERIAL_MODES);
         if xed_telemetry::enabled() {
             self.ring
                 .record(EventKind::SerialMode, catch_words as u64, event_addr(addr));
@@ -377,7 +390,6 @@ impl XedController {
         let others = catchers[..ncatch].iter().filter(|&&c| c != dead).count();
         if others > 0 {
             self.stats.due_events += 1;
-            xed_telemetry::tick(&metrics::CORE_XED_DUE);
             if xed_telemetry::enabled() {
                 self.ring
                     .record(EventKind::Due, others as u64 + 1, event_addr(addr));
@@ -420,7 +432,6 @@ impl XedController {
     /// Writes a corrected line back (scrub-on-correct).
     pub(crate) fn scrub(&mut self, addr: WordAddr, data: &[u64; DATA_CHIPS]) {
         self.stats.scrub_writes += 1;
-        xed_telemetry::tick(&metrics::CORE_XED_SCRUB_WRITES);
         self.store_line(addr, data);
     }
 
@@ -434,6 +445,14 @@ impl XedController {
         if let FctOutcome::ChipCondemned { chip } = self.fct.record(row, chip) {
             self.condemned_chip = Some(chip);
         }
+    }
+}
+
+/// Drop is the controller's merge point: its totals are published once
+/// (the type is not `Clone`; [`crate::XedDimm`] publishes through it).
+impl Drop for XedController {
+    fn drop(&mut self) {
+        self.stats.publish();
     }
 }
 

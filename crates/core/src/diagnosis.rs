@@ -24,7 +24,6 @@ use crate::controller::{
 use crate::error::XedError;
 use crate::fct::RowAddr;
 use xed_ecc::parity;
-use xed_telemetry::registry::metrics;
 use xed_telemetry::EventKind;
 
 impl XedController {
@@ -47,7 +46,6 @@ impl XedController {
 
         // 2. Inter-Line: stream the row buffer.
         self.stats.inter_line_runs += 1;
-        xed_telemetry::tick(&metrics::CORE_XED_DIAGNOSIS_RUNS);
         if xed_telemetry::enabled() {
             self.ring.record(EventKind::Diagnosis, 0, event_addr(addr));
         }
@@ -58,7 +56,6 @@ impl XedController {
 
         // 3. Intra-Line: pattern test the single line.
         self.stats.intra_line_runs += 1;
-        xed_telemetry::tick(&metrics::CORE_XED_DIAGNOSIS_RUNS);
         if xed_telemetry::enabled() {
             self.ring.record(EventKind::Diagnosis, 1, event_addr(addr));
         }
@@ -67,7 +64,6 @@ impl XedController {
             1 => self.finish_diagnosed(addr, &words, suspects[0]),
             n => {
                 self.stats.due_events += 1;
-                xed_telemetry::tick(&metrics::CORE_XED_DUE);
                 if xed_telemetry::enabled() {
                     self.ring.record(EventKind::Due, n as u64, event_addr(addr));
                 }
@@ -160,7 +156,6 @@ impl XedController {
             data[chip] = parity::reconstruct(&data, words[PARITY_CHIP], chip);
         }
         self.stats.reconstructions += 1;
-        xed_telemetry::tick(&metrics::CORE_XED_RECONSTRUCTIONS);
         if xed_telemetry::enabled() {
             self.ring.record(
                 EventKind::ErasureReconstructed,

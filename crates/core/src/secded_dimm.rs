@@ -111,7 +111,6 @@ impl SecdedDimm {
     /// Reads a cache line, decoding each beat with the (72,64) SECDED code.
     pub fn read_line(&mut self, line: u64) -> SecdedReadout {
         self.stats.reads += 1;
-        xed_telemetry::tick(&metrics::CORE_SECDED_READS);
         let addr = self.geometry.addr(line);
         let mut words = [0u64; TOTAL_CHIPS];
         for (i, w) in words.iter_mut().enumerate() {
@@ -129,13 +128,8 @@ impl SecdedDimm {
         }
         let out = self.code.decode_line(&beats);
         self.stats.corrections += u64::from(out.corrected_count());
-        xed_telemetry::count(
-            &metrics::CORE_SECDED_CORRECTIONS,
-            u64::from(out.corrected_count()),
-        );
         if out.is_due() {
             self.stats.due_events += 1;
-            xed_telemetry::tick(&metrics::CORE_SECDED_DUE);
             SecdedReadout::Due {
                 bad_beats: out.bad_beats.count_ones(),
             }
@@ -148,6 +142,19 @@ impl SecdedDimm {
                 corrected_beats: out.corrected_count(),
             }
         }
+    }
+}
+
+/// Drop is the DIMM's merge point: its totals are published once (the
+/// type is not `Clone`), gated on [`xed_telemetry::enabled`].
+impl Drop for SecdedDimm {
+    fn drop(&mut self) {
+        if !xed_telemetry::enabled() {
+            return;
+        }
+        metrics::CORE_SECDED_READS.add(self.stats.reads);
+        metrics::CORE_SECDED_CORRECTIONS.add(self.stats.corrections);
+        metrics::CORE_SECDED_DUE.add(self.stats.due_events);
     }
 }
 

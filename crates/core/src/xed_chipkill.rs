@@ -119,6 +119,11 @@ pub struct XedChipkillSystem {
     scratch: RsScratch,
     geometry: ChipGeometry,
     stats: XedStats,
+    /// Consumer-side attribution of the telemetry-free RS kernel, published
+    /// at drop as `ecc.rs.corrections` and `ecc.rs.erasures`: symbols
+    /// repaired blind vs. at caller-declared erasure positions.
+    rs_corrections: u64,
+    rs_erasures: u64,
     ring: Ring,
     rng: StdRng,
 }
@@ -150,6 +155,8 @@ impl XedChipkillSystem {
             scratch: RsScratch::new(),
             geometry,
             stats: XedStats::default(),
+            rs_corrections: 0,
+            rs_erasures: 0,
             ring: Ring::new(),
             rng,
         }
@@ -202,7 +209,6 @@ impl XedChipkillSystem {
     /// Panics if `addr` is outside the chip geometry.
     pub fn write_line_at(&mut self, addr: WordAddr, data: &[u32; DATA_CHIPS]) {
         self.stats.writes += 1;
-        xed_telemetry::tick(&metrics::CORE_XED_WRITES);
         self.store_line(addr, data);
     }
 
@@ -249,7 +255,6 @@ impl XedChipkillSystem {
     /// Panics if `addr` is outside the chip geometry.
     pub fn read_line_at(&mut self, addr: WordAddr) -> Result<X4LineReadout, XedError> {
         self.stats.reads += 1;
-        xed_telemetry::tick(&metrics::CORE_XED_READS);
         let words = self.bus_read(addr);
         let mut catcher_buf = [0usize; TOTAL_CHIPS];
         let mut ncatch = 0usize;
@@ -262,7 +267,6 @@ impl XedChipkillSystem {
         let catchers = &catcher_buf[..ncatch];
         self.stats.catch_words_observed += ncatch as u64;
         if ncatch > 0 && xed_telemetry::enabled() {
-            metrics::CORE_XED_CATCH_WORDS.add(ncatch as u64);
             self.ring
                 .record(EventKind::CatchWord, catchers[0] as u64, event_addr(addr));
         }
@@ -279,7 +283,6 @@ impl XedChipkillSystem {
             n => {
                 // Serial mode: let on-die ECC correct what it can.
                 self.stats.serial_modes += 1;
-                xed_telemetry::tick(&metrics::CORE_XED_SERIAL_MODES);
                 if xed_telemetry::enabled() {
                     self.ring
                         .record(EventKind::SerialMode, ncatch as u64, event_addr(addr));
@@ -322,8 +325,6 @@ impl XedChipkillSystem {
     ) -> Result<X4LineReadout, XedError> {
         let mut corrected_words = *words;
         let mut touched = [false; TOTAL_CHIPS];
-        // Consumer-side attribution of the telemetry-free RS kernel: symbol
-        // repairs at caller-declared erasure positions vs. blind corrections.
         let mut rs_erasure_symbols = 0u64;
         let mut rs_error_symbols = 0u64;
         for p in 0..PLANES {
@@ -352,8 +353,8 @@ impl XedChipkillSystem {
                 }
             }
         }
-        xed_telemetry::count(&metrics::ECC_RS_CORRECTIONS, rs_error_symbols);
-        xed_telemetry::count(&metrics::ECC_RS_ERASURES, rs_erasure_symbols);
+        self.rs_corrections += rs_error_symbols;
+        self.rs_erasures += rs_erasure_symbols;
         let ntouched = touched.iter().filter(|&&t| t).count();
         if ntouched > 2 {
             return Err(XedError::DetectedUncorrectable {
@@ -368,7 +369,6 @@ impl XedChipkillSystem {
             if corrected_words[chip] == self.catch_words[chip] {
                 collision = true;
                 self.stats.collisions += 1;
-                xed_telemetry::tick(&metrics::CORE_XED_CATCHWORD_COLLISIONS);
                 if xed_telemetry::enabled() {
                     self.ring
                         .record(EventKind::Collision, chip as u64, event_addr(addr));
@@ -382,8 +382,6 @@ impl XedChipkillSystem {
         if ntouched > 0 || !erasures.is_empty() {
             self.stats.reconstructions += 1;
             self.stats.scrub_writes += 1;
-            xed_telemetry::tick(&metrics::CORE_XED_RECONSTRUCTIONS);
-            xed_telemetry::tick(&metrics::CORE_XED_SCRUB_WRITES);
             if xed_telemetry::enabled() {
                 let first = erasures
                     .first()
@@ -432,7 +430,6 @@ impl XedChipkillSystem {
         // Inter-line: stream the row buffer with XED enabled; a chip with a
         // multi-line fault screams catch-words on its neighbors.
         self.stats.inter_line_runs += 1;
-        xed_telemetry::tick(&metrics::CORE_XED_DIAGNOSIS_RUNS);
         if xed_telemetry::enabled() {
             self.ring.record(EventKind::Diagnosis, 0, event_addr(addr));
         }
@@ -467,7 +464,6 @@ impl XedChipkillSystem {
         // Intra-line: all-zeros / all-ones pattern test finds permanent
         // faults confined to this line.
         self.stats.intra_line_runs += 1;
-        xed_telemetry::tick(&metrics::CORE_XED_DIAGNOSIS_RUNS);
         if xed_telemetry::enabled() {
             self.ring.record(EventKind::Diagnosis, 1, event_addr(addr));
         }
@@ -485,7 +481,6 @@ impl XedChipkillSystem {
             }
         }
         self.stats.due_events += 1;
-        xed_telemetry::tick(&metrics::CORE_XED_DUE);
         if xed_telemetry::enabled() {
             self.ring
                 .record(EventKind::Due, nsus as u64, event_addr(addr));
@@ -533,6 +528,18 @@ impl XedChipkillSystem {
                 self.stats.catch_word_updates += 1;
                 return;
             }
+        }
+    }
+}
+
+/// Drop is the system's merge point: its totals are published once (the
+/// type is not `Clone`), gated on [`xed_telemetry::enabled`].
+impl Drop for XedChipkillSystem {
+    fn drop(&mut self) {
+        self.stats.publish();
+        if xed_telemetry::enabled() {
+            metrics::ECC_RS_CORRECTIONS.add(self.rs_corrections);
+            metrics::ECC_RS_ERASURES.add(self.rs_erasures);
         }
     }
 }

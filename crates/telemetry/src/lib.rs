@@ -21,6 +21,8 @@
 //!   into *owned* [`Tallies`] blocks with plain adds — zero atomics — and
 //!   publishes the totals into the static [`registry`] counters once, at
 //!   its natural merge point (end of `run_many`, end of a simulation).
+//!   The functional controllers in `xed-core` count each event once, in
+//!   their public stats struct, and publish it when they drop.
 //!   Only genuinely cheap-per-event instrumentation (a histogram record
 //!   per 4096-trial chunk, a queue-depth sample per enqueue in the
 //!   memory simulator, whose simulated cycle costs 0.5–0.8 µs of host
@@ -92,9 +94,9 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Release);
 }
 
-/// Adds one to `c` when telemetry is enabled. The one-liner for
-/// event-grain instrumentation sites (functional controllers, where a
-/// relaxed add is far below the cost of the modeled operation).
+/// Adds one to `c` when telemetry is enabled: the one-liner for a live
+/// event-grain site whose cost dwarfs a relaxed add. Code that owns its
+/// counts publishes them at a merge point instead.
 #[inline]
 pub fn tick(c: &Counter) {
     if enabled() {

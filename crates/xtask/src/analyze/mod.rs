@@ -33,6 +33,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use items::Workspace;
+use xed_telemetry::export::json_string;
 
 /// Registry path XA103 audits, relative to the workspace root.
 const REGISTRY_REL: &str = "crates/telemetry/src/registry.rs";
@@ -299,31 +300,16 @@ fn render_json(
     g: &graph::CallGraph,
     elapsed_ms: u128,
 ) {
-    let findings: Vec<String> = applied
-        .kept
-        .iter()
-        .map(|f| {
-            format!(
-                r#"{{"rule":"{}","file":"{}","line":{},"symbol":"{}","group":{},"message":"{}"}}"#,
-                f.rule,
-                esc(&f.file),
-                f.line,
-                esc(&f.symbol),
-                f.group
-                    .map_or_else(|| "null".to_string(), |g| format!("\"{}\"", esc(g))),
-                esc(&f.message)
-            )
-        })
-        .collect();
+    let findings: Vec<String> = applied.kept.iter().map(finding_json).collect();
     let groups_json: Vec<String> = groups
         .iter()
         .map(|gr| {
             format!(
-                r#"{{"name":"{}","roots":[{}],"closure_size":{}}}"#,
-                esc(gr.name),
+                r#"{{"name":{},"roots":[{}],"closure_size":{}}}"#,
+                json_string(gr.name),
                 gr.roots
                     .iter()
-                    .map(|(r, line)| format!(r#"{{"symbol":"{}","line":{line}}}"#, esc(r)))
+                    .map(|(r, line)| format!(r#"{{"symbol":{},"line":{line}}}"#, json_string(r)))
                     .collect::<Vec<_>>()
                     .join(","),
                 gr.closure.len()
@@ -333,7 +319,7 @@ fn render_json(
     let unresolved: Vec<String> = g
         .unresolved
         .iter()
-        .map(|(k, (n, _))| format!("\"{}\":{n}", esc(k)))
+        .map(|(k, (n, _))| format!("{}:{n}", json_string(k)))
         .collect();
     println!(
         r#"{{"findings":[{}],"groups":[{}],"unresolved":{{{}}},"suppressed":{},"stale":{},"elapsed_ms":{elapsed_ms}}}"#,
@@ -345,6 +331,36 @@ fn render_json(
     );
 }
 
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// One finding as a JSON object.
+fn finding_json(f: &rules::Finding) -> String {
+    format!(
+        r#"{{"rule":"{}","file":{},"line":{},"symbol":{},"group":{},"message":{}}}"#,
+        f.rule,
+        json_string(&f.file),
+        f.line,
+        json_string(&f.symbol),
+        f.group.map_or_else(|| "null".to_string(), json_string),
+        json_string(&f.message)
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn finding_json_escapes_control_characters() {
+        let f = rules::Finding {
+            rule: "XA100",
+            file: "crates/a\\b.rs".to_string(),
+            line: 3,
+            symbol: "x::\"y\"".to_string(),
+            group: Some("ecc-decode"),
+            message: "line\nbreak\ttab\u{1}bell".to_string(),
+        };
+        assert_eq!(
+            finding_json(&f),
+            r#"{"rule":"XA100","file":"crates/a\\b.rs","line":3,"symbol":"x::\"y\"","group":"ecc-decode","message":"line\nbreak\ttab\u0001bell"}"#
+        );
+    }
 }

@@ -1,7 +1,9 @@
-//! Telemetry/legacy equivalence: the global registry counters must match
-//! the public stats structs bit-for-bit for every instrumented system
-//! (DESIGN.md §11), and disabling telemetry must leave the legacy stats
-//! untouched while the registry stays silent.
+//! Count once, publish at the merge point (DESIGN.md §11): each functional
+//! system counts only in its public stats struct, and its totals reach the
+//! global registry exactly once, when it drops. While a system is alive
+//! its `core.*` counters stay 0; after the drop they equal the stats
+//! captured just before it, bit for bit. Disabling telemetry across the
+//! drop leaves the stats untouched while the registry stays silent.
 //!
 //! The registry is process-global, so every test serializes through one
 //! mutex and resets the catalogue before driving its workload.
@@ -10,10 +12,11 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use xed_core::alert::{AlertDimm, AlertMode};
 use xed_core::chip::{ChipGeometry, OnDieCode};
-use xed_core::controller::XedController;
+use xed_core::controller::{XedController, XedStats};
 use xed_core::fault::{FaultKind, InjectedFault};
 use xed_core::secded_dimm::SecdedDimm;
 use xed_core::xed_chipkill::XedChipkillSystem;
+use xed_core::{XedConfig, XedDimm};
 use xed_memsim::eccpath::EccDatapath;
 use xed_telemetry::registry;
 
@@ -36,8 +39,40 @@ fn counter(id: &str) -> u64 {
         .unwrap_or_else(|| panic!("metric {id} missing from the registry"))
 }
 
+/// Asserts each `(metric id, expected total)` pair against the registry.
+fn assert_counters(expected: &[(&str, u64)]) {
+    for &(id, want) in expected {
+        assert_eq!(counter(id), want, "{id}");
+    }
+}
+
+/// Asserts every listed counter is still 0.
+fn assert_silent(expected: &[(&str, u64)]) {
+    for &(id, _) in expected {
+        assert_eq!(counter(id), 0, "{id} published before the drop");
+    }
+}
+
+/// The `core.xed.*` counters an XED controller publishes from `s`.
+fn xed_counters(s: XedStats) -> [(&'static str, u64); 9] {
+    [
+        ("core.xed.reads", s.reads),
+        ("core.xed.writes", s.writes),
+        ("core.xed.catch_words", s.catch_words_observed),
+        ("core.xed.reconstructions", s.reconstructions),
+        ("core.xed.serial_modes", s.serial_modes),
+        ("core.xed.catchword_collisions", s.collisions),
+        (
+            "core.xed.diagnosis_runs",
+            s.inter_line_runs + s.intra_line_runs,
+        ),
+        ("core.xed.due", s.due_events),
+        ("core.xed.scrub_writes", s.scrub_writes),
+    ]
+}
+
 /// Drives a XedController through reconstruction, collision, serial-mode
-/// and diagnosis episodes (the same deterministic shape `xedstat` uses).
+/// and diagnosis episodes.
 fn drive_xed(c: &mut XedController, lines: u64) {
     let geometry = c.geometry();
     let data = [11u64, 22, 33, 44, 55, 66, 77, 88];
@@ -82,18 +117,27 @@ fn xed_controller_matches_registry() {
         s.reconstructions > 0 && s.collisions > 0,
         "workload too tame"
     );
-    assert_eq!(counter("core.xed.reads"), s.reads);
-    assert_eq!(counter("core.xed.writes"), s.writes);
-    assert_eq!(counter("core.xed.catch_words"), s.catch_words_observed);
-    assert_eq!(counter("core.xed.reconstructions"), s.reconstructions);
-    assert_eq!(counter("core.xed.serial_modes"), s.serial_modes);
-    assert_eq!(counter("core.xed.catchword_collisions"), s.collisions);
-    assert_eq!(
-        counter("core.xed.diagnosis_runs"),
-        s.inter_line_runs + s.intra_line_runs
-    );
-    assert_eq!(counter("core.xed.due"), s.due_events);
-    assert_eq!(counter("core.xed.scrub_writes"), s.scrub_writes);
+    let expected = xed_counters(s);
+    assert_silent(&expected);
+    drop(c);
+    assert_counters(&expected);
+}
+
+#[test]
+fn xed_dimm_publishes_once() {
+    let _guard = registry_lock();
+    let mut dimm = XedDimm::new(XedConfig {
+        seed: 2016,
+        ..XedConfig::default()
+    });
+    drive_xed(dimm.controller_mut(), 64);
+    let s = dimm.stats();
+    assert!(s.reads > 0 && s.reconstructions > 0, "workload too tame");
+    let expected = xed_counters(s);
+    assert_silent(&expected);
+    // The facade owns its controller: one drop, one publish — not two.
+    drop(dimm);
+    assert_counters(&expected);
 }
 
 #[test]
@@ -110,9 +154,14 @@ fn secded_dimm_matches_registry() {
     }
     let s = dimm.stats();
     assert!(s.corrections + s.due_events > 0, "fault never surfaced");
-    assert_eq!(counter("core.secded.reads"), s.reads);
-    assert_eq!(counter("core.secded.corrections"), s.corrections);
-    assert_eq!(counter("core.secded.due"), s.due_events);
+    let expected = [
+        ("core.secded.reads", s.reads),
+        ("core.secded.corrections", s.corrections),
+        ("core.secded.due", s.due_events),
+    ];
+    assert_silent(&expected);
+    drop(dimm);
+    assert_counters(&expected);
 }
 
 #[test]
@@ -130,14 +179,14 @@ fn chipkill_system_matches_registry() {
     }
     let s = sys.stats();
     assert!(s.reconstructions > 0, "no erasure decodes happened");
-    assert_eq!(counter("core.xed.reads"), s.reads);
-    assert_eq!(counter("core.xed.writes"), s.writes);
-    assert_eq!(counter("core.xed.catch_words"), s.catch_words_observed);
-    assert_eq!(counter("core.xed.reconstructions"), s.reconstructions);
-    assert_eq!(counter("core.xed.due"), s.due_events);
-    assert_eq!(counter("core.xed.scrub_writes"), s.scrub_writes);
-    // Two dead chips ⇒ every decoded plane repairs two erasure symbols.
-    assert!(counter("ecc.rs.erasures") > 0);
+    let expected = xed_counters(s);
+    assert_silent(&expected);
+    assert_silent(&[("ecc.rs.erasures", 0), ("ecc.rs.corrections", 0)]);
+    drop(sys);
+    assert_counters(&expected);
+    // Two dead chips ⇒ every decoded plane repairs two erasure symbols
+    // (32 reads × 4 byte planes × 2 chips), and nothing is corrected blind.
+    assert_counters(&[("ecc.rs.erasures", 32 * 4 * 2), ("ecc.rs.corrections", 0)]);
 }
 
 #[test]
@@ -156,15 +205,16 @@ fn alert_dimm_matches_registry() {
         }
         let s = dimm.stats();
         assert!(s.alerts > 0, "{mode:?}: fault never alerted");
-        assert_eq!(counter("core.alert.reads"), s.reads, "{mode:?}");
-        assert_eq!(counter("core.alert.alerts"), s.alerts, "{mode:?}");
-        assert_eq!(
-            counter("core.alert.reconstructions"),
-            s.reconstructions,
-            "{mode:?}"
-        );
-        assert_eq!(counter("core.alert.diagnoses"), s.diagnoses, "{mode:?}");
-        assert_eq!(counter("core.alert.due"), s.due_events, "{mode:?}");
+        let expected = [
+            ("core.alert.reads", s.reads),
+            ("core.alert.alerts", s.alerts),
+            ("core.alert.reconstructions", s.reconstructions),
+            ("core.alert.diagnoses", s.diagnoses),
+            ("core.alert.due", s.due_events),
+        ];
+        assert_silent(&expected);
+        drop(dimm);
+        assert_counters(&expected);
     }
 }
 
@@ -199,9 +249,10 @@ fn disabling_telemetry_keeps_legacy_stats_and_silences_registry() {
     let mut c = XedController::new(ChipGeometry::small(), OnDieCode::Crc8Atm, 2016, 8, 10);
     drive_xed(&mut c, 64);
     let disabled_stats = c.stats();
-    assert_eq!(counter("core.xed.reads"), 0, "gated site leaked a tick");
-    assert_eq!(counter("core.xed.reconstructions"), 0);
     assert!(c.events().is_empty(), "ring recorded while disabled");
+    // Telemetry stays off across the drop: the gated publish is silent.
+    drop(c);
+    assert_silent(&xed_counters(disabled_stats));
     xed_telemetry::set_enabled(true);
 
     // The same workload with telemetry on yields the same legacy stats:
@@ -209,5 +260,6 @@ fn disabling_telemetry_keeps_legacy_stats_and_silences_registry() {
     let mut c2 = XedController::new(ChipGeometry::small(), OnDieCode::Crc8Atm, 2016, 8, 10);
     drive_xed(&mut c2, 64);
     assert_eq!(c2.stats(), disabled_stats);
-    assert_eq!(counter("core.xed.reads"), disabled_stats.reads);
+    drop(c2);
+    assert_counters(&xed_counters(disabled_stats));
 }
