@@ -44,6 +44,14 @@ pub const DEFAULT_BLOCK: u64 = 1 << 18;
 /// millennium is far beyond any DRAM service life.
 pub const MAX_YEARS: f64 = 1_000.0;
 
+/// Most trials a query may ask for. A run's time grows linearly with
+/// `samples`, so an unbounded count would let one request hold a worker
+/// (and every request coalesced onto it) for days: a billion lifetime
+/// trials take 10–20 s on one core at the paper's Table I rates and a few
+/// minutes at 10x those rates. The largest in-repo query (the `xedd`
+/// selftest's slow stream) asks for 8 million.
+pub const MAX_SAMPLES: u64 = 1_000_000_000;
+
 /// Version tag absorbed first into every canonical key. Bump whenever the
 /// canonical encoding changes meaning, so stale caches can never alias a
 /// new encoding. v2: absorbs `ModelParams::code_model` (the inferred-code
@@ -139,6 +147,12 @@ impl Query {
     pub fn validate(&self) -> Result<(), String> {
         if self.samples == 0 {
             return Err("samples must be at least 1".into());
+        }
+        if self.samples > MAX_SAMPLES {
+            return Err(format!(
+                "samples must be at most {MAX_SAMPLES}, got {}",
+                self.samples
+            ));
         }
         if !(self.years.is_finite() && self.years > 0.0) {
             return Err(format!(
@@ -1078,6 +1092,27 @@ mod tests {
             q.years = years;
             assert!(q.validate().is_err(), "{years} years");
             assert!(evaluate(&q).is_err(), "{years} years");
+        }
+    }
+
+    #[test]
+    fn sample_counts_beyond_the_bound_are_rejected_before_any_trial() {
+        // A run's time is linear in its trial count, so an absurd count
+        // must be a validation error, not a worker held for days. The
+        // largest in-repo query stays valid.
+        for kind in [QueryKind::Lifetime, QueryKind::Tail { force: None }] {
+            let mut q = Query {
+                kind,
+                ..Query::lifetime(Scheme::Xed, 8_000_000, 41)
+            };
+            assert!(q.validate().is_ok());
+            q.samples = MAX_SAMPLES;
+            assert!(q.validate().is_ok());
+            for samples in [MAX_SAMPLES + 1, u64::MAX] {
+                q.samples = samples;
+                assert!(q.validate().is_err(), "{samples} samples");
+                assert!(evaluate(&q).is_err(), "{samples} samples");
+            }
         }
     }
 }

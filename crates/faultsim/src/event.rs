@@ -7,7 +7,7 @@
 //! arrival time and mode — statistically identical because the per-chip
 //! processes are i.i.d.
 
-use crate::fault::{Fault, FaultExtent, Persistence};
+use crate::fault::{Fault, FaultExtent, FaultRange, Persistence};
 use crate::fit::{FitRates, HOURS_PER_YEAR};
 use crate::geometry::DramGeometry;
 use rand::Rng;
@@ -21,6 +21,25 @@ pub struct FaultEvent {
     pub chip: u32,
     /// The fault itself.
     pub fault: Fault,
+}
+
+impl FaultEvent {
+    /// Filler for event-buffer slots that are about to be overwritten
+    /// (see [`LifetimeSampler::events_append`]); never part of a timeline.
+    const PLACEHOLDER: FaultEvent = FaultEvent {
+        time_hours: 0.0,
+        chip: 0,
+        fault: Fault {
+            extent: FaultExtent::Bit,
+            persistence: Persistence::Transient,
+            range: FaultRange {
+                bank: None,
+                row: None,
+                col: None,
+                bit: None,
+            },
+        },
+    };
 }
 
 /// Mean above which [`poisson`] splits the draw into independent chunks
@@ -433,24 +452,30 @@ impl<'a> LifetimeSampler<'a> {
     ) -> u32 {
         out.clear();
         let elided = self.events_append(count, rng, out, elide_bits);
-        if out.len() > 1 {
-            out.sort_unstable_by(|a, b| a.time_hours.total_cmp(&b.time_hours));
-        }
+        sort_by_arrival(out);
         elided
     }
 
     /// Draws exactly `count` fresh events and appends them to `out`
     /// **without clearing or sorting** — the one event generator behind
-    /// every timeline (the rare-event engine interleaves these with forced
-    /// fault cliques and orders the combined timeline itself).
+    /// every timeline (both lifetime kernels, and both rare-event
+    /// timelines, which interleave these with forced fault cliques and
+    /// order the combined timeline themselves).
     ///
     /// With `elide_bits`, single-bit events are drawn in full (mode, time,
     /// chip and all four range coordinates — the stream contract depends
-    /// on every draw) but not appended; returns how many were elided.
-    /// Callers set it when the scheme model proves single-bit faults inert
+    /// on every draw) but not kept; returns how many were elided. Callers
+    /// set it when the scheme model proves single-bit faults inert
     /// (`SchemeModel::bit_always_benign`): such a fault is always benign,
     /// draws nothing when evaluated, and is invisible to every other
     /// fault's concurrency count, so walking it cannot change a verdict.
+    ///
+    /// The keep is branch-free. About half of Table I's faults are
+    /// single-bit, so a per-event "push or skip" branch would mispredict
+    /// about half the time. Instead the buffer is sized once for all
+    /// `count` events, every event is written into the next free slot,
+    /// and the slot cursor advances only for a kept event; the unused
+    /// tail is truncated at the end.
     #[inline]
     pub fn events_append<R: Rng + ?Sized>(
         &self,
@@ -459,8 +484,10 @@ impl<'a> LifetimeSampler<'a> {
         out: &mut Vec<FaultEvent>,
         elide_bits: bool,
     ) -> u32 {
-        out.reserve(count as usize);
-        let mut elided = 0u32;
+        let start = out.len();
+        let mut len = start;
+        // alloc: amortized reusable-buffer growth (the caller's scratch).
+        out.resize(start + count as usize, FaultEvent::PLACEHOLDER);
         for _ in 0..count {
             let (extent, persistence) = self.sample_mode(rng);
             let event = FaultEvent {
@@ -468,13 +495,24 @@ impl<'a> LifetimeSampler<'a> {
                 chip: rng.gen_range(0..self.total_chips),
                 fault: Fault::sample(rng, extent, persistence, &self.geom),
             };
-            if elide_bits && extent == FaultExtent::Bit {
-                elided += 1;
-            } else {
-                out.push(event);
-            }
+            let keep = !(elide_bits && extent == FaultExtent::Bit);
+            // indexing: len ≤ start + (events drawn so far) < start + count
+            // = out.len(), since the cursor advances at most once per event.
+            out[len] = event;
+            len += usize::from(keep);
         }
-        elided
+        out.truncate(len);
+        (start + count as usize - len) as u32
+    }
+}
+
+/// Orders a timeline by arrival time — the one ordering every timeline
+/// walk relies on ([`LifetimeSampler::events_into`], the lifetime
+/// kernels' multi-fault trials and the rare-event timelines).
+#[inline]
+pub(crate) fn sort_by_arrival(events: &mut [FaultEvent]) {
+    if events.len() > 1 {
+        events.sort_unstable_by(|a, b| a.time_hours.total_cmp(&b.time_hours));
     }
 }
 

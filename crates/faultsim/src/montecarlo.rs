@@ -38,12 +38,15 @@
 //!   benign, no draws, invisible to the concurrency count), the sampler
 //!   draws them in full but leaves them out of the timeline that is
 //!   sorted and walked; the kernels tally them and publish
-//!   `faultsim.timeline.inert_elided` at merge. The replay keeps every
-//!   fault. The walk hands its active set to the classifier as a slice,
-//!   compacting expired faults in place only once the earliest expiry has
-//!   passed.
+//!   `faultsim.timeline.inert_elided` at merge. A trial whose kept faults
+//!   all sit in distinct protection domains and are all of quiet modes
+//!   (benign or corrected in isolation, without a draw) ends before the
+//!   sort and the walk (`faultsim.timeline.quiet_trials`). The replay
+//!   keeps and walks every fault. The walk hands its active set to the
+//!   classifier as a slice, compacting expired faults in place only once
+//!   the earliest expiry has passed.
 //! * **Allocation-free hot loop.** Each worker owns reusable event and
-//!   active-set buffers; `LifetimeSampler::events_into` writes into them,
+//!   active-set buffers; `LifetimeSampler::events_append` writes into them,
 //!   and the zero-fault fast path draws only the Poisson count (one
 //!   uniform) for the ~75 % of lifetimes that see no fault at all.
 //! * **Throughput instrumentation.** [`Sweep::run_one`] and
@@ -52,7 +55,7 @@
 //!   to `BENCH_faultsim.json`.
 
 use crate::engine::Sweep;
-use crate::event::{FaultEvent, LifetimeSampler};
+use crate::event::{sort_by_arrival, FaultEvent, LifetimeSampler};
 use crate::fault::Persistence;
 use crate::fit::HOURS_PER_YEAR;
 use crate::schemes::{Scheme, SchemeModel, Verdict};
@@ -514,6 +517,7 @@ pub(crate) fn run_many(
     let mut bitslice_blocks = 0u64;
     let mut bitslice_spills = 0u64;
     let mut inert_elided = 0u64;
+    let mut quiet_trials = 0u64;
     let results: Vec<SchemeResult> = schemes
         .iter()
         .enumerate()
@@ -540,6 +544,7 @@ pub(crate) fn run_many(
             bitslice_blocks += counts.get(P_BITSLICE_BLOCKS);
             bitslice_spills += counts.get(P_BITSLICE_SPILLS);
             inert_elided += counts.get(P_INERT_ELIDED);
+            quiet_trials += counts.get(P_QUIET_TRIALS);
             for (i, slot) in result.failures_by_extent.iter_mut().enumerate() {
                 *slot = counts.get(P_EXTENT0 + i);
             }
@@ -568,6 +573,7 @@ pub(crate) fn run_many(
         metrics::FAULTSIM_BITSLICE_BLOCKS.add(bitslice_blocks);
         metrics::FAULTSIM_BITSLICE_SPILLS.add(bitslice_spills);
         metrics::FAULTSIM_TIMELINE_INERT_ELIDED.add(inert_elided);
+        metrics::FAULTSIM_TIMELINE_QUIET_TRIALS.add(quiet_trials);
     }
     (results, stats)
 }
@@ -631,7 +637,10 @@ const P_BITSLICE_SPILLS: usize = P_BITSLICE_BLOCKS + 1;
 /// Single-bit faults sampled but never walked because the model proves
 /// them inert (see [`run_trial`]).
 const P_INERT_ELIDED: usize = P_BITSLICE_SPILLS + 1;
-const P_SLOTS: usize = P_INERT_ELIDED + 1;
+/// Multi-fault trials the kernels ended before the sort and the walk
+/// because their timeline is quiet (see [`run_trial`]).
+const P_QUIET_TRIALS: usize = P_INERT_ELIDED + 1;
+const P_SLOTS: usize = P_QUIET_TRIALS + 1;
 
 /// Per-worker, per-scheme accumulator. The fixed-size counters live in
 /// one owned [`Tallies`] block (plain adds, commutative merge — the
@@ -777,12 +786,23 @@ fn run_trials_bitsliced(
 /// keeps the draw sequence identical), both with a no-op `on_step` that
 /// monomorphises away; [`replay_trial`] passes a recorder.
 ///
-/// With `elide_inert` (the kernels' setting) and a model whose single-bit
-/// faults are inert ([`SchemeModel::bit_always_benign`]), a multi-fault
-/// trial draws its single-bit faults in full but leaves them out of the
-/// timeline it sorts and walks: they could not change a verdict or a draw.
+/// A multi-fault trial draws all its events first, then orders them by
+/// arrival and walks them. `elide_inert` (the kernels' setting) cuts that
+/// work in two ways that cannot change a verdict or a draw:
+///
+/// * with a model whose single-bit faults are inert
+///   ([`SchemeModel::bit_always_benign`]), single-bit faults are drawn in
+///   full but left out of the timeline;
+/// * a *quiet* timeline — no two kept faults in one protection domain,
+///   every kept fault of a mode whose isolated verdict is Benign or
+///   Corrected without a draw ([`SchemeModel::is_quiet_timeline`]) — ends
+///   the trial right after the draws, without a failure, and is tallied in
+///   `faultsim.timeline.quiet_trials` at merge. The walk could only have
+///   returned Corrected or Benign for each fault, and the trial's stream
+///   has no later reader.
+///
 /// The replay passes `false`, so its steps and active counts still show
-/// every fault.
+/// every fault, and it walks every multi-fault trial.
 #[allow(clippy::too_many_arguments)]
 fn run_trial(
     model: &SchemeModel,
@@ -829,8 +849,14 @@ fn run_trial(
         }
         count => {
             let elide_bits = elide_inert && model.bit_always_benign();
-            let elided = sampler.events_into(count, &mut rng, &mut scratch.events, elide_bits);
+            scratch.events.clear();
+            let elided = sampler.events_append(count, &mut rng, &mut scratch.events, elide_bits);
             partial.counts.add(P_INERT_ELIDED, u64::from(elided));
+            if elide_inert && model.is_quiet_timeline(&scratch.events) {
+                partial.counts.bump(P_QUIET_TRIALS);
+                return;
+            }
+            sort_by_arrival(&mut scratch.events);
             let failed = walk_timeline(model, &mut rng, scratch, |e, active, verdict| {
                 on_step(TrialStep {
                     time_hours: e.time_hours,
@@ -1057,9 +1083,10 @@ mod tests {
         }
     }
 
-    /// Single-bit faults the bit-sliced kernel left out of the walked
-    /// timelines of `scheme` under `sweep`.
-    fn inert_elided(sweep: &Sweep, scheme: Scheme) -> u64 {
+    /// What the bit-sliced kernel left out of the timelines of `scheme`
+    /// under `sweep`: `(single-bit faults elided, quiet trials ended
+    /// before the sort and the walk)`.
+    fn timeline_savings(sweep: &Sweep, scheme: Scheme) -> (u64, u64) {
         let years = sweep.years.ceil() as usize;
         let model = SchemeModel::new(scheme, sweep.params);
         let (sampler, streams) = trial_context(sweep, &model);
@@ -1075,7 +1102,10 @@ mod tests {
             &mut partial,
             &mut Scratch::default(),
         );
-        partial.counts.get(P_INERT_ELIDED)
+        (
+            partial.counts.get(P_INERT_ELIDED),
+            partial.counts.get(P_QUIET_TRIALS),
+        )
     }
 
     #[test]
@@ -1089,8 +1119,9 @@ mod tests {
         // paths too — under both kernels, for every scheme.
         //
         // The replay walks every fault, while the kernels leave inert
-        // single-bit faults out of their timelines; agreement here is what
-        // shows the elision changes no verdict and no draw. The last set
+        // single-bit faults out of their timelines and end quiet trials
+        // before the walk; agreement here is what shows the elision and
+        // the quiet exit change no verdict and no draw. The last set
         // makes single-bit faults live (scaling faults collide with half
         // the struck words, and the coarse intersection model counts any
         // coexisting fault), so the kernels keep every fault there.
@@ -1109,6 +1140,7 @@ mod tests {
             let mut multi_fault = 0;
             let mut expiries = 0;
             let mut elided = 0;
+            let mut quiet = 0;
             for scheme in Scheme::ALL {
                 let mut folded = SchemeResult {
                     scheme,
@@ -1144,7 +1176,9 @@ mod tests {
                     let aggregate = run_with(mc, scheme, kernel);
                     assert_eq!(folded, aggregate, "set {set}: {scheme} ({kernel:?})");
                 }
-                elided += inert_elided(mc, scheme);
+                let (e, q) = timeline_savings(mc, scheme);
+                elided += e;
+                quiet += q;
             }
             assert!(multi_fault > 0, "set {set}: no multi-fault trial");
             if mc.params.transient_exposure_hours > 0.0 {
@@ -1154,6 +1188,9 @@ mod tests {
                 assert!(elided > 0, "set {set}: no inert fault elided");
             } else {
                 assert_eq!(elided, 0, "set {set}: live single-bit faults elided");
+            }
+            if mc.params.transient_exposure_hours > 0.0 {
+                assert!(quiet > 0, "set {set}: no quiet trial took the exit");
             }
         }
     }

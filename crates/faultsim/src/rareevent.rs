@@ -31,7 +31,7 @@
 
 use crate::analytic::p_line_overlap_n;
 use crate::engine::Sweep;
-use crate::event::{FaultEvent, LifetimeSampler, POISSON_CHUNK};
+use crate::event::{sort_by_arrival, FaultEvent, LifetimeSampler, POISSON_CHUNK};
 use crate::fault::{Fault, FaultExtent, FaultRange, Persistence};
 use crate::fit::{FitRates, HOURS_PER_YEAR, LIFETIME_YEARS};
 use crate::montecarlo::{self, resolve_threads, steal_chunks, walk_timeline, Scratch};
@@ -747,9 +747,7 @@ impl<'a> TailPlan<'a> {
                 &mut scratch.events,
                 self.model.bit_always_benign(),
             );
-            scratch
-                .events
-                .sort_unstable_by(|a, b| a.time_hours.total_cmp(&b.time_hours));
+            sort_by_arrival(&mut scratch.events);
             if self.evaluate_timeline(rng, scratch).is_some() {
                 failures += 1;
             }
@@ -857,9 +855,7 @@ impl<'a> TailPlan<'a> {
                     &mut scratch.events,
                     self.model.bit_always_benign(),
                 );
-                scratch
-                    .events
-                    .sort_unstable_by(|a, b| a.time_hours.total_cmp(&b.time_hours));
+                sort_by_arrival(&mut scratch.events);
                 match self.evaluate_timeline(&mut rng, scratch) {
                     Some(verdict) => {
                         let s = self.count_cliques(plan, &scratch.events).max(1);

@@ -366,6 +366,41 @@ pub struct SchemeModel {
     /// — under [`CodeModel::Known`] and [`CodeModel::InferredExact`] this
     /// is exactly `params.on_die_miss`, keeping those runs bit-identical.
     effective_on_die_miss: f64,
+    /// `⌈2^DOMAIN_SHIFT / domain_span⌉`: a chip's domain index is
+    /// `chip · domain_recip >> DOMAIN_SHIFT`, checked equal to
+    /// `chip / domain_span` for every chip of the system in [`Self::new`].
+    domain_recip: u32,
+    /// Bit [`mode_bit`]`(extent, persistence)` is set iff the mode is
+    /// *quiet*: [`Self::evaluate_isolated`] returns [`Verdict::Benign`] or
+    /// [`Verdict::Corrected`] for it without drawing. Derived in
+    /// [`Self::new`] by probing `evaluate_isolated` with a draw-counting
+    /// generator, so it follows the verdict logic rather than restating it.
+    quiet_modes: u16,
+}
+
+/// Fixed-point shift of [`SchemeModel`]'s division-free domain index.
+/// The products stay far inside `u32`: chips number in the hundreds and
+/// the reciprocal is at most `2^16 / 8`.
+const DOMAIN_SHIFT: u32 = 16;
+
+/// A fault mode's bit in [`SchemeModel`]'s 12-bit quiet-mode mask:
+/// `extent · 2 + persistence` (transient 0, permanent 1).
+#[inline]
+fn mode_bit(extent: FaultExtent, persistence: Persistence) -> u32 {
+    extent.index() as u32 * 2 + u32::from(persistence == Persistence::Permanent)
+}
+
+/// An all-zero generator that counts its draws: [`SchemeModel::new`]
+/// probes [`SchemeModel::evaluate_isolated`] with it to learn which modes
+/// decide without drawing. The values it returns are irrelevant — a mode
+/// that draws at all is not quiet, whatever it would have drawn.
+struct DrawCounter(u32);
+
+impl rand::RngCore for DrawCounter {
+    fn next_u64(&mut self) -> u64 {
+        self.0 += 1;
+        0
+    }
 }
 
 impl SchemeModel {
@@ -381,14 +416,35 @@ impl SchemeModel {
             domain_span <= u64::BITS,
             "domain offsets must fit a u64 mask"
         );
-        Self {
+        let total_chips = config.total_chips();
+        assert!(
+            total_chips.div_ceil(domain_span) <= u64::BITS,
+            "{scheme:?}: domain indices must fit a u64 mask"
+        );
+        let domain_recip = (1u32 << DOMAIN_SHIFT).div_ceil(domain_span);
+        assert!(
+            (0..total_chips).all(|c| (c * domain_recip) >> DOMAIN_SHIFT == c / domain_span),
+            "{scheme:?}: the reciprocal domain index must be exact on every chip"
+        );
+        let mut model = Self {
             scheme,
             params,
             config,
             bit_always_benign: params.on_die_ecc && !params.scaling.enabled(),
             domain_span,
             effective_on_die_miss: params.code_model.effective_on_die_miss(params.on_die_miss),
+            domain_recip,
+            quiet_modes: 0,
+        };
+        for extent in FaultExtent::ALL {
+            for persistence in [Persistence::Transient, Persistence::Permanent] {
+                let mut probe = DrawCounter(0);
+                let verdict = model.evaluate_isolated(&mut probe, extent, persistence);
+                let quiet = probe.0 == 0 && !verdict.is_failure();
+                model.quiet_modes |= u16::from(quiet) << mode_bit(extent, persistence);
+            }
         }
+        model
     }
 
     /// The on-die miss probability actually used by the verdict logic:
@@ -431,6 +487,34 @@ impl SchemeModel {
     /// `true` if chips `a` and `b` share this scheme's protection domain.
     pub fn same_domain(&self, a: u32, b: u32) -> bool {
         a / self.domain_span == b / self.domain_span
+    }
+
+    /// `true` if walking `events` (in any order, under any exposure
+    /// window) can only end without a failure and without a draw: no two
+    /// events share a protection domain, and every event's mode is quiet.
+    ///
+    /// With no other fault in its domain, an arrival's `concurrent_chips`
+    /// is 1 whatever else is active, so [`Self::evaluate`] equals
+    /// [`Self::evaluate_isolated`] in verdict and draws (pinned by the
+    /// `evaluation_outside_the_domain_matches_isolated` test) — and a quiet
+    /// mode's isolated verdict is Benign or Corrected with no draw. The
+    /// lifetime kernels end such a trial before sorting or walking it.
+    ///
+    /// Branch-free over the events: a `u64` of domains seen (indexed by
+    /// the reciprocal multiply checked in [`Self::new`]), the domains seen
+    /// twice, and the union of the events' mode bits.
+    #[inline]
+    pub(crate) fn is_quiet_timeline(&self, events: &[FaultEvent]) -> bool {
+        let mut seen = 0u64;
+        let mut shared = 0u64;
+        let mut modes = 0u16;
+        for e in events {
+            let domain = 1u64 << ((e.chip * self.domain_recip) >> DOMAIN_SHIFT);
+            shared |= seen & domain;
+            seen |= domain;
+            modes |= 1 << mode_bit(e.fault.extent, e.fault.persistence);
+        }
+        shared == 0 && modes & !self.quiet_modes == 0
     }
 
     /// Counts the largest set of distinct chips (including `e.chip`) in
@@ -1318,16 +1402,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn isolated_evaluation_matches_general_path() {
-        // `evaluate_isolated` promises to return the same verdict *and*
-        // consume the same randomness as `evaluate` with an empty active
-        // set, for every scheme × mode × parameter variant the engine can
-        // reach. Compare both the verdicts and the final RNG states.
-        use crate::geometry::DramGeometry;
+    /// The parameter variants the isolated-evaluation tests cover: the
+    /// paper's defaults, no on-die ECC, rare scaling faults, and dense
+    /// scaling faults with coin-flip miss and detect probabilities.
+    fn isolation_variants() -> [ModelParams; 4] {
         use crate::scaling::ScalingFaults;
-        let geom = DramGeometry::x8_2gb();
-        let variants = [
+        [
             ModelParams::default(),
             ModelParams {
                 on_die_ecc: false,
@@ -1343,10 +1423,22 @@ mod tests {
                 dimm_secded_burst_detect: 0.5,
                 ..ModelParams::default()
             },
-        ];
+        ]
+    }
+
+    const PERSISTENCES: [Persistence; 2] = [Persistence::Transient, Persistence::Permanent];
+
+    #[test]
+    fn isolated_evaluation_matches_general_path() {
+        // `evaluate_isolated` promises to return the same verdict *and*
+        // consume the same randomness as `evaluate` with an empty active
+        // set, for every scheme × mode × parameter variant the engine can
+        // reach. Compare both the verdicts and the final RNG states.
+        use crate::geometry::DramGeometry;
+        let geom = DramGeometry::x8_2gb();
         let mut sample_rng = StdRng::seed_from_u64(99);
         for scheme in Scheme::ALL {
-            for params in variants {
+            for params in isolation_variants() {
                 let m = SchemeModel::new(scheme, params);
                 for extent in FaultExtent::ALL {
                     for persistence in [Persistence::Transient, Persistence::Permanent] {
@@ -1377,6 +1469,202 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn evaluation_outside_the_domain_matches_isolated() {
+        // The premise of the lifetime kernels' quiet exit: when every
+        // other multi-bit fault sits in another protection domain,
+        // `evaluate` returns the isolated verdict and leaves the same
+        // final RNG state as `evaluate_isolated` — for every scheme ×
+        // extent × persistence × parameter variant, under both
+        // intersection models. Single-bit faults may sit anywhere, the
+        // arrival's own domain and chip included: they never count.
+        //
+        // The moved copy of each active set (its multi-bit faults put on
+        // other chips of the arrival's own domain) shows the sets have
+        // teeth: there, the count often exceeds one.
+        use crate::geometry::DramGeometry;
+        let geom = DramGeometry::x8_2gb();
+        let mut sample_rng = StdRng::seed_from_u64(0xD0_4A1E);
+        let (mut compared, mut teeth) = (0u32, 0u32);
+        for scheme in Scheme::ALL {
+            for variant in isolation_variants() {
+                for require_line_intersection in [true, false] {
+                    let params = ModelParams {
+                        require_line_intersection,
+                        ..variant
+                    };
+                    let m = SchemeModel::new(scheme, params);
+                    let span = m.domain_span();
+                    let total = m.config().total_chips();
+                    for extent in FaultExtent::ALL {
+                        for persistence in PERSISTENCES {
+                            for round in 0..4u64 {
+                                let chip = sample_rng.gen_range(0..total);
+                                let lo = chip - chip % span;
+                                let e = FaultEvent {
+                                    time_hours: 0.0,
+                                    chip,
+                                    fault: Fault::sample(
+                                        &mut sample_rng,
+                                        extent,
+                                        persistence,
+                                        &geom,
+                                    ),
+                                };
+                                let n = sample_rng.gen_range(1..=6);
+                                let mut active = Vec::new();
+                                let mut moved = Vec::new();
+                                for _ in 0..n {
+                                    let a_extent = FaultExtent::ALL[sample_rng.gen_range(0..6)];
+                                    let a_persistence = PERSISTENCES[sample_rng.gen_range(0..2)];
+                                    let fault = Fault::sample(
+                                        &mut sample_rng,
+                                        a_extent,
+                                        a_persistence,
+                                        &geom,
+                                    );
+                                    let a_chip = if a_extent.is_multi_bit() {
+                                        // A whole number of domains away.
+                                        (lo + span * sample_rng.gen_range(1..total / span)
+                                            + sample_rng.gen_range(0..span))
+                                            % total
+                                    } else {
+                                        sample_rng.gen_range(0..total)
+                                    };
+                                    assert!(
+                                        a_extent == FaultExtent::Bit
+                                            || !m.same_domain(a_chip, chip)
+                                    );
+                                    active.push(FaultEvent {
+                                        time_hours: 0.0,
+                                        chip: a_chip,
+                                        fault,
+                                    });
+                                    moved.push(FaultEvent {
+                                        time_hours: 0.0,
+                                        chip: lo + (chip - lo + 1 + a_chip % (span - 1)) % span,
+                                        fault,
+                                    });
+                                }
+                                let seed = round
+                                    .wrapping_mul(1000)
+                                    .wrapping_add(scheme.stream_tag() * 100)
+                                    .wrapping_add(extent.index() as u64);
+                                let mut general = StdRng::seed_from_u64(seed);
+                                let mut isolated = general.clone();
+                                let vg = m.evaluate(&mut general, &e, &active);
+                                let vi = m.evaluate_isolated(&mut isolated, extent, persistence);
+                                let what =
+                                    format!("{scheme:?} {extent:?} {persistence:?} {params:?}");
+                                assert_eq!(vg, vi, "verdict diverged: {what} vs {active:?}");
+                                assert_eq!(general, isolated, "rng consumption diverged: {what}");
+                                compared += 1;
+                                teeth += u32::from(m.concurrent_chips(&e, &moved) > 1);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(compared, 7 * 4 * 2 * 6 * 2 * 4);
+        assert!(
+            teeth > compared / 4,
+            "only {teeth} of {compared} moved sets clash"
+        );
+    }
+
+    /// `true` if `mode` is quiet by the definition, measured with real
+    /// draws: every one of 16 seeds gives Benign or Corrected and leaves
+    /// the generator untouched.
+    fn measured_quiet(m: &SchemeModel, extent: FaultExtent, persistence: Persistence) -> bool {
+        (0..16u64).all(|seed| {
+            let fresh = StdRng::seed_from_u64(seed);
+            let mut rng = fresh.clone();
+            let verdict = m.evaluate_isolated(&mut rng, extent, persistence);
+            rng == fresh && matches!(verdict, Verdict::Benign | Verdict::Corrected)
+        })
+    }
+
+    #[test]
+    fn probed_quiet_modes_are_benign_or_corrected_without_draws() {
+        // The mask `new` derives with its draw-counting probe must equal
+        // the definition measured with a real generator, for every scheme
+        // and parameter variant.
+        for scheme in Scheme::ALL {
+            for params in isolation_variants() {
+                let m = SchemeModel::new(scheme, params);
+                for extent in FaultExtent::ALL {
+                    for persistence in PERSISTENCES {
+                        assert_eq!(
+                            m.quiet_modes >> mode_bit(extent, persistence) & 1 != 0,
+                            measured_quiet(&m, extent, persistence),
+                            "{scheme:?} {extent:?} {persistence:?} {params:?}"
+                        );
+                    }
+                }
+            }
+        }
+        // The paper's defaults: every mode of the chipkill and x4 XED
+        // schemes is quiet, XED draws only for a word fault's on-die miss,
+        // and the SECDED and non-ECC baselines are quiet only for
+        // single-bit faults.
+        let mask = |scheme| SchemeModel::new(scheme, ModelParams::default()).quiet_modes;
+        for scheme in [
+            Scheme::Chipkill,
+            Scheme::ChipkillX4,
+            Scheme::XedChipkill,
+            Scheme::DoubleChipkill,
+        ] {
+            assert_eq!(mask(scheme), 0xFFF, "{scheme:?}");
+        }
+        assert_eq!(mask(Scheme::Xed), 0xFFF & !0b1100);
+        assert_eq!(mask(Scheme::EccDimm), 0b11);
+        assert_eq!(mask(Scheme::NonEcc), 0b11);
+    }
+
+    #[test]
+    fn quiet_timeline_matches_the_pairwise_reference() {
+        // `is_quiet_timeline` (reciprocal domain index, branch-free masks)
+        // against the definition spelled out: every pair of events in
+        // different domains by division, every mode quiet by measurement.
+        let geom = crate::geometry::DramGeometry::x8_2gb();
+        let mut rng = StdRng::seed_from_u64(0x0_0071E7);
+        let (mut quiet, mut loud) = (0u32, 0u32);
+        for scheme in Scheme::ALL {
+            for params in isolation_variants() {
+                let m = SchemeModel::new(scheme, params);
+                let total = m.config().total_chips();
+                for _ in 0..300 {
+                    let n = rng.gen_range(0..=4);
+                    let events: Vec<FaultEvent> = (0..n)
+                        .map(|_| {
+                            let extent = FaultExtent::ALL[rng.gen_range(0..6)];
+                            let persistence = PERSISTENCES[rng.gen_range(0..2)];
+                            FaultEvent {
+                                time_hours: 0.0,
+                                chip: rng.gen_range(0..total),
+                                fault: Fault::sample(&mut rng, extent, persistence, &geom),
+                            }
+                        })
+                        .collect();
+                    let distinct = events.iter().enumerate().all(|(i, a)| {
+                        events[i + 1..]
+                            .iter()
+                            .all(|b| a.chip / m.domain_span() != b.chip / m.domain_span())
+                    });
+                    let want = distinct
+                        && events
+                            .iter()
+                            .all(|e| measured_quiet(&m, e.fault.extent, e.fault.persistence));
+                    assert_eq!(m.is_quiet_timeline(&events), want, "{scheme:?} {events:?}");
+                    quiet += u32::from(want && n > 1);
+                    loud += u32::from(!want);
+                }
+            }
+        }
+        assert!(quiet > 500 && loud > 500, "quiet {quiet}, loud {loud}");
     }
 
     #[test]

@@ -54,24 +54,104 @@ fn non_get_methods_are_rejected() {
     server.shutdown();
 }
 
+/// `true` once the server has sent `stream` something (or closed it):
+/// a 20 ms peek, so callers can poll several connections in turn and act
+/// on whichever the server answers first.
+fn answered(stream: &TcpStream) -> bool {
+    stream
+        .set_read_timeout(Some(Duration::from_millis(20)))
+        .expect("set poll timeout");
+    let mut byte = [0u8; 1];
+    match stream.peek(&mut byte) {
+        Ok(_) => true,
+        Err(e) => !matches!(
+            e.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        ),
+    }
+}
+
 #[test]
 fn full_queue_sheds_with_503() {
     // One worker, queue bound 1. Pin the worker with a connection that
     // never sends its request, let a second occupy the queue slot, and a
     // third must be shed immediately with 503 by the acceptor.
+    //
+    // The order is observed, not slept for. The setup holds while the
+    // server has answered neither `pin` nor `queued`: the acceptor admits
+    // in connection order, so `queued` meets a full queue — and is
+    // answered with a 503 itself — when the worker has not yet taken
+    // `pin`, and `pin` is answered when a previous attempt's connections
+    // still filled the queue. An attempt counts only if `shed` is
+    // answered while the setup holds; any other attempt is retried once
+    // the server is idle again. The worker needs a wake-up to take `pin`,
+    // which a loaded host can delay past `queued`'s arrival every time,
+    // so each retry waits longer (1 ms doubling to 256 ms) before
+    // connecting `queued`: a backoff that lets the retries converge, not
+    // a sleep the outcome relies on.
     let server = start(1, 1);
     let addr = server.addr();
-    let pin = TcpStream::connect(&addr).expect("pin connection");
-    std::thread::sleep(Duration::from_millis(150)); // worker pops `pin`, blocks reading
-    let queued = TcpStream::connect(&addr).expect("queued connection");
-    std::thread::sleep(Duration::from_millis(150)); // acceptor queues it (depth = bound)
-    let shed = http::client_get(&addr, "/healthz").expect("shed response");
+    let mut shed_response = None;
+    for attempt in 0..50u32 {
+        let pin = TcpStream::connect(&addr).expect("pin connection");
+        std::thread::sleep(Duration::from_millis(1 << attempt.min(8)));
+        let queued = TcpStream::connect(&addr).expect("queued connection");
+        // `shed` sends nothing: the acceptor sheds at accept, before any
+        // read, and a request written after its 503 could meet a socket
+        // the server has already closed.
+        let shed = TcpStream::connect(&addr).expect("shed connection");
+        let held = |pin: &TcpStream, queued: &TcpStream| !answered(pin) && !answered(queued);
+        let shed_while_held = loop {
+            if !held(&pin, &queued) {
+                break false;
+            }
+            if answered(&shed) {
+                break held(&pin, &queued);
+            }
+        };
+        if shed_while_held {
+            shed.set_read_timeout(None).expect("blocking read");
+            let mut reader = std::io::BufReader::new(shed);
+            shed_response = Some(http::read_client_response(&mut reader).expect("shed response"));
+        }
+        // Closing `pin` and `queued` fails the worker's reads at once
+        // instead of waiting out the read timeout.
+        drop(pin);
+        drop(queued);
+        if shed_response.is_some() {
+            break;
+        }
+        // Start the next attempt on an idle server: the queue is FIFO and
+        // has one worker, so a served probe means everything this attempt
+        // left behind has been handled. A shed probe is retried after a
+        // pause, so a busy worker cannot turn this into a connection storm
+        // that exhausts the host's ephemeral ports.
+        for _ in 0..100 {
+            if http::client_get(&addr, "/healthz").is_ok_and(|r| r.status == 200) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+    let shed = shed_response.expect("no attempt found the worker busy and the queue full");
     assert_eq!(shed.status, 503, "over-bound request must be shed");
     assert!(shed.body.contains("overloaded"), "{}", shed.body);
-    // Unblock the worker before shutdown: closing both sockets fails
-    // their reads instantly instead of waiting out the read timeout.
-    drop(pin);
-    drop(queued);
+    server.shutdown();
+}
+
+#[test]
+fn oversized_sample_counts_are_rejected_with_400() {
+    let server = start(1, 4);
+    let addr = server.addr();
+    let over = xed_faultsim::engine::MAX_SAMPLES + 1;
+    let resp =
+        http::client_get(&addr, &format!("/v1/query?scheme=xed&samples={over}")).expect("response");
+    assert_eq!(resp.status, 400);
+    assert!(
+        resp.body.contains("samples must be at most"),
+        "{}",
+        resp.body
+    );
     server.shutdown();
 }
 
