@@ -379,7 +379,7 @@ impl<'a> LifetimeSampler<'a> {
     #[inline]
     pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<FaultEvent>) {
         let count = self.poisson.sample(rng);
-        self.events_into(count, rng, out, false);
+        self.events_into(count, rng, out);
     }
 
     /// `true` if a trial whose first uniform draw is `u0` sees no fault at
@@ -410,7 +410,7 @@ impl<'a> LifetimeSampler<'a> {
         out: &mut Vec<FaultEvent>,
     ) {
         let count = self.poisson.sample_split(u0, rng);
-        self.events_into(count, rng, out, false);
+        self.events_into(count, rng, out);
     }
 
     /// The trial's fault count, split form (see
@@ -440,20 +440,12 @@ impl<'a> LifetimeSampler<'a> {
 
     /// Generates exactly `count` events into `out` (cleared first), sorted
     /// by arrival time — [`Self::sample_into`] with the count already
-    /// drawn. `elide_bits` is passed through to [`Self::events_append`];
-    /// returns the number of events it elided.
+    /// drawn. Keeps every event, single-bit ones included.
     #[inline]
-    pub fn events_into<R: Rng + ?Sized>(
-        &self,
-        count: u32,
-        rng: &mut R,
-        out: &mut Vec<FaultEvent>,
-        elide_bits: bool,
-    ) -> u32 {
+    pub fn events_into<R: Rng + ?Sized>(&self, count: u32, rng: &mut R, out: &mut Vec<FaultEvent>) {
         out.clear();
-        let elided = self.events_append(count, rng, out, elide_bits);
+        self.events_append(count, rng, out, false);
         sort_by_arrival(out);
-        elided
     }
 
     /// Draws exactly `count` fresh events and appends them to `out`

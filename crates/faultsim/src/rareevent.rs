@@ -49,6 +49,16 @@ const TAIL_CHUNK: u64 = 1024;
 /// Largest forced-clique size (Double-Chipkill needs three faults).
 const MAX_CLIQUE: usize = 3;
 
+/// The pilot's tuple probe checks whether a propensity has settled after
+/// every batch of this many rounds.
+const PROBE_BATCH: u32 = 64;
+/// Rounds a probe with no failure (or only a few) runs before it stops.
+const PROBE_MIN_ROUNDS: u32 = 512;
+/// The probe's round budget.
+const PROBE_MAX_ROUNDS: u32 = 2048;
+/// Failures after which a probe past [`PROBE_MIN_ROUNDS`] stops.
+const PROBE_TARGET_FAILURES: u32 = 24;
+
 /// Extra stream-key salt separating the rare-event stream family from the
 /// plain Monte-Carlo family of the same `(seed, scheme)` — the two engines
 /// must never replay each other's draws. Part of the reproducibility
@@ -568,20 +578,21 @@ impl<'a> TailPlan<'a> {
         // system; the rest are drawn without replacement from its
         // (contiguous) domain block.
         let chip0 = rng.gen_range(0..config.total_chips());
-        let start = (chip0 / plan.domain_span) * plan.domain_span;
+        let start = self.model.domain_of(chip0) * plan.domain_span;
         let mut offsets = [chip0 - start, 0, 0];
         for i in 1..plan.j {
-            let mut t = rng.gen_range(0..plan.domain_span - i as u32);
-            let mut taken = offsets;
-            // indexing: i < j ≤ MAX_CLIQUE, the length of both arrays.
-            taken[..i].sort_unstable();
-            for &o in &taken[..i] {
-                if t >= o {
-                    t += 1;
-                }
-            }
+            // Skip the offsets already taken, in ascending order: at most
+            // two, so one compare-swap orders them (an unused second slot
+            // is `u32::MAX`, which `t < domain_span` never reaches).
+            let t = rng.gen_range(0..plan.domain_span - i as u32);
+            let (a, b) = if i == 1 {
+                (offsets[0], u32::MAX)
+            } else {
+                (offsets[0].min(offsets[1]), offsets[0].max(offsets[1]))
+            };
+            let t = t + u32::from(t >= a);
             // indexing: i < j ≤ MAX_CLIQUE, the length of offsets.
-            offsets[i] = t;
+            offsets[i] = t + u32::from(t >= b);
         }
         let mut times = [0.0f64; MAX_CLIQUE];
         for slot in times.iter_mut().take(plan.j) {
@@ -595,8 +606,12 @@ impl<'a> TailPlan<'a> {
             // density is unchanged up to the j! role permutations that the
             // tuple weight (mode product) already accounts for per ordered
             // tuple.
-            // indexing: j ≤ MAX_CLIQUE, the length of times.
-            times[..plan.j].sort_unstable_by(f64::total_cmp);
+            // A compare-swap network sorts the two or three times.
+            compare_swap(&mut times, 0, 1);
+            if plan.j == 3 {
+                compare_swap(&mut times, 1, 2);
+                compare_swap(&mut times, 0, 1);
+            }
         }
         if plan.strict {
             // Condition all j ranges on sharing one cache line: draw the
@@ -650,10 +665,19 @@ impl<'a> TailPlan<'a> {
     /// Estimates one tuple's conditional failure propensity `f̂ᵢ` — the
     /// probability a trial fails given the forced clique drew this tuple
     /// and no extra faults arrived — by evaluating a synthetic exact-`k`
-    /// timeline `rounds` times. Deterministic verdicts settle after the
-    /// first batch; only rng-dependent tuples (e.g. XED's on-die-miss
-    /// roll) consume the full budget. Feeds the proposal tilt only, so
-    /// estimation error cannot bias the estimator.
+    /// timeline in rounds of [`PROBE_BATCH`]. Deterministic verdicts settle
+    /// after the first batch; only rng-dependent tuples (e.g. XED's
+    /// on-die-miss roll) consume the full budget. Feeds the proposal tilt
+    /// only, so estimation error cannot bias the estimator.
+    ///
+    /// In the strict model the synthetic timeline is the same in every
+    /// round, so it is built once. If its first walk leaves the probe
+    /// generator where it was, every round would replay that verdict
+    /// without a draw, and the round loop would stop at its first
+    /// unanimous batch (all failing: 1.0) or at [`PROBE_MIN_ROUNDS`] with
+    /// no failure (0.0) — so that value is returned at once, with the
+    /// generator in the same state. `probe_tuple_by_rounds`, the plain
+    /// round loop, is the test oracle.
     fn probe_tuple(
         &self,
         plan: &CliquePlan,
@@ -661,58 +685,67 @@ impl<'a> TailPlan<'a> {
         rng: &mut StdRng,
         scratch: &mut Scratch,
     ) -> f64 {
-        const BATCH: u32 = 64;
-        const MIN_ROUNDS: u32 = 512;
-        const MAX_ROUNDS: u32 = 2048;
-        const TARGET_FAILURES: u32 = 24;
-        let tuple = plan.tuples[index];
-        let geom = &self.model.config().geometry;
-        let mut failures = 0u32;
-        let mut rounds = 0u32;
-        while rounds < MAX_ROUNDS {
-            for _ in 0..BATCH {
-                scratch.events.clear();
-                for (i, &(extent, persistence)) in tuple.iter().enumerate().take(plan.j) {
-                    let fault = if plan.strict {
-                        // The canonical shared line: failure propensity is
-                        // translation-invariant in the line coordinates.
-                        let (pin_bank, pin_row, pin_col) = line_pins(extent);
-                        Fault {
-                            extent,
-                            persistence,
-                            range: FaultRange {
-                                bank: pin_bank.then_some(0),
-                                row: pin_row.then_some(0),
-                                col: pin_col.then_some(0),
-                                bit: None,
-                            },
-                        }
-                    } else {
-                        Fault::sample(rng, extent, persistence, geom)
-                    };
-                    // Chips 0..j sit in the first domain block
-                    // (`domain_span ≥ k` was checked by `build`); slot
-                    // order = time order, matching the ordered proposal.
-                    scratch.events.push(FaultEvent {
-                        time_hours: (i + 1) as f64,
-                        chip: i as u32,
-                        fault,
-                    });
-                }
-                if self.evaluate_timeline(rng, scratch).is_some() {
-                    failures += 1;
-                }
-            }
-            rounds += BATCH;
-            // Unanimous batches are (almost surely) deterministic verdicts;
-            // mixed ones keep sampling until the propensity is resolved.
-            if failures == rounds
-                || (rounds >= MIN_ROUNDS && (failures == 0 || failures >= TARGET_FAILURES))
-            {
-                break;
+        let (mut failures, mut rounds) = (0u32, 0u32);
+        if plan.strict {
+            self.probe_timeline(plan, index, rng, &mut scratch.events);
+            let before = rng.clone();
+            failures = u32::from(self.evaluate_timeline(rng, scratch).is_some());
+            rounds = 1;
+            if *rng == before {
+                return f64::from(failures);
             }
         }
+        while !probe_settled(failures, rounds) {
+            if !plan.strict {
+                self.probe_timeline(plan, index, rng, &mut scratch.events);
+            }
+            failures += u32::from(self.evaluate_timeline(rng, scratch).is_some());
+            rounds += 1;
+        }
         f64::from(failures) / f64::from(rounds)
+    }
+
+    /// The synthetic exact-`k` timeline of tuple `index` for
+    /// [`Self::probe_tuple`]: the tuple's faults on chips `0..j`, arriving
+    /// at hours `1..=j`. The strict model puts them on the canonical shared
+    /// line and draws nothing; the coarse model draws their ranges.
+    fn probe_timeline(
+        &self,
+        plan: &CliquePlan,
+        index: usize,
+        rng: &mut StdRng,
+        events: &mut Vec<FaultEvent>,
+    ) {
+        let tuple = plan.tuples[index];
+        let geom = &self.model.config().geometry;
+        events.clear();
+        for (i, &(extent, persistence)) in tuple.iter().enumerate().take(plan.j) {
+            let fault = if plan.strict {
+                // The canonical shared line: failure propensity is
+                // translation-invariant in the line coordinates.
+                let (pin_bank, pin_row, pin_col) = line_pins(extent);
+                Fault {
+                    extent,
+                    persistence,
+                    range: FaultRange {
+                        bank: pin_bank.then_some(0),
+                        row: pin_row.then_some(0),
+                        col: pin_col.then_some(0),
+                        bit: None,
+                    },
+                }
+            } else {
+                Fault::sample(rng, extent, persistence, geom)
+            };
+            // Chips 0..j sit in the first domain block (`domain_span ≥ k`
+            // was checked by `build`); slot order = time order, matching
+            // the ordered proposal.
+            events.push(FaultEvent {
+                time_hours: (i + 1) as f64,
+                chip: i as u32,
+                fault,
+            });
+        }
     }
 
     /// Estimates `P(fail | N ∈ bucket)` for one count bucket by full-trial
@@ -747,6 +780,7 @@ impl<'a> TailPlan<'a> {
                 &mut scratch.events,
                 self.model.bit_always_benign(),
             );
+            self.model.retain_walked(&mut scratch.events);
             sort_by_arrival(&mut scratch.events);
             if self.evaluate_timeline(rng, scratch).is_some() {
                 failures += 1;
@@ -758,7 +792,10 @@ impl<'a> TailPlan<'a> {
     /// Counts the A-cliques of size `j` among `events`: all members
     /// multi-bit, pairwise-distinct chips, one protection domain, and (in
     /// the strict model) a common cache line. This is the `S(x)` of the
-    /// likelihood ratio; computed only for failing trials.
+    /// likelihood ratio; computed only for failing trials, on the walked
+    /// timeline: a clique lives inside one domain, so the events
+    /// `SchemeModel::retain_walked` drops (each alone in its domain) are
+    /// never members, and the domain test compares `domain_of` indices.
     ///
     /// In `ordered` mode the clique is a time-ordered witness: `events` is
     /// already sorted by arrival time, and every member except the
@@ -770,10 +807,9 @@ impl<'a> TailPlan<'a> {
             bit: None,
             ..e.fault.range
         };
+        let domain = |e: &FaultEvent| self.model.domain_of(e.chip);
         let compatible = |a: &FaultEvent, b: &FaultEvent| {
-            a.chip != b.chip
-                && b.fault.extent.is_multi_bit()
-                && self.model.same_domain(a.chip, b.chip)
+            a.chip != b.chip && b.fault.extent.is_multi_bit() && domain(a) == domain(b)
         };
         let is_perm = |e: &FaultEvent| e.fault.persistence == Persistence::Permanent;
         let mut count = 0u64;
@@ -855,6 +891,7 @@ impl<'a> TailPlan<'a> {
                     &mut scratch.events,
                     self.model.bit_always_benign(),
                 );
+                self.model.retain_walked(&mut scratch.events);
                 sort_by_arrival(&mut scratch.events);
                 match self.evaluate_timeline(&mut rng, scratch) {
                     Some(verdict) => {
@@ -872,12 +909,15 @@ impl<'a> TailPlan<'a> {
             }
             _ => {
                 let n = self.draw_count(&mut rng);
-                self.sampler.events_into(
+                scratch.events.clear();
+                self.sampler.events_append(
                     n,
                     &mut rng,
                     &mut scratch.events,
                     self.model.bit_always_benign(),
                 );
+                self.model.retain_walked(&mut scratch.events);
+                sort_by_arrival(&mut scratch.events);
                 match self.evaluate_timeline(&mut rng, scratch) {
                     Some(verdict) => (self.p_ge_k, Some(verdict)),
                     None => (0.0, None),
@@ -890,6 +930,28 @@ impl<'a> TailPlan<'a> {
     /// driver's own multi-fault walk — returning the failing verdict.
     fn evaluate_timeline(&self, rng: &mut StdRng, scratch: &mut Scratch) -> Option<Verdict> {
         walk_timeline(&self.model, rng, scratch, |_, _, _| {}).map(|(verdict, _)| verdict)
+    }
+}
+
+/// `true` once a tuple probe of `rounds` rounds with `failures` failures
+/// is done: at a batch boundary, a unanimous batch (almost surely a
+/// deterministic verdict), or past the minimum with no failure or enough
+/// of them to resolve the propensity, or out of budget.
+fn probe_settled(failures: u32, rounds: u32) -> bool {
+    rounds > 0
+        && rounds.is_multiple_of(PROBE_BATCH)
+        && (failures == rounds
+            || rounds >= PROBE_MAX_ROUNDS
+            || (rounds >= PROBE_MIN_ROUNDS && (failures == 0 || failures >= PROBE_TARGET_FAILURES)))
+}
+
+/// Orders `times[a]` before `times[b]` (the `f64::total_cmp` order a sort
+/// would give).
+#[inline]
+fn compare_swap(times: &mut [f64; MAX_CLIQUE], a: usize, b: usize) {
+    // indexing: the callers pass a < b < MAX_CLIQUE.
+    if times[b].total_cmp(&times[a]).is_lt() {
+        times.swap(a, b);
     }
 }
 
@@ -1098,6 +1160,11 @@ impl TailSimulator {
             };
             (tilts, count_tilt)
         });
+        if xed_telemetry::enabled() && pilot.is_some() {
+            // The pilot is the first thing timed from `start`.
+            let pilot_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            metrics::FAULTSIM_TAIL_PILOT_NS.record(pilot_ns);
+        }
         if let Some((tilts, count_tilt)) = pilot {
             // invariant: the pilot closure is entered only under
             // `plan.clique.is_some()`, so the Option is still populated here.
@@ -1570,6 +1637,237 @@ mod tests {
         }
     }
 
+    /// Table I rates times ten: more faults per timeline.
+    fn rates_x10() -> FitRates {
+        FitRates::custom(
+            FitRates::table_i()
+                .rows()
+                .iter()
+                .map(|r| crate::fit::ModeRate {
+                    transient_fit: r.transient_fit * 10.0,
+                    permanent_fit: r.permanent_fit * 10.0,
+                    ..*r
+                })
+                .collect(),
+        )
+    }
+
+    /// A clique-forced plan over `model` with neither the pilot's tilts
+    /// nor a count distribution: enough to plant, probe, walk and count.
+    fn bare_plan(model: SchemeModel, rates: &FitRates, k: u32) -> TailPlan<'_> {
+        let sampler = LifetimeSampler::new(
+            rates,
+            model.config().geometry,
+            model.config().total_chips(),
+            LIFETIME_YEARS,
+        );
+        TailPlan {
+            lambda: sampler.lambda(),
+            model,
+            sampler,
+            mode: TailMode::CliqueForced,
+            k,
+            p_ge_k: 1.0,
+            pmf_k: 0.0,
+            hours: LIFETIME_YEARS * HOURS_PER_YEAR,
+            clique: None,
+            count_tilt: None,
+        }
+    }
+
+    #[test]
+    fn shared_domain_walk_matches_the_full_walk() {
+        // `retain_walked` drops every event alone in its domain with a
+        // quiet mode. Walking what is left must end exactly like walking
+        // everything — same verdict, same failing event, same final RNG
+        // state — and S(x) must not change, for every scheme × parameter
+        // variant × intersection model, on random timelines and on
+        // timelines around a planted clique.
+        use crate::scaling::ScalingFaults;
+        use rand::SeedableRng;
+        let rates = rates_x10();
+        let variants = [
+            ModelParams::default(),
+            ModelParams {
+                transient_exposure_hours: 24.0,
+                ..ModelParams::default()
+            },
+            ModelParams {
+                on_die_ecc: false,
+                ..ModelParams::default()
+            },
+            ModelParams {
+                scaling: ScalingFaults::with_rate(0.9),
+                on_die_miss: 0.5,
+                dimm_secded_burst_detect: 0.5,
+                ..ModelParams::default()
+            },
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5AA1_ED0D);
+        let (mut walks, mut dropped, mut kept_loud, mut failed) = (0u32, 0u32, 0u32, 0u32);
+        let mut full = Scratch::default();
+        let mut walked = Scratch::default();
+        for scheme in Scheme::ALL {
+            for variant in variants {
+                for require_line_intersection in [true, false] {
+                    let params = ModelParams {
+                        require_line_intersection,
+                        ..variant
+                    };
+                    let model = SchemeModel::new(scheme, params);
+                    // S(x) needs a clique plan, which scaling faults rule
+                    // out: count on the same scheme without them.
+                    let k = min_failing_faults(scheme).max(2);
+                    let plain = SchemeModel::new(
+                        scheme,
+                        ModelParams {
+                            scaling: ScalingFaults::none(),
+                            ..params
+                        },
+                    );
+                    let cliques = [true, false].map(|ordered| {
+                        CliquePlan::build(&plain, &rates, k, ordered).expect("a clique plan")
+                    });
+                    let elide = model.bit_always_benign();
+                    let plan = bare_plan(model, &rates, k);
+                    let counter = bare_plan(plain, &rates, k);
+                    for round in 0..120u32 {
+                        full.events.clear();
+                        let clique = &cliques[(round % 2) as usize];
+                        if round % 3 != 0 {
+                            plan.plant_clique(clique, &mut rng, &mut full.events);
+                        }
+                        let extra = rng.gen_range(0..=10);
+                        plan.sampler
+                            .events_append(extra, &mut rng, &mut full.events, elide);
+                        walked.events.clone_from(&full.events);
+                        plan.model.retain_walked(&mut walked.events);
+                        sort_by_arrival(&mut full.events);
+                        sort_by_arrival(&mut walked.events);
+                        let mut full_rng = StdRng::seed_from_u64(u64::from(round));
+                        let mut walked_rng = full_rng.clone();
+                        let want =
+                            walk_timeline(&plan.model, &mut full_rng, &mut full, |_, _, _| {});
+                        let got =
+                            walk_timeline(&plan.model, &mut walked_rng, &mut walked, |_, _, _| {});
+                        let what = format!("{scheme:?} {params:?} round {round}");
+                        assert_eq!(got, want, "{what}: verdict or failing event");
+                        assert_eq!(walked_rng, full_rng, "{what}: draws");
+                        assert_eq!(
+                            counter.count_cliques(clique, &walked.events),
+                            counter.count_cliques(clique, &full.events),
+                            "{what}: S(x)"
+                        );
+                        walks += 1;
+                        dropped += (full.events.len() - walked.events.len()) as u32;
+                        kept_loud += u32::from(
+                            walked.events.len() > 1
+                                && !plan.model.is_quiet_timeline(&walked.events),
+                        );
+                        failed += u32::from(want.is_some());
+                    }
+                }
+            }
+        }
+        assert_eq!(walks, 7 * 4 * 2 * 120);
+        assert!(dropped > walks / 2, "only {dropped} events dropped");
+        assert!(kept_loud > walks / 2, "only {kept_loud} walks kept work");
+        assert!(failed > walks / 4, "only {failed} walks failed");
+    }
+
+    /// The tuple probe as a plain round loop: rebuild and walk the
+    /// synthetic timeline every round, batch after batch, until a batch
+    /// boundary settles the propensity. The oracle for the memoized
+    /// [`TailPlan::probe_tuple`].
+    fn probe_tuple_by_rounds(
+        plan: &TailPlan<'_>,
+        clique: &CliquePlan,
+        index: usize,
+        rng: &mut StdRng,
+        scratch: &mut Scratch,
+    ) -> f64 {
+        let mut failures = 0u32;
+        let mut rounds = 0u32;
+        while rounds < PROBE_MAX_ROUNDS {
+            for _ in 0..PROBE_BATCH {
+                plan.probe_timeline(clique, index, rng, &mut scratch.events);
+                if plan.evaluate_timeline(rng, scratch).is_some() {
+                    failures += 1;
+                }
+            }
+            rounds += PROBE_BATCH;
+            if failures == rounds
+                || (rounds >= PROBE_MIN_ROUNDS
+                    && (failures == 0 || failures >= PROBE_TARGET_FAILURES))
+            {
+                break;
+            }
+        }
+        f64::from(failures) / f64::from(rounds)
+    }
+
+    #[test]
+    fn memoized_probe_matches_the_round_loop() {
+        // For every tuple of every Chipkill-class scheme, strict and
+        // coarse, ordered and not, at the paper's on-die miss and at a
+        // coin-flip one: the memoized probe returns the round loop's
+        // propensity bit for bit and leaves the probe generator in the
+        // same state, whether it took the draw-free shortcut or not.
+        use rand::SeedableRng;
+        let rates = rates_x10();
+        let (mut tuples, mut memoized, mut mixed) = (0u32, 0u32, 0u32);
+        let mut scratch = Scratch::default();
+        for scheme in [
+            Scheme::Chipkill,
+            Scheme::ChipkillX4,
+            Scheme::XedChipkill,
+            Scheme::DoubleChipkill,
+        ] {
+            for on_die_miss in [0.008, 0.5] {
+                for require_line_intersection in [true, false] {
+                    let model = SchemeModel::new(
+                        scheme,
+                        ModelParams {
+                            on_die_miss,
+                            require_line_intersection,
+                            ..ModelParams::default()
+                        },
+                    );
+                    let k = min_failing_faults(scheme);
+                    for ordered in [true, false] {
+                        let clique =
+                            CliquePlan::build(&model, &rates, k, ordered).expect("a clique plan");
+                        let plan = bare_plan(model.clone(), &rates, k);
+                        for index in 0..clique.tuples.len() {
+                            let seed = u64::from(tuples) ^ 0x9_0BE5;
+                            let mut want_rng = StdRng::seed_from_u64(seed);
+                            let mut got_rng = want_rng.clone();
+                            let want = probe_tuple_by_rounds(
+                                &plan,
+                                &clique,
+                                index,
+                                &mut want_rng,
+                                &mut scratch,
+                            );
+                            let got = plan.probe_tuple(&clique, index, &mut got_rng, &mut scratch);
+                            let what = format!(
+                                "{scheme:?} miss {on_die_miss} strict {require_line_intersection} \
+                                 ordered {ordered} tuple {index}"
+                            );
+                            assert_eq!(got.to_bits(), want.to_bits(), "{what}: propensity");
+                            assert_eq!(got_rng, want_rng, "{what}: probe generator");
+                            tuples += 1;
+                            memoized += u32::from(got_rng == StdRng::seed_from_u64(seed));
+                            mixed += u32::from(got > 0.0 && got < 1.0);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(memoized > tuples / 4, "{memoized} of {tuples} memoized");
+        assert!(mixed > 10, "only {mixed} probes were neither 0 nor 1");
+    }
+
     #[test]
     fn inert_faults_never_change_the_clique_count() {
         // The tail engine leaves inert single-bit faults out of its
@@ -1580,16 +1878,7 @@ mod tests {
         // draws exactly what keeping does, and drops exactly the
         // single-bit events.
         use rand::SeedableRng;
-        let rows = FitRates::table_i()
-            .rows()
-            .iter()
-            .map(|r| crate::fit::ModeRate {
-                transient_fit: r.transient_fit * 10.0,
-                permanent_fit: r.permanent_fit * 10.0,
-                ..*r
-            })
-            .collect();
-        let rates = FitRates::custom(rows);
+        let rates = rates_x10();
         let mut rng = StdRng::seed_from_u64(0x5EED);
         let (mut timelines, mut elided_total, mut several) = (0u32, 0u32, 0u32);
         for scheme in [
@@ -1611,24 +1900,7 @@ mod tests {
                     let k = min_failing_faults(scheme);
                     let clique = CliquePlan::build(&model, &rates, k, ordered)
                         .expect("a clique plan at default parameters");
-                    let sampler = LifetimeSampler::new(
-                        &rates,
-                        model.config().geometry,
-                        model.config().total_chips(),
-                        LIFETIME_YEARS,
-                    );
-                    let plan = TailPlan {
-                        lambda: sampler.lambda(),
-                        model,
-                        sampler,
-                        mode: TailMode::CliqueForced,
-                        k,
-                        p_ge_k: 1.0,
-                        pmf_k: 0.0,
-                        hours: LIFETIME_YEARS * HOURS_PER_YEAR,
-                        clique: None,
-                        count_tilt: None,
-                    };
+                    let plan = bare_plan(model, &rates, k);
                     for _ in 0..100 {
                         let mut full = Vec::new();
                         plan.plant_clique(&clique, &mut rng, &mut full);

@@ -484,9 +484,42 @@ impl SchemeModel {
         self.domain_span
     }
 
+    /// The index of `chip`'s protection domain, `chip / domain_span`,
+    /// computed as the reciprocal multiply [`Self::new`] checks exact on
+    /// every chip of the system. Every domain test goes through it.
+    #[inline]
+    pub(crate) fn domain_of(&self, chip: u32) -> u32 {
+        (chip * self.domain_recip) >> DOMAIN_SHIFT
+    }
+
     /// `true` if chips `a` and `b` share this scheme's protection domain.
     pub fn same_domain(&self, a: u32, b: u32) -> bool {
-        a / self.domain_span == b / self.domain_span
+        self.domain_of(a) == self.domain_of(b)
+    }
+
+    /// `true` if the mode `(extent, persistence)` is quiet: evaluated
+    /// alone, it is Benign or Corrected without a draw.
+    #[inline]
+    fn is_quiet(&self, extent: FaultExtent, persistence: Persistence) -> bool {
+        self.quiet_modes >> mode_bit(extent, persistence) & 1 != 0
+    }
+
+    /// The domain masks of `events`, branch-free: `(seen, shared, modes)`,
+    /// where bit `d` of `seen` (`shared`) is set iff one or more (two or
+    /// more) events sit in domain `d` (indexed by [`Self::domain_of`]),
+    /// and `modes` is the union of the events' mode bits.
+    #[inline]
+    fn domain_masks(&self, events: &[FaultEvent]) -> (u64, u64, u16) {
+        let mut seen = 0u64;
+        let mut shared = 0u64;
+        let mut modes = 0u16;
+        for e in events {
+            let domain = 1u64 << self.domain_of(e.chip);
+            shared |= seen & domain;
+            seen |= domain;
+            modes |= 1 << mode_bit(e.fault.extent, e.fault.persistence);
+        }
+        (seen, shared, modes)
     }
 
     /// `true` if walking `events` (in any order, under any exposure
@@ -499,22 +532,47 @@ impl SchemeModel {
     /// `evaluation_outside_the_domain_matches_isolated` test) — and a quiet
     /// mode's isolated verdict is Benign or Corrected with no draw. The
     /// lifetime kernels end such a trial before sorting or walking it.
-    ///
-    /// Branch-free over the events: a `u64` of domains seen (indexed by
-    /// the reciprocal multiply checked in [`Self::new`]), the domains seen
-    /// twice, and the union of the events' mode bits.
     #[inline]
     pub(crate) fn is_quiet_timeline(&self, events: &[FaultEvent]) -> bool {
-        let mut seen = 0u64;
-        let mut shared = 0u64;
-        let mut modes = 0u16;
-        for e in events {
-            let domain = 1u64 << ((e.chip * self.domain_recip) >> DOMAIN_SHIFT);
-            shared |= seen & domain;
-            seen |= domain;
-            modes |= 1 << mode_bit(e.fault.extent, e.fault.persistence);
-        }
+        let (_, shared, modes) = self.domain_masks(events);
         shared == 0 && modes & !self.quiet_modes == 0
+    }
+
+    /// Drops from `events`, keeping the others in order, every event that
+    /// is alone in its protection domain and has a quiet mode.
+    ///
+    /// This is the per-event form of [`Self::is_quiet_timeline`]: such an
+    /// event's evaluation is Benign or Corrected with no draw, and no other
+    /// event's evaluation sees it (`concurrent_chips` counts only its own
+    /// domain). Walking the rest therefore gives the same verdicts, the
+    /// same failing event and the same draws, and a fault clique — which
+    /// lives inside one domain — never loses a member. The rare-event
+    /// timelines apply it before sorting, so a Chipkill-class walk (every
+    /// mode quiet) sees only the domains that hold two or more faults.
+    ///
+    /// Branch-free like `LifetimeSampler::events_append`: every event is
+    /// written into the next free slot and the cursor advances only for a
+    /// kept one.
+    #[inline]
+    pub(crate) fn retain_walked(&self, events: &mut Vec<FaultEvent>) {
+        let (seen, shared, _) = self.domain_masks(events);
+        if seen == shared {
+            // No event is alone in its domain (the common case of a
+            // forced clique with nothing else kept): nothing to drop.
+            return;
+        }
+        let mut len = 0;
+        for i in 0..events.len() {
+            // indexing: len ≤ i < events.len(), since the cursor advances
+            // at most once per event.
+            let e = events[i];
+            let keep = (shared >> self.domain_of(e.chip) & 1 != 0)
+                | !self.is_quiet(e.fault.extent, e.fault.persistence);
+            // indexing: as above.
+            events[len] = e;
+            len += usize::from(keep);
+        }
+        events.truncate(len);
     }
 
     /// Counts the largest set of distinct chips (including `e.chip`) in
@@ -529,7 +587,7 @@ impl SchemeModel {
     /// already-counted chip is skipped by the same test.
     pub fn concurrent_chips(&self, e: &FaultEvent, active: &[FaultEvent]) -> u32 {
         let span = self.domain_span;
-        let lo = e.chip - e.chip % span;
+        let lo = self.domain_of(e.chip) * span;
         let own = 1u64 << (e.chip - lo);
         if !self.params.require_line_intersection {
             let mut used = own;
@@ -1598,7 +1656,7 @@ mod tests {
                 for extent in FaultExtent::ALL {
                     for persistence in PERSISTENCES {
                         assert_eq!(
-                            m.quiet_modes >> mode_bit(extent, persistence) & 1 != 0,
+                            m.is_quiet(extent, persistence),
                             measured_quiet(&m, extent, persistence),
                             "{scheme:?} {extent:?} {persistence:?} {params:?}"
                         );

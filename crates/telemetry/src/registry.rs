@@ -65,6 +65,7 @@ pub mod metrics {
     pub static FAULTSIM_TAIL_TRIALS: Counter = Counter::new();
     pub static FAULTSIM_TAIL_FORCED_PAIRS: Counter = Counter::new();
     pub static FAULTSIM_TAIL_FALLBACKS: Counter = Counter::new();
+    pub static FAULTSIM_TAIL_PILOT_NS: Histogram = Histogram::new();
 
     // -- xedd: the reliability-as-a-service daemon ------------------------
     pub static XEDD_REQUESTS: Counter = Counter::new();
@@ -176,6 +177,7 @@ pub static CATALOGUE: &[MetricDef] = &[
     c("faultsim.tail.trials", "Conditioned trials simulated by the rare-event engine", &metrics::FAULTSIM_TAIL_TRIALS),
     c("faultsim.tail.forced_pairs", "Rare-event trials using the pair-forced proposal", &metrics::FAULTSIM_TAIL_FORCED_PAIRS),
     c("faultsim.tail.fallbacks", "Tail requests that fell back to count-conditioning or plain MC", &metrics::FAULTSIM_TAIL_FALLBACKS),
+    h("faultsim.tail.pilot_ns", "Wall nanoseconds of a clique-forced tail run's single-threaded pilot probe", &metrics::FAULTSIM_TAIL_PILOT_NS),
     c("xedd.requests", "HTTP reliability queries accepted by the daemon", &metrics::XEDD_REQUESTS),
     c("xedd.cache.hits", "Queries answered from the canonical-key memo cache", &metrics::XEDD_CACHE_HITS),
     c("xedd.cache.misses", "Queries whose canonical key was not cached", &metrics::XEDD_CACHE_MISSES),

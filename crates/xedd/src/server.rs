@@ -32,8 +32,8 @@ use crate::coalesce::{Coalescer, Join, LeaderGuard};
 use crate::http;
 use crate::render::{self, CachedResponse};
 use std::collections::VecDeque;
-use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufReader, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -51,6 +51,16 @@ const READ_TIMEOUT: Duration = Duration::from_secs(10);
 /// burst means the daemon is drowning, and the rings hold exactly the
 /// last requests' phase history an operator needs.
 const SHED_BURST_DUMP: u32 = 8;
+
+/// Wake-up connections [`Server`] tries at shutdown before it gives up
+/// on unblocking the acceptor's `accept`.
+const WAKE_ATTEMPTS: u32 = 3;
+
+/// Connect timeout of one wake-up attempt.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Pause between two wake-up attempts.
+const WAKE_BACKOFF: Duration = Duration::from_millis(100);
 
 /// Build identity reported by `/healthz`; baked in at compile time when
 /// the build sets `XEDD_GIT_HASH` (see `scripts/ci.sh`).
@@ -111,7 +121,9 @@ struct Inner {
 /// A running daemon. Dropping it shuts the listener and workers down.
 #[derive(Debug)]
 pub struct Server {
-    port: u16,
+    /// Where the shutdown wake-up connects: the bound address, with an
+    /// unspecified IP (`0.0.0.0`, `::`) replaced by loopback.
+    wake: SocketAddr,
     inner: Arc<Inner>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
@@ -122,10 +134,15 @@ impl Server {
     pub fn start(config: XeddConfig) -> Result<Server, String> {
         let listener =
             TcpListener::bind(&config.addr).map_err(|e| format!("bind {}: {e}", config.addr))?;
-        let port = listener
+        let mut wake = listener
             .local_addr()
-            .map_err(|e| format!("local_addr: {e}"))?
-            .port();
+            .map_err(|e| format!("local_addr: {e}"))?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
         trace::set_trace_enabled(config.tracing);
         let inner = Arc::new(Inner {
             cache: MemoCache::new(config.cache_capacity, config.cache_shards),
@@ -148,7 +165,7 @@ impl Server {
             })
             .collect();
         Ok(Server {
-            port,
+            wake,
             inner,
             acceptor: Some(acceptor),
             workers,
@@ -157,12 +174,12 @@ impl Server {
 
     /// The bound TCP port.
     pub fn port(&self) -> u16 {
-        self.port
+        self.wake.port()
     }
 
     /// The loopback address clients reach the daemon at.
     pub fn addr(&self) -> String {
-        format!("127.0.0.1:{}", self.port)
+        format!("127.0.0.1:{}", self.wake.port())
     }
 
     /// Signals shutdown and joins the acceptor and workers. Queued
@@ -179,11 +196,24 @@ impl Server {
         // loops (the workspace's boundary ordering discipline, XA102).
         self.inner.shutdown.store(true, Ordering::Release);
         // Unblock the blocking accept with a throwaway connection; the
-        // acceptor re-checks the flag before queueing anything.
-        let _ = TcpStream::connect(("127.0.0.1", self.port));
+        // acceptor re-checks the flag before queueing anything. Without
+        // one it would block until the next client arrives, so it is
+        // detached rather than joined: shutdown returns in bounded time.
+        let woken = wake_acceptor(self.wake);
         self.inner.queue_cv.notify_all();
         if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+            if woken {
+                let _ = acceptor.join();
+            } else {
+                // `stop` also runs from `Drop`, which must not panic on a
+                // failed stderr write (as `eprintln!` would).
+                let _ = writeln!(
+                    std::io::stderr(),
+                    "xedd: no wake-up connection reached {} in {WAKE_ATTEMPTS} attempts; \
+                     detaching the acceptor thread instead of joining it",
+                    self.wake
+                );
+            }
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -195,6 +225,18 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.stop();
     }
+}
+
+/// Connects to `addr` to unblock the acceptor's `accept`, up to
+/// [`WAKE_ATTEMPTS`] times with a [`WAKE_TIMEOUT`] each; returns whether a
+/// connection landed (the acceptor then returns from `accept`).
+fn wake_acceptor(addr: SocketAddr) -> bool {
+    (0..WAKE_ATTEMPTS).any(|attempt| {
+        if attempt > 0 {
+            std::thread::sleep(WAKE_BACKOFF);
+        }
+        TcpStream::connect_timeout(&addr, WAKE_TIMEOUT).is_ok()
+    })
 }
 
 /// Dumps the flight recorder (every slot's retained spans) to stderr as
@@ -720,4 +762,35 @@ fn error_line(reason: &str) -> String {
         "{{\"error\":{},\"done\":true}}",
         xed_telemetry::export::json_string(reason)
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stop_returns_when_no_wake_connection_lands() {
+        // Point the wake-up at loopback port 0, which nothing can listen
+        // on: every attempt is refused, so the acceptor stays blocked in
+        // `accept`. Shutdown must still return, well within the attempts'
+        // budget.
+        let closed = SocketAddr::from((Ipv4Addr::LOCALHOST, 0));
+        let mut server = Server::start(XeddConfig {
+            workers: 1,
+            ..XeddConfig::default()
+        })
+        .expect("bind ephemeral port");
+        server.wake = closed;
+        // Shut down on a watchdog thread, so a hang fails the test
+        // instead of stalling the suite.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done.send(());
+        });
+        let budget = (WAKE_TIMEOUT + WAKE_BACKOFF) * WAKE_ATTEMPTS + Duration::from_secs(5);
+        finished
+            .recv_timeout(budget)
+            .expect("shutdown returns although no wake-up connection lands");
+    }
 }

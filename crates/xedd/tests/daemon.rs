@@ -175,3 +175,24 @@ fn ephemeral_servers_bind_distinct_ports() {
     a.shutdown();
     b.shutdown();
 }
+
+#[test]
+fn servers_start_and_stop_in_a_loop_within_a_deadline() {
+    // Shutdown wakes the blocking acceptor with a connection of its own;
+    // a lost wake-up used to hang the join forever. Start and stop
+    // ephemeral servers back to back on a watchdog thread: the loop must
+    // finish inside the deadline, or the test fails instead of hanging.
+    const ROUNDS: u32 = 24;
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for _ in 0..ROUNDS {
+            let server = start(1, 4);
+            assert_ne!(server.port(), 0);
+            server.shutdown();
+        }
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(Duration::from_secs(60))
+        .expect("start/stop loop missed its deadline (or panicked)");
+}

@@ -49,12 +49,18 @@ cargo test -q --workspace
 # must fold to the same result for every scheme under both kernels
 # (DESIGN.md §9.3). The premise test pins what makes the quiet exit
 # safe: a fault whose domain holds no other multi-bit fault is evaluated
-# exactly as in isolation, verdict and draws.
-step "bit-sliced vs scalar kernel and replay equivalence (release)"
+# exactly as in isolation, verdict and draws. The tail engine rests on
+# the same premise: its walk over the shared domains only must end like
+# the full walk, its memoized pilot probe must match the round loop, and
+# its estimates stay pinned bit for bit (DESIGN.md §14.2–14.3).
+step "bit-sliced vs scalar kernel, replay and tail-walk equivalence (release)"
 cargo test -q --release -p xed-faultsim --lib -- \
     bit_sliced_kernel_is_bit_identical_to_scalar \
     replaying_every_trial_reproduces_the_aggregate_result \
-    evaluation_outside_the_domain_matches_isolated
+    evaluation_outside_the_domain_matches_isolated \
+    shared_domain_walk_matches_the_full_walk \
+    memoized_probe_matches_the_round_loop \
+    estimates_are_pinned_bit_for_bit_in_every_mode
 
 # Gating: the one-pass FR-FCFS scheduler with per-channel wake cycles
 # must match the three-pass reference controller it replaced, kept as a
