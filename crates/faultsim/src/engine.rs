@@ -52,6 +52,12 @@ pub const MAX_YEARS: f64 = 1_000.0;
 /// selftest's slow stream) asks for 8 million.
 pub const MAX_SAMPLES: u64 = 1_000_000_000;
 
+/// Most worker threads a query may ask for. An evaluation starts up to
+/// this many threads (never more than it has work chunks), so an
+/// unbounded count would let one request exhaust the host's threads and
+/// memory; 256 is far above any core count the engine is run on.
+pub const MAX_THREADS: usize = 256;
+
 /// Version tag absorbed first into every canonical key. Bump whenever the
 /// canonical encoding changes meaning, so stale caches can never alias a
 /// new encoding. v2: absorbs `ModelParams::code_model` (the inferred-code
@@ -152,6 +158,12 @@ impl Query {
             return Err(format!(
                 "samples must be at most {MAX_SAMPLES}, got {}",
                 self.samples
+            ));
+        }
+        if self.exec.threads > MAX_THREADS {
+            return Err(format!(
+                "threads must be at most {MAX_THREADS}, got {}",
+                self.exec.threads
             ));
         }
         if !(self.years.is_finite() && self.years > 0.0) {
@@ -1099,7 +1111,8 @@ mod tests {
     fn sample_counts_beyond_the_bound_are_rejected_before_any_trial() {
         // A run's time is linear in its trial count, so an absurd count
         // must be a validation error, not a worker held for days. The
-        // largest in-repo query stays valid.
+        // largest in-repo query stays valid. The same holds for a thread
+        // count that would exhaust the host.
         for kind in [QueryKind::Lifetime, QueryKind::Tail { force: None }] {
             let mut q = Query {
                 kind,
@@ -1112,6 +1125,16 @@ mod tests {
                 q.samples = samples;
                 assert!(q.validate().is_err(), "{samples} samples");
                 assert!(evaluate(&q).is_err(), "{samples} samples");
+            }
+            // Likewise a thread count past the bound is rejected before a
+            // single worker starts.
+            q.samples = 1;
+            q.exec.threads = MAX_THREADS;
+            assert!(q.validate().is_ok());
+            for threads in [MAX_THREADS + 1, usize::MAX] {
+                q.exec.threads = threads;
+                assert!(q.validate().is_err(), "{threads} threads");
+                assert!(evaluate(&q).is_err(), "{threads} threads");
             }
         }
     }

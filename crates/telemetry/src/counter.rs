@@ -12,9 +12,10 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Number of shards per counter. Enough that the 8–16 worker threads the
-/// engines spawn rarely share a shard; small enough that a `Counter`
-/// static is one page-fraction (16 × 64 B = 1 KiB).
+/// Number of shards per counter. Enough that the 8–16 threads an engine
+/// run uses (the caller plus its spawned workers) rarely share a shard;
+/// small enough that a `Counter` static is one page-fraction
+/// (16 × 64 B = 1 KiB).
 pub const SHARDS: usize = 16;
 
 /// One cache line worth of counter, so shards never false-share.

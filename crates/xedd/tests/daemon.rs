@@ -152,6 +152,19 @@ fn oversized_sample_counts_are_rejected_with_400() {
         "{}",
         resp.body
     );
+    // A thread count past the bound is refused before any worker starts.
+    let over = xed_faultsim::engine::MAX_THREADS + 1;
+    let resp = http::client_get(
+        &addr,
+        &format!("/v1/query?scheme=xed&samples=4096&threads={over}"),
+    )
+    .expect("response");
+    assert_eq!(resp.status, 400);
+    assert!(
+        resp.body.contains("threads must be at most"),
+        "{}",
+        resp.body
+    );
     server.shutdown();
 }
 

@@ -52,9 +52,14 @@ cargo test -q --workspace
 # exactly as in isolation, verdict and draws. The tail engine rests on
 # the same premise: its walk over the shared domains only must end like
 # the full walk, its memoized pilot probe must match the round loop, and
-# its estimates stay pinned bit for bit (DESIGN.md §14.2–14.3).
-step "bit-sliced vs scalar kernel, replay and tail-walk equivalence (release)"
+# its estimates stay pinned bit for bit (DESIGN.md §14.2–14.3). The
+# scheduler tests pin what keeps every run thread-count-invariant: each
+# chunk is claimed exactly once, by at most min(threads, chunks)
+# workers, and a one-thread run stays on the calling thread (§9.2).
+step "bit-sliced vs scalar kernel, replay, tail-walk and scheduler equivalence (release)"
 cargo test -q --release -p xed-faultsim --lib -- \
+    one_thread_runs_every_chunk_on_the_caller \
+    every_chunk_is_claimed_exactly_once_by_at_most_min_threads_chunks_workers \
     bit_sliced_kernel_is_bit_identical_to_scalar \
     replaying_every_trial_reproduces_the_aggregate_result \
     evaluation_outside_the_domain_matches_isolated \
