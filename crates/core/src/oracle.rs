@@ -111,7 +111,7 @@ pub fn with_miss_at_x4(fault: InjectedFault, addr: WordAddr) -> InjectedFault {
 fn unreachable_search() -> InjectedFault {
     // invariant: callers searched 2^17 independent ≈1/256 (or ≈255/256)
     // candidates, so exhaustion is statistically impossible.
-    unreachable!("corruption-seed search exhausted {SEARCH_CAP} candidates") // xed-lint: allow(XL003)
+    unreachable!("corruption-seed search exhausted {SEARCH_CAP} candidates") // xed-analyze: allow(XL003) — see invariant
 }
 
 /// Realizes one line read through the conventional 9-chip SECDED DIMM

@@ -16,7 +16,7 @@
 //!    available for callers that prefer owned results over scratch reuse
 //!    (tests, tools, one-shot decodes).
 //!
-//! Nothing in this module is on the simulation hot path; the `xed-lint`
+//! Nothing in this module is on the simulation hot path; the `xed-analyze`
 //! XL009 rule keeps heap allocation out of the designated hot modules of
 //! this crate, and this module is the designated home for everything the
 //! rule banishes.

@@ -458,7 +458,7 @@ pub(crate) fn run_many(
 
     // Wall-clock timing is reporting-only metadata; the simulation
     // itself stays deterministic.
-    let start = Instant::now(); // xed-lint: allow(XL005)
+    let start = Instant::now(); // xed-analyze: allow(XL005) — reporting only
     let per_worker = steal_chunks(
         threads,
         total_chunks,
@@ -477,7 +477,7 @@ pub(crate) fn run_many(
             // into the simulation), same as the outer timer. The clock is
             // also read when the calling request is traced, so each chunk
             // can land in the flight recorder as a SchedulerChunk span.
-            let chunk_start = (telemetry_on || span_ctx.is_some()).then(Instant::now); // xed-lint: allow(XL005)
+            let chunk_start = (telemetry_on || span_ctx.is_some()).then(Instant::now); // xed-analyze: allow(XL005) — reporting only
             run_trials(
                 &models[si],
                 sampler,

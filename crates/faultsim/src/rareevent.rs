@@ -1012,7 +1012,7 @@ impl TailSimulator {
         if lambda > POISSON_CHUNK || config.force_mode == Some(TailMode::PlainMc) {
             return self.run_plain(scheme);
         }
-        // xed-lint: allow(XL004) — exact zero-rate sentinel
+        // xed-analyze: allow(XL004) — exact zero-rate sentinel
         if lambda == 0.0 {
             // No faults ever arrive: the tail probability is exactly zero.
             return self.zero_estimate(scheme, k);
@@ -1027,7 +1027,7 @@ impl TailSimulator {
             pmf *= lambda / f64::from(n + 1);
         }
         let p_ge_k = (1.0 - below).max(0.0);
-        // xed-lint: allow(XL004) — clamped to exactly 0 above
+        // xed-analyze: allow(XL004) — clamped to exactly 0 above
         if p_ge_k == 0.0 {
             return self.zero_estimate(scheme, k);
         }
@@ -1043,7 +1043,7 @@ impl TailSimulator {
                 // that structural guarantee (a transient can still be
                 // active when the completing fault lands), so fall back to
                 // unrestricted cliques — which never relied on persistence.
-                // xed-lint: allow(XL004) — an exactly-zero configured window
+                // xed-analyze: allow(XL004) — an exactly-zero configured window
                 let restricted = config.params.transient_exposure_hours == 0.0;
                 let ordered = if restricted {
                     CliquePlan::build(&model, &config.rates, k, true)
@@ -1078,7 +1078,7 @@ impl TailSimulator {
         );
         let chunks = config.samples.div_ceil(TAIL_CHUNK);
 
-        let start = Instant::now(); // xed-lint: allow(XL005)
+        let start = Instant::now(); // xed-analyze: allow(XL005) — reporting only
 
         // Pilot probe: tilt both proposals toward where failures actually
         // live (near-optimal tilt is ∝ √f per stratum). Stage 1 measures

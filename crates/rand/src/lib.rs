@@ -12,7 +12,7 @@
 //! * [`Rng::gen`], [`Rng::gen_range`], [`Rng::gen_bool`].
 //!
 //! Two deliberate omissions enforce the repo's Monte-Carlo determinism
-//! policy (see `cargo run -p xtask -- lint`, rule `XL005`): there is no
+//! policy (see `cargo run -p xtask -- analyze`, rule `XL005`): there is no
 //! `thread_rng()` and no `from_entropy()`. Every generator in the
 //! workspace must flow from an explicit `u64` seed, so any simulation
 //! result is reproducible from its logged seed.

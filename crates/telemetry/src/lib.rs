@@ -13,7 +13,7 @@
 //!   hand-render JSON exactly like the rest of the workspace.
 //! * **Allocation-free hot paths.** [`Counter`], [`Histogram`], [`Ring`],
 //!   [`Tallies`], and the [`trace`] flight rings never touch the heap
-//!   after construction (xed-lint XL009 is enforced over these modules).
+//!   after construction (xed-analyze XL009 is enforced over these modules).
 //!   Allocation is confined to the snapshot/export layer, which runs once
 //!   per report.
 //! * **Owned tallies, publish-at-merge.** Code on a nanosecond budget
@@ -29,7 +29,7 @@
 //!   time) records live.
 //! * **Stable dotted metric IDs.** Every metric is a static registered
 //!   exactly once in [`registry::CATALOGUE`] under an ID like
-//!   `faultsim.trials` or `core.xed.catchword_collisions`; xed-lint XL010
+//!   `faultsim.trials` or `core.xed.catchword_collisions`; xed-analyze XL010
 //!   cross-checks code usage, the catalogue, and the DESIGN.md §11 table.
 //! * **Determinism untouched.** Telemetry is reporting-only metadata:
 //!   nothing here feeds back into simulation state, and the global
@@ -92,16 +92,6 @@ pub fn enabled() -> bool {
 /// the hot path's Relaxed `enabled()` loads (XA102 boundary).
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Release);
-}
-
-/// Adds one to `c` when telemetry is enabled: the one-liner for a live
-/// event-grain site whose cost dwarfs a relaxed add. Code that owns its
-/// counts publishes them at a merge point instead.
-#[inline]
-pub fn tick(c: &Counter) {
-    if enabled() {
-        c.incr();
-    }
 }
 
 /// Adds `n` to `c` when telemetry is enabled.

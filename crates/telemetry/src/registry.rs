@@ -9,11 +9,11 @@
 //! throughput is benchmarked to the nanosecond); `ecc.*` counters are
 //! bumped by the kernels' *consumers* at batch boundaries.
 //!
-//! The catalogue below is machine-checked: xed-lint rule XL010 verifies
-//! that every ID appears exactly once here, that every `metrics::NAME`
-//! referenced from workspace code is registered, and that the DESIGN.md
-//! §11 table lists every ID. Keep each entry on one line — the lint's
-//! parser pairs the ID literal with the `metrics::NAME` token per line.
+//! The catalogue below is machine-checked: xed-analyze rule XL010
+//! verifies that every ID appears exactly once here, that every
+//! `metrics::NAME` referenced from workspace code is registered, and that
+//! the DESIGN.md §11 table lists every ID; XA103 rejects a static that no
+//! code outside this file reads or writes.
 
 use crate::counter::Counter;
 use crate::export::{MetricSample, SampleValue, Snapshot};
@@ -136,8 +136,7 @@ pub mod metrics {
     pub static ECC_INFER_AMBIGUOUS: Counter = Counter::new();
 }
 
-/// Shorthand for a counter catalogue entry (keeps entries one-line for
-/// the XL010 parser).
+/// Shorthand for a counter catalogue entry (keeps entries one-line).
 const fn c(id: &'static str, help: &'static str, m: &'static Counter) -> MetricDef {
     MetricDef {
         id,
@@ -157,7 +156,8 @@ const fn h(id: &'static str, help: &'static str, m: &'static Histogram) -> Metri
 
 /// Every metric in the workspace, exactly once, in report order.
 ///
-/// One entry per line — xed-lint XL010 parses this region.
+/// One entry per line, so the ID and its static read together; xed-analyze
+/// XL010 parses the entries from the token stream.
 #[rustfmt::skip]
 pub static CATALOGUE: &[MetricDef] = &[
     c("faultsim.runs", "Monte-Carlo run_many invocations", &metrics::FAULTSIM_RUNS),

@@ -35,7 +35,7 @@ impl<'a> Span<'a> {
         Self {
             hist,
             // Reporting-only wall clock; see module docs.
-            start: Instant::now(), // xed-lint: allow(XL005)
+            start: Instant::now(), // xed-analyze: allow(XL005) — reporting only
             done: false,
         }
     }

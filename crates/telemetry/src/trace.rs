@@ -9,7 +9,7 @@
 //! each work-stealing scheduler chunk — so a slow request decomposes
 //! into exactly the stages that cost time.
 //!
-//! The write path is allocation-free (xed-lint XL009, xed-analyze
+//! The write path is allocation-free (xed-analyze XL009 and
 //! XA100/XA101 over [`record_span`] and [`TraceBuf::record`]): events are
 //! fixed-size `Copy` structs written into static ring buffers guarded by
 //! per-slot mutexes, with each thread pinned round-robin to one of
@@ -30,7 +30,7 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// The pipeline stage a span covers. Every variant is documented in the
-/// DESIGN.md §16 phase table — xed-lint rule XL012 enforces the closure.
+/// DESIGN.md §16 phase table — xed-analyze rule XL012 enforces the closure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Phase {
@@ -281,7 +281,7 @@ static EPOCH: OnceLock<Instant> = OnceLock::new();
 /// Nanoseconds since the first call in this process — the monotonic tick
 /// spans are stamped with. Wall time never reaches response bodies.
 pub fn now_ns() -> u64 {
-    let epoch = EPOCH.get_or_init(Instant::now); // xed-lint: allow(XL005)
+    let epoch = EPOCH.get_or_init(Instant::now); // xed-analyze: allow(XL005) — span timestamps only
     u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 

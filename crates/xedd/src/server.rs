@@ -152,7 +152,7 @@ impl Server {
             queue_limit: config.queue_limit.max(1),
             shutdown: AtomicBool::new(false),
             // Reporting-only wall clock (uptime in /healthz).
-            started: Instant::now(), // xed-lint: allow(XL005)
+            started: Instant::now(), // xed-analyze: allow(XL005) — uptime only
         });
         let acceptor = {
             let inner = Arc::clone(&inner);
@@ -377,7 +377,7 @@ fn handle_connection(inner: &Inner, stream: TcpStream, enqueued_ns: u64) {
     let dequeued_ns = trace::now_ns();
     metrics::XEDD_PHASE_ADMISSION_NS.record(dequeued_ns.saturating_sub(enqueued_ns));
     // Wall-clock latency telemetry for /metrics; never in a response body.
-    let started = Instant::now(); // xed-lint: allow(XL005)
+    let started = Instant::now(); // xed-analyze: allow(XL005) — telemetry only
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let Ok(read_half) = stream.try_clone() else {
         return;

@@ -19,9 +19,11 @@
 //! * `struct` / `enum` declarations — their names (and tuple-variant
 //!   names) form the constructor set, so `Shard(x)` or `Some(x)` is
 //!   never mistaken for a function call;
-//! * `#[cfg(test)]` — attached to a `mod`/`fn`, marks everything inside
-//!   as test code (analyzed rules skip it, matching the xed-lint
-//!   convention).
+//! * `#[cfg(test)]` — the attributed item (a `mod`, `fn`, `impl`, `use`,
+//!   …) becomes a test region of the token stream, which every rule
+//!   skips; a `#[cfg(test)] mod name;` declaration makes the file that
+//!   holds `name` test code as a whole (see
+//!   [`Workspace::mark_test_modules`]).
 
 use super::lexer::{Tok, TokKind};
 
@@ -45,8 +47,6 @@ pub struct FnItem {
     /// `Some(type)` for methods in an `impl` block, `Some(trait)` for
     /// trait-default methods.
     pub self_type: Option<String>,
-    /// The trait being implemented (`impl Trait for Type`) or declared.
-    pub trait_name: Option<String>,
     /// `true` for a default-bodied method in a `trait` block.
     pub is_trait_default: bool,
     /// Function name.
@@ -64,7 +64,7 @@ pub struct FnItem {
     /// Generic parameters with their trait bounds' last idents, e.g.
     /// `("R", ["Rng"])`.
     pub generics: Vec<(String, Vec<String>)>,
-    /// Inside a `#[cfg(test)]` module or attached to the fn itself.
+    /// Inside a `#[cfg(test)]` region or a test-only file.
     pub in_cfg_test: bool,
 }
 
@@ -102,8 +102,18 @@ pub struct FileAst {
     pub rel_path: String,
     /// Crate name (underscore form).
     pub krate: String,
+    /// Module path of the file within its crate.
+    pub module: Vec<String>,
     /// The full token stream.
     pub toks: Vec<Tok>,
+    /// `//` comments as `(line, text)` — where waivers live.
+    pub comments: Vec<(u32, String)>,
+    /// Token ranges `[start, end)` of `#[cfg(test)]` items; the whole
+    /// stream for a test-only file.
+    pub test_regions: Vec<(usize, usize)>,
+    /// Crate-relative module paths declared `#[cfg(test)] mod name;`
+    /// here (their files are test code).
+    pub test_mods: Vec<Vec<String>>,
     /// `use` alias map.
     pub uses: Vec<UseEntry>,
     /// `struct`/`enum` type names declared in this file.
@@ -112,19 +122,52 @@ pub struct FileAst {
     pub ctors: Vec<String>,
     /// `impl` blocks declared in this file.
     pub impls: Vec<ImplDecl>,
-    /// Named struct fields as `(field, outer type ident)` — the receiver
-    /// typing source for `x.field.method(…)` call sites.
+    /// Named struct fields and item-level statics as `(name, outer type
+    /// ident)` — the receiver typing source for `x.field.method(…)` and
+    /// `STATIC.method(…)` call sites.
     pub fields: Vec<(String, String)>,
     /// Raw source lines (1-based via `line - 1` indexing); kept so the
     /// rules can look up `justification:`-style comments near a site.
     pub raw: Vec<String>,
 }
 
+impl FileAst {
+    fn new(rel_path: &str, krate: &str, module: &[String], src: &str) -> FileAst {
+        FileAst {
+            rel_path: rel_path.to_string(),
+            krate: krate.to_string(),
+            module: module.to_vec(),
+            toks: super::lexer::tokenize(src),
+            comments: super::lexer::line_comments(src),
+            test_regions: Vec::new(),
+            test_mods: Vec::new(),
+            uses: Vec::new(),
+            types: Vec::new(),
+            ctors: Vec::new(),
+            impls: Vec::new(),
+            fields: Vec::new(),
+            raw: src.lines().map(str::to_string).collect(),
+        }
+    }
+
+    /// `true` if token `k` is test code.
+    pub fn is_test(&self, k: usize) -> bool {
+        in_regions(&self.test_regions, k)
+    }
+}
+
+fn in_regions(regions: &[(usize, usize)], k: usize) -> bool {
+    regions.iter().any(|&(s, e)| s <= k && k < e)
+}
+
 /// The parsed workspace: all files plus the global function list.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    /// Parsed files.
+    /// Parsed source files (`crates/*/src`, the root `src/`).
     pub files: Vec<FileAst>,
+    /// The workspace `tests/` files: tokenized for the rules that scan
+    /// test code, never item-extracted or added to the call graph.
+    pub tests: Vec<FileAst>,
     /// Every extracted function, across all files.
     pub fns: Vec<FnItem>,
 }
@@ -132,26 +175,53 @@ pub struct Workspace {
 impl Workspace {
     /// Parses one file's source text into the workspace.
     pub fn add_file(&mut self, rel_path: &str, krate: &str, module: &[String], src: &str) {
-        let toks = super::lexer::tokenize(src);
-        if std::env::var("XED_ANALYZE_TRACE").is_ok() {
-            eprintln!("tokenized {rel_path}: {} toks", toks.len());
-        }
         let file_idx = self.files.len();
-        let mut file = FileAst {
-            rel_path: rel_path.to_string(),
-            krate: krate.to_string(),
-            toks,
-            uses: Vec::new(),
-            types: Vec::new(),
-            ctors: Vec::new(),
-            impls: Vec::new(),
-            fields: Vec::new(),
-            raw: src.lines().map(str::to_string).collect(),
-        };
+        let mut file = FileAst::new(rel_path, krate, module, src);
         let mut fns = Vec::new();
         extract(&mut file, krate, module, file_idx, &mut fns);
         self.files.push(file);
         self.fns.extend(fns);
+    }
+
+    /// Adds an integration-test file: tokens and comments only, all of
+    /// it test code.
+    pub fn add_test_file(&mut self, rel_path: &str, src: &str) {
+        let mut file = FileAst::new(rel_path, "", &[], src);
+        file.test_regions.push((0, file.toks.len()));
+        self.tests.push(file);
+    }
+
+    /// Marks every file declared through a `#[cfg(test)] mod name;` (and
+    /// its submodules) as test code, fns included. Run once after the
+    /// last [`Workspace::add_file`].
+    pub fn mark_test_modules(&mut self) {
+        let decls: Vec<(String, Vec<String>)> = self
+            .files
+            .iter()
+            .flat_map(|f| f.test_mods.iter().map(|m| (f.krate.clone(), m.clone())))
+            .collect();
+        for (i, file) in self.files.iter_mut().enumerate() {
+            if decls
+                .iter()
+                .any(|(k, m)| *k == file.krate && file.module.starts_with(m))
+            {
+                file.test_regions = vec![(0, file.toks.len())];
+                for f in self.fns.iter_mut().filter(|f| f.file == i) {
+                    f.in_cfg_test = true;
+                }
+            }
+        }
+    }
+
+    /// Qualified name of the innermost fn whose body holds token `k` of
+    /// file `file` (empty outside every fn body).
+    pub fn enclosing_fn(&self, file: usize, k: usize) -> String {
+        self.fns
+            .iter()
+            .filter(|f| f.file == file && f.body.is_some_and(|(s, e)| s <= k && k < e))
+            .min_by_key(|f| f.body.map_or(usize::MAX, |(s, e)| e - s))
+            .map(FnItem::qualified)
+            .unwrap_or_default()
     }
 
     /// Finds a function by `Type::name` or plain `name` within a crate,
@@ -189,7 +259,6 @@ struct Walker<'a> {
     i: usize,
     scopes: Vec<(Scope, usize)>, // (scope, depth at open)
     depth: usize,
-    cfg_test_depth: Option<usize>,
 }
 
 impl<'a> Walker<'a> {
@@ -264,9 +333,7 @@ fn extract(
         i: 0,
         scopes: Vec::new(),
         depth: 0,
-        cfg_test_depth: None,
     };
-    let mut pending_cfg_test = false;
     let mut watchdog = (0usize, 0usize); // (last index, stuck count)
 
     while w.i < w.toks.len() {
@@ -282,10 +349,12 @@ fn extract(
         } else {
             watchdog = (w.i, 0);
         }
-        // Attributes: `#[...]` / `#![...]` — note cfg(test), skip the group.
+        // Attributes: `#[...]` / `#![...]` — a cfg(test) one opens a test
+        // region over the item it is attached to; skip the group.
         if w.peek(0).is_some_and(|t| t.is_punct('#')) {
             let bang = usize::from(w.peek(1).is_some_and(|t| t.is_punct('!')));
             if w.peek(1 + bang).is_some_and(|t| t.is_punct('[')) {
+                let hash = w.i;
                 w.bump(); // '#'
                 if bang == 1 {
                     w.bump(); // '!'
@@ -297,7 +366,7 @@ fn extract(
                     .windows(3)
                     .any(|s| s[0] == "cfg" && s[1] == "(" && s[2] == "test")
                 {
-                    pending_cfg_test = true;
+                    file.test_regions.push((hash, item_end(w.toks, w.i)));
                 }
                 continue;
             }
@@ -308,9 +377,9 @@ fn extract(
             (TokKind::Ident, "use") => {
                 w.bump();
                 parse_use(&mut w, &mut file.uses);
-                pending_cfg_test = false;
             }
             (TokKind::Ident, "mod") => {
+                let at = w.i;
                 w.bump();
                 let name = match w.peek(0) {
                     Some(t) if t.kind == TokKind::Ident => t.text.clone(),
@@ -321,12 +390,16 @@ fn extract(
                     w.bump();
                     w.depth += 1;
                     w.scopes.push((Scope::Module(name), w.depth));
-                    if pending_cfg_test && w.cfg_test_depth.is_none() {
-                        w.cfg_test_depth = Some(w.depth);
-                    }
+                } else if in_regions(&file.test_regions, at) {
+                    // `#[cfg(test)] mod name;` — the file is test code.
+                    let mut path = base_module.to_vec();
+                    path.extend(w.scopes.iter().filter_map(|(s, _)| match s {
+                        Scope::Module(m) => Some(m.clone()),
+                        _ => None,
+                    }));
+                    path.push(name);
+                    file.test_mods.push(path);
                 }
-                // `mod name;` — file modules are walked separately.
-                pending_cfg_test = false;
             }
             (TokKind::Ident, "struct") => {
                 w.bump();
@@ -344,7 +417,6 @@ fn extract(
                     }
                 }
                 skip_item_rest(&mut w);
-                pending_cfg_test = false;
             }
             (TokKind::Ident, "enum") => {
                 w.bump();
@@ -378,7 +450,18 @@ fn extract(
                         }
                     }
                 }
-                pending_cfg_test = false;
+            }
+            (TokKind::Ident, "static") => {
+                w.bump();
+                if w.peek(0).is_some_and(|t| t.is_ident("mut")) {
+                    w.bump();
+                }
+                if let (Some(name), true) = (w.peek(0), w.peek(1).is_some_and(|t| t.is_punct(':')))
+                {
+                    if let Some(ty) = outer_type(w.toks, w.i + 2) {
+                        file.fields.push((name.text.clone(), ty));
+                    }
+                }
             }
             (TokKind::Ident, "trait") => {
                 w.bump();
@@ -402,11 +485,7 @@ fn extract(
                     w.bump();
                     w.depth += 1;
                     w.scopes.push((Scope::Trait(name), w.depth));
-                    if pending_cfg_test && w.cfg_test_depth.is_none() {
-                        w.cfg_test_depth = Some(w.depth);
-                    }
                 }
-                pending_cfg_test = false;
             }
             (TokKind::Ident, "impl") => {
                 w.bump();
@@ -421,29 +500,21 @@ fn extract(
                     } else {
                         w.scopes.push((Scope::Opaque, w.depth));
                     }
-                    if pending_cfg_test && w.cfg_test_depth.is_none() {
-                        w.cfg_test_depth = Some(w.depth);
-                    }
                 }
-                pending_cfg_test = false;
             }
             (TokKind::Ident, "fn") => {
                 let line = t.line;
+                let in_test = in_regions(&file.test_regions, w.i);
                 w.bump();
-                let item = parse_fn(&mut w, krate, base_module, file_idx, line, pending_cfg_test);
+                let item = parse_fn(&mut w, krate, base_module, file_idx, line, in_test);
                 if let Some(f) = item {
                     fns.push(f);
                 }
-                pending_cfg_test = false;
             }
             (TokKind::Punct, "{") => {
                 w.bump();
                 w.depth += 1;
                 w.scopes.push((Scope::Opaque, w.depth));
-                if pending_cfg_test && w.cfg_test_depth.is_none() {
-                    w.cfg_test_depth = Some(w.depth);
-                }
-                pending_cfg_test = false;
             }
             (TokKind::Punct, "}") => {
                 w.bump();
@@ -451,9 +522,6 @@ fn extract(
                     if *d == w.depth {
                         w.scopes.pop();
                     }
-                }
-                if w.cfg_test_depth == Some(w.depth) {
-                    w.cfg_test_depth = None;
                 }
                 w.depth = w.depth.saturating_sub(1);
             }
@@ -465,8 +533,32 @@ fn extract(
     file.toks = toks;
 }
 
-/// After a `struct Name…`: skips the remainder (tuple body + `;`, brace
-/// body, or bare `;`).
+/// Index just past the item that starts at token `k` (after the
+/// attribute being attached): its first `;` outside any group, or its
+/// first top-level brace group plus a trailing `;`.
+fn item_end(toks: &[Tok], mut k: usize) -> usize {
+    let mut depth = 0usize;
+    while let Some(t) = toks.get(k) {
+        k += 1;
+        if t.kind != TokKind::Punct {
+            continue;
+        }
+        match t.text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" => depth = depth.saturating_sub(1),
+            "}" => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    return k + usize::from(toks.get(k).is_some_and(|t| t.is_punct(';')));
+                }
+            }
+            ";" if depth == 0 => return k,
+            _ => {}
+        }
+    }
+    k
+}
+
 /// Extracts `name: Type` pairs from a braced struct body starting at or
 /// after token index `from` (the walker position just past the struct
 /// name/generics). Does not consume — `skip_item_rest` still walks the
@@ -503,29 +595,31 @@ fn extract_fields(toks: &[Tok], from: usize, fields: &mut Vec<(String, String)>)
                     && toks.get(k + 1).is_some_and(|x| x.is_punct(':'))
                     && !toks.get(k + 2).is_some_and(|x| x.is_punct(':'))
                 {
-                    // Outer type: first ident after `:` skipping refs,
-                    // lifetimes, and `mut`/`dyn`.
-                    let mut m = k + 2;
-                    while toks.get(m).is_some_and(|x| {
-                        x.is_punct('&')
-                            || x.kind == TokKind::Lifetime
-                            || x.is_ident("mut")
-                            || x.is_ident("dyn")
-                    }) {
-                        m += 1;
-                    }
-                    if let Some(ty) = toks.get(m) {
-                        if ty.kind == TokKind::Ident
-                            && ty.text.chars().next().is_some_and(char::is_uppercase)
-                        {
-                            fields.push((t.text.clone(), ty.text.clone()));
-                        }
+                    if let Some(ty) = outer_type(toks, k + 2) {
+                        fields.push((t.text.clone(), ty));
                     }
                 }
             }
         }
         k += 1;
     }
+}
+
+/// After a `struct Name…`: skips the remainder (tuple body + `;`, brace
+/// body, or bare `;`).
+/// The outer type ident of the type starting at token `m` (`Vec` for
+/// `&'a mut Vec<Event>`), if it is a capitalized name.
+fn outer_type(toks: &[Tok], mut m: usize) -> Option<String> {
+    while toks.get(m).is_some_and(|x| {
+        x.is_punct('&') || x.kind == TokKind::Lifetime || x.is_ident("mut") || x.is_ident("dyn")
+    }) {
+        m += 1;
+    }
+    toks.get(m)
+        .filter(|ty| {
+            ty.kind == TokKind::Ident && ty.text.chars().next().is_some_and(char::is_uppercase)
+        })
+        .map(|ty| ty.text.clone())
 }
 
 fn skip_item_rest(w: &mut Walker<'_>) {
@@ -610,7 +704,7 @@ fn parse_fn(
     base_module: &[String],
     file_idx: usize,
     line: u32,
-    attr_cfg_test: bool,
+    in_cfg_test: bool,
 ) -> Option<FnItem> {
     let name = match w.peek(0) {
         Some(t) if t.kind == TokKind::Ident => t.text.clone(),
@@ -650,7 +744,7 @@ fn parse_fn(
                     None,
                     params,
                     generics,
-                    attr_cfg_test,
+                    in_cfg_test,
                 ));
             }
             Some(t) if t.is_punct('{') => break,
@@ -674,7 +768,7 @@ fn parse_fn(
         body,
         params,
         generics,
-        attr_cfg_test,
+        in_cfg_test,
     ))
 }
 
@@ -689,22 +783,19 @@ fn make_fn(
     body: Option<(usize, usize)>,
     params: Vec<(String, String)>,
     generics: Vec<(String, Vec<String>)>,
-    attr_cfg_test: bool,
+    in_cfg_test: bool,
 ) -> FnItem {
     let mut module: Vec<String> = base_module.to_vec();
     let mut self_type = None;
-    let mut trait_name = None;
     let mut is_trait_default = false;
     for (scope, _) in &w.scopes {
         match scope {
             Scope::Module(m) => module.push(m.clone()),
             Scope::Impl(d) => {
                 self_type = Some(d.self_type.clone());
-                trait_name = d.trait_name.clone();
             }
             Scope::Trait(t) => {
                 self_type = Some(t.clone());
-                trait_name = Some(t.clone());
                 is_trait_default = body.is_some();
             }
             Scope::Opaque => {}
@@ -714,7 +805,6 @@ fn make_fn(
         krate: krate.to_string(),
         module,
         self_type,
-        trait_name,
         is_trait_default,
         name,
         file: file_idx,
@@ -722,7 +812,7 @@ fn make_fn(
         body,
         params,
         generics,
-        in_cfg_test: attr_cfg_test || w.cfg_test_depth.is_some(),
+        in_cfg_test,
     }
 }
 
@@ -972,10 +1062,14 @@ mod tests {
         let ws = parse(src);
         let m = ws.fns.iter().find(|f| f.name == "m").expect("m");
         assert_eq!(m.self_type.as_deref(), Some("Foo"));
-        assert_eq!(m.trait_name, None);
         let c = ws.fns.iter().find(|f| f.name == "clone").expect("clone");
         assert_eq!(c.self_type.as_deref(), Some("Foo"));
-        assert_eq!(c.trait_name.as_deref(), Some("Clone"));
+        let traits: Vec<Option<&str>> = ws.files[0]
+            .impls
+            .iter()
+            .map(|d| d.trait_name.as_deref())
+            .collect();
+        assert_eq!(traits, vec![None, Some("Clone")]);
         assert!(ws.files[0].ctors.contains(&"Foo".to_string()));
     }
 
@@ -1001,7 +1095,7 @@ mod tests {
         assert_eq!(p.self_type.as_deref(), Some("Ring"));
         let d = ws.fns.iter().find(|f| f.name == "drop").expect("drop");
         assert_eq!(d.self_type.as_deref(), Some("Span"));
-        assert_eq!(d.trait_name.as_deref(), Some("Drop"));
+        assert_eq!(ws.files[0].impls[1].trait_name.as_deref(), Some("Drop"));
     }
 
     #[test]
@@ -1030,6 +1124,51 @@ mod tests {
         assert_eq!(inside.module, vec!["tests"]);
         let after = ws.fns.iter().find(|f| f.name == "after").expect("after");
         assert!(!after.in_cfg_test);
+    }
+
+    #[test]
+    fn cfg_test_regions_cover_the_attributed_item_only() {
+        let src = "#[cfg(test)]\nuse std::collections::HashMap;\nconst A: u8 = 1;\n\
+                   impl S {\n#[cfg(test)]\n#[allow(dead_code)]\nfn t(&self) {}\nfn l(&self) {}\n}\n\
+                   #[cfg(test)]\nconst B: [u8; 2] = [1, 2];\nfn live() {}";
+        let ws = parse(src);
+        let f = &ws.files[0];
+        let test_lines: Vec<u32> = (0..f.toks.len())
+            .filter(|&k| f.is_test(k))
+            .map(|k| f.toks[k].line)
+            .collect();
+        let mut lines = test_lines.clone();
+        lines.dedup();
+        assert_eq!(lines, vec![1, 2, 5, 6, 7, 10, 11], "{test_lines:?}");
+        let in_test = |n: &str| ws.fns.iter().find(|f| f.name == n).expect(n).in_cfg_test;
+        assert!(in_test("t") && !in_test("l") && !in_test("live"));
+    }
+
+    #[test]
+    fn test_module_declarations_mark_their_files() {
+        let mut ws = Workspace::default();
+        let decl = "#[cfg(test)]\nmod reference;\nmod live;\nfn tick() {}\n";
+        ws.add_file(
+            "crates/m/src/scheduler.rs",
+            "m",
+            &["scheduler".into()],
+            decl,
+        );
+        let body = "fn oracle() {}";
+        let reference = ["scheduler".to_string(), "reference".to_string()];
+        ws.add_file("crates/m/src/scheduler/reference.rs", "m", &reference, body);
+        let live = ["scheduler".to_string(), "live".to_string()];
+        ws.add_file("crates/m/src/scheduler/live.rs", "m", &live, "fn work() {}");
+        ws.add_file("crates/n/src/scheduler/reference.rs", "n", &reference, body);
+        ws.mark_test_modules();
+        let test_files: Vec<bool> = ws
+            .files
+            .iter()
+            .map(|f| f.is_test(f.toks.len() - 1))
+            .collect();
+        assert_eq!(test_files, vec![false, true, false, false]);
+        let in_test: Vec<bool> = ws.fns.iter().map(|f| f.in_cfg_test).collect();
+        assert_eq!(in_test, vec![false, true, false, false]);
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! does where it matters for static analysis: comments (line, doc, and
 //! *nested* block comments), string/char/byte literals, and raw strings
 //! with arbitrary `#` fences are recognized and never leak their
-//! contents into the token stream. That is exactly the property the
-//! line-grep lints lacked — `// .unwrap()` in a comment or `"panic!"`
-//! in a string literal must produce no tokens.
+//! contents into the token stream: `// .unwrap()` in a comment or
+//! `"panic!"` in a string literal produces no `unwrap` or `panic` token.
 //!
 //! Guarantees (pinned by the unit tests below and the adversarial
 //! fixtures in `tests/analyze_fixtures.rs`):
@@ -19,9 +18,8 @@
 //!   token whose *body is not tokenized*;
 //! * lifetimes (`'a`, `'static`) are distinguished from char literals;
 //! * every token carries its 1-based source line;
-//! * [`sanitize_lines`] returns the source line-by-line with comment
-//!   text and literal bodies blanked to spaces (same line count, same
-//!   line lengths), which is what the re-based XL rules scan.
+//! * [`line_comments`] returns the text of every `//` comment with its
+//!   line, which is where in-source waivers live.
 //!
 //! Known limits (documented in DESIGN.md §13): float literals are
 //! lexed permissively (`1.0e-9` is one token, but so would be some
@@ -50,8 +48,9 @@ pub enum TokKind {
 pub struct Tok {
     /// Token kind.
     pub kind: TokKind,
-    /// Token text. For [`TokKind::Str`]/[`TokKind::Char`] this is a
-    /// placeholder (`""`/`''`) — bodies are deliberately dropped.
+    /// Token text. For [`TokKind::Str`]/[`TokKind::Char`] this is the
+    /// whole literal as written, quotes included; it is one token, so
+    /// its body never reaches the rules as code.
     pub text: String,
     /// 1-based line the token starts on.
     pub line: u32,
@@ -67,6 +66,25 @@ impl Tok {
     pub fn is_punct(&self, c: char) -> bool {
         self.kind == TokKind::Punct && self.text.len() == 1 && self.text.as_bytes()[0] == c as u8
     }
+
+    /// The body of a plain string literal (`"a.b"` → `a.b`), escapes
+    /// left as written; `None` for any other token.
+    pub fn str_body(&self) -> Option<&str> {
+        if self.kind != TokKind::Str {
+            return None;
+        }
+        self.text.strip_prefix('"')?.strip_suffix('"')
+    }
+}
+
+/// `true` if the identifiers and punctuation at `toks[k..]` read
+/// `texts`, e.g. `[".", "unwrap", "(", ")"]`; literals and lifetimes
+/// never match.
+pub fn matches_at(toks: &[Tok], k: usize, texts: &[&str]) -> bool {
+    texts.iter().enumerate().all(|(i, want)| {
+        toks.get(k + i)
+            .is_some_and(|t| matches!(t.kind, TokKind::Ident | TokKind::Punct) && t.text == *want)
+    })
 }
 
 /// Byte-region classification used by both outputs of the scanner.
@@ -80,7 +98,7 @@ enum Region {
 
 /// The single low-level scanner: classifies every byte of `src` as
 /// code, comment, or literal-body. Both [`tokenize`] and
-/// [`sanitize_lines`] are thin layers over this, so they can never
+/// [`line_comments`] are thin layers over this, so they can never
 /// disagree about where a comment ends.
 fn classify(src: &str) -> Vec<Region> {
     let b = src.as_bytes();
@@ -177,8 +195,8 @@ fn scan_string_prefix(b: &[u8], start: usize, out: &mut [Region]) -> Option<usiz
     if hashes > 0 && !raw {
         return None; // `b#` is not a thing
     }
-    // Mark the prefix+fence as literal body too (keeps sanitize simple;
-    // the tokenizer emits one Str token for the whole region).
+    // Mark the prefix+fence as literal body too: the tokenizer emits one
+    // Str token for the whole region, prefix included.
     let mut i = start;
     while i < qi {
         out[i] = Region::LiteralBody;
@@ -272,7 +290,7 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                 // One placeholder token per literal region; classify by
                 // its first byte (quote kind).
                 let start_line = line;
-                let is_char = c == b'\'';
+                let start = i;
                 while i < n && regions[i] == Region::LiteralBody {
                     if b[i] == b'\n' {
                         line += 1;
@@ -280,8 +298,12 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                     i += 1;
                 }
                 toks.push(Tok {
-                    kind: if is_char { TokKind::Char } else { TokKind::Str },
-                    text: if is_char { "''" } else { "\"\"" }.to_string(),
+                    kind: if c == b'\'' {
+                        TokKind::Char
+                    } else {
+                        TokKind::Str
+                    },
+                    text: src[start..i].to_string(),
                     line: start_line,
                 });
             }
@@ -371,40 +393,33 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
     toks
 }
 
-/// Returns `src` line-by-line with comment text and literal *bodies*
-/// blanked to spaces. Line count and per-line byte lengths are
-/// preserved, so 1-based line numbers (and column offsets) in the
-/// output map directly onto the input. Quotes are kept so `"…"`
-/// still reads as an (empty) string in downstream heuristics.
-pub fn sanitize_lines(src: &str) -> Vec<String> {
+/// Every `//` comment in `src` (doc comments included) as `(1-based
+/// line, text after the two slashes)`. Block comments are not returned:
+/// waivers are line comments by definition.
+pub fn line_comments(src: &str) -> Vec<(u32, String)> {
     let regions = classify(src);
     let b = src.as_bytes();
-    let mut lines = Vec::new();
-    let mut cur = String::new();
-    for (i, &c) in b.iter().enumerate() {
-        if c == b'\n' {
-            lines.push(std::mem::take(&mut cur));
+    let mut out = Vec::new();
+    let mut line: u32 = 1;
+    let mut i = 0;
+    while i < b.len() {
+        if b[i] == b'\n' {
+            line += 1;
+        } else if regions[i] == Region::Comment
+            && (i == 0 || regions[i - 1] != Region::Comment)
+            && b[i..].starts_with(b"//")
+        {
+            let end = b[i..]
+                .iter()
+                .position(|&c| c == b'\n')
+                .map_or(b.len(), |p| i + p);
+            out.push((line, src[i + 2..end].to_string()));
+            i = end;
             continue;
         }
-        match regions[i] {
-            Region::Code => cur.push(c as char),
-            Region::Comment => cur.push(' '),
-            Region::LiteralBody => {
-                // Keep the delimiting quotes, blank everything else.
-                let keep = (c == b'"' || c == b'\'')
-                    && (i == 0
-                        || regions[i - 1] != Region::LiteralBody
-                        || i + 1 >= b.len()
-                        || regions[i + 1] != Region::LiteralBody);
-                cur.push(if keep { c as char } else { ' ' });
-            }
-        }
+        i += 1;
     }
-    // `lines()` semantics: no trailing empty line after a final `\n`.
-    if !cur.is_empty() {
-        lines.push(cur);
-    }
-    lines
+    out
 }
 
 #[cfg(test)]
@@ -512,30 +527,23 @@ mod tests {
     }
 
     #[test]
-    fn sanitize_preserves_shape_and_blanks_contents() {
-        let src = "let x = y; // .unwrap()\nlet s = \"panic!\";\n";
-        let lines = sanitize_lines(src);
-        assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0].len(), "let x = y; // .unwrap()".len());
-        assert!(!lines[0].contains(".unwrap()"));
-        assert!(lines[0].starts_with("let x = y;"));
-        assert!(!lines[1].contains("panic!"));
-        assert!(lines[1].contains("\"      \""), "{:?}", lines[1]);
+    fn literal_tokens_keep_their_text() {
+        let toks = tokenize(r#"c("faultsim.runs", &metrics::X)"#);
+        let lit = toks
+            .iter()
+            .find(|t| t.kind == TokKind::Str)
+            .expect("literal");
+        assert_eq!(lit.text, "\"faultsim.runs\"");
+        assert_eq!(lit.str_body(), Some("faultsim.runs"));
+        assert_eq!(toks[0].str_body(), None);
     }
 
     #[test]
-    fn sanitize_blanks_block_comments_across_lines() {
-        let src = "a /* panic!\n .unwrap() */ b\n";
-        let lines = sanitize_lines(src);
-        assert_eq!(lines.len(), 2);
-        assert!(!lines[0].contains("panic!"));
-        assert!(!lines[1].contains(".unwrap()"));
-        assert!(lines[1].ends_with(" b"));
-    }
-
-    #[test]
-    fn sanitize_keeps_code_intact() {
-        let src = "if p == 0.5 { q.unwrap(); }\n";
-        assert_eq!(sanitize_lines(src)[0], "if p == 0.5 { q.unwrap(); }");
+    fn line_comments_are_collected_with_their_lines() {
+        let src = "let a = 1; // trailing\n/* block // not a line comment */\n/// doc\nlet s = \"// in a string\";\n";
+        assert_eq!(
+            line_comments(src),
+            vec![(1, " trailing".to_string()), (3, "/ doc".to_string())]
+        );
     }
 }

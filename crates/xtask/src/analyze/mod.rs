@@ -1,32 +1,40 @@
-//! `xed-analyze`: whole-workspace static analysis with transitive
-//! hot-path proofs.
+//! `xed-analyze`: the workspace's one static-analysis pass.
 //!
 //! ```text
 //! cargo run -p xtask -- analyze [--format text|json] [--root PATH]
-//!                               [--baseline PATH]
 //! ```
 //!
-//! Three layers (see DESIGN.md §13):
+//! One load parses every workspace source file ([`load_workspace`]) and
+//! every rule runs over that one model (see DESIGN.md §13):
 //!
 //! 1. [`lexer`] — a minimal Rust lexer that classifies every byte as
 //!    code, comment, or literal body, so nothing downstream ever matches
 //!    inside a comment or string;
-//! 2. [`items`] + [`graph`] — item extraction (fn/impl/trait/struct)
-//!    and a sound-over-precise workspace call graph with an explicit
-//!    unresolved bucket;
-//! 3. [`rules`] — the XA100–XA103 analyses over the reachable closures
-//!    of the named hot entry points, gated through the [`baseline`]
-//!    suppression file (`xed-analyze.baseline`, hot paths exempt).
+//! 2. [`items`] + [`graph`] — item extraction (fn/impl/trait/struct,
+//!    `#[cfg(test)]` regions) and a sound-over-precise workspace call
+//!    graph with an explicit unresolved bucket;
+//! 3. the rules — [`source`] (XL001–XL006, XL011 and the XL012 guard
+//!    scan, predicates over each file's tokens), [`rules`] (the
+//!    XA100–XA102 hot-path proofs over the call graph, and XL009),
+//!    [`catalogue`] (XL010/XA103 over the metric registry, XL012 over the
+//!    trace phases) and [`crate::golden`] (XL007/XL008 against the linked
+//!    constants);
+//! 4. [`waiver`] — the one suppression format, an in-source
+//!    `// xed-analyze: allow(RULE) — reason` comment.
 //!
-//! Exit codes: 0 clean, 1 findings survive the baseline, 2 usage or
-//! I/O error.
+//! Exit codes: 0 no error finding, 1 error findings, 2 usage or I/O
+//! error.
 
-pub mod baseline;
+pub mod catalogue;
 pub mod graph;
 pub mod items;
 pub mod lexer;
 pub mod rules;
+pub mod source;
+pub mod waiver;
 
+use std::collections::BTreeMap;
+use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -35,191 +43,281 @@ use std::time::Instant;
 use items::Workspace;
 use xed_telemetry::export::json_string;
 
-/// Registry path XA103 audits, relative to the workspace root.
-const REGISTRY_REL: &str = "crates/telemetry/src/registry.rs";
-/// Default baseline file name at the workspace root.
-const BASELINE_FILE: &str = "xed-analyze.baseline";
+/// Every rule id `xed-analyze` reports; a waiver may name any of them.
+pub const RULES: [&str; 16] = [
+    "XL001", "XL002", "XL003", "XL004", "XL005", "XL006", "XL007", "XL008", "XL009", "XL010",
+    "XL011", "XL012", "XA100", "XA101", "XA102", "XA103",
+];
 
-const USAGE: &str =
-    "usage: cargo run -p xtask -- analyze [--format text|json] [--root PATH] [--baseline PATH]";
+/// Severity of a finding. Errors make the process exit nonzero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Severity {
+    /// Must be fixed (or waived); fails the gate.
+    Error,
+    /// Reported but does not fail the gate.
+    Warning,
+}
+
+impl fmt::Display for Severity {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Severity::Error => "error",
+            Severity::Warning => "warning",
+        })
+    }
+}
+
+/// One finding of any rule.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Finding {
+    /// Rule id, e.g. `XL001` (`waiver` for a waiver's own problems).
+    pub rule: &'static str,
+    /// Severity.
+    pub severity: Severity,
+    /// Path relative to the workspace root.
+    pub file: String,
+    /// 1-based line (0 for a whole-file finding).
+    pub line: u32,
+    /// Qualified name of the enclosing function or the metric, if any.
+    pub symbol: String,
+    /// Hot-path group the finding belongs to; such findings cannot be
+    /// waived.
+    pub group: Option<&'static str>,
+    /// Human-readable message.
+    pub message: String,
+}
+
+impl Finding {
+    /// An error finding outside every hot-path group.
+    pub fn error(
+        rule: &'static str,
+        file: &str,
+        line: u32,
+        symbol: String,
+        message: String,
+    ) -> Self {
+        Finding {
+            rule,
+            severity: Severity::Error,
+            file: file.to_string(),
+            line,
+            symbol,
+            group: None,
+            message,
+        }
+    }
+
+    /// `file:line: severity[rule] symbol (group): message`.
+    pub fn render(&self) -> String {
+        let mut at = String::new();
+        if !self.symbol.is_empty() {
+            at = format!(" {}", self.symbol);
+        }
+        if let Some(g) = self.group {
+            at.push_str(&format!(" ({g})"));
+        }
+        format!(
+            "{}:{}: {}[{}]{at}: {}",
+            self.file, self.line, self.severity, self.rule, self.message
+        )
+    }
+
+    /// The finding as one JSON object.
+    pub fn render_json(&self) -> String {
+        format!(
+            r#"{{"rule":"{}","severity":"{}","file":{},"line":{},"symbol":{},"group":{},"message":{}}}"#,
+            self.rule,
+            self.severity,
+            json_string(&self.file),
+            self.line,
+            json_string(&self.symbol),
+            self.group.map_or_else(|| "null".to_string(), json_string),
+            json_string(&self.message)
+        )
+    }
+}
+
+/// A whole run's result.
+pub struct Report {
+    /// Findings after waivers, sorted by file, line, rule, symbol.
+    pub findings: Vec<Finding>,
+    /// Findings a waiver suppressed.
+    pub suppressed: usize,
+    /// One proof report per hot-path group.
+    pub groups: Vec<rules::GroupReport>,
+    /// The call graph's unresolved bucket.
+    pub unresolved: BTreeMap<String, (usize, String)>,
+}
+
+const USAGE: &str = "usage: cargo run -p xtask -- analyze [--format text|json] [--root PATH]";
 
 /// CLI entry point for the `analyze` subcommand.
 pub fn run(args: &[String]) -> ExitCode {
-    let mut format = "text".to_string();
+    let mut json = false;
     let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--format" => match it.next() {
-                Some(v) if v == "text" || v == "json" => format = v.clone(),
-                _ => {
-                    eprintln!("--format takes `text` or `json`");
-                    return ExitCode::from(2);
-                }
-            },
-            "--root" => match it.next() {
-                Some(v) => root = Some(PathBuf::from(v)),
-                None => {
-                    eprintln!("--root takes a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--baseline" => match it.next() {
-                Some(v) => baseline_path = Some(PathBuf::from(v)),
-                None => {
-                    eprintln!("--baseline takes a path");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("unknown argument `{other}`");
-                eprintln!("{USAGE}");
+        match (arg.as_str(), it.next()) {
+            ("--format", Some(v)) if v == "text" || v == "json" => json = v == "json",
+            ("--root", Some(v)) => root = Some(PathBuf::from(v)),
+            _ => {
+                eprintln!("xed-analyze: bad argument `{arg}`\n{USAGE}");
                 return ExitCode::from(2);
             }
         }
     }
-
-    let root = root.unwrap_or_else(|| {
-        let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-        manifest
-            .parent()
-            .and_then(|p| p.parent())
-            .map(PathBuf::from)
-            .unwrap_or(manifest)
-    });
+    // Default root: the workspace containing this crate.
+    let root = root.unwrap_or_else(|| PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")));
 
     let started = Instant::now();
-    let ws = match load_workspace(&root) {
-        Ok(ws) => ws,
+    let report = match analyze(&root) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("xed-analyze: {e}");
             return ExitCode::from(2);
         }
     };
-    let g = graph::build(&ws);
-    let analysis = rules::run(&ws, &g, REGISTRY_REL);
-
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join(BASELINE_FILE));
-    let entries = match fs::read_to_string(&baseline_path) {
-        Ok(text) => match baseline::parse(&text) {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("xed-analyze: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        Err(_) => Vec::new(), // no baseline file: strict mode
-    };
-
-    let mut findings = analysis.findings;
-    findings.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.rule, a.symbol.as_str()).cmp(&(
-            b.file.as_str(),
-            b.line,
-            b.rule,
-            b.symbol.as_str(),
-        ))
-    });
-    let applied = baseline::apply(findings, &entries);
     let elapsed_ms = started.elapsed().as_millis();
-
-    if format == "json" {
-        render_json(&applied, &analysis.groups, &g, elapsed_ms);
+    let errors = report
+        .findings
+        .iter()
+        .filter(|f| f.severity == Severity::Error)
+        .count();
+    if json {
+        render_json(&report, errors, elapsed_ms);
     } else {
-        render_text(&applied, &analysis.groups, &g, elapsed_ms);
+        render_text(&report, errors, elapsed_ms);
     }
-
-    if applied.kept.is_empty() {
-        ExitCode::SUCCESS
-    } else {
+    if errors > 0 {
         ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
 }
 
-/// Parses every workspace source file into one [`Workspace`]: all
-/// `crates/*/src/**/*.rs` plus the root facade crate's `src/`.
-pub fn load_workspace(root: &Path) -> Result<Workspace, String> {
-    let mut ws = Workspace::default();
-    let mut dirs: Vec<(String, PathBuf)> = Vec::new();
+/// Loads the workspace at `root`, runs every rule and applies the
+/// waivers. `Err` on any I/O error.
+pub fn analyze(root: &Path) -> Result<Report, String> {
+    let ws = load_workspace(root)?;
+    let design = read(&root.join("DESIGN.md"))?;
+    let g = graph::build(&ws);
+    let mut findings = Vec::new();
+    let groups = rules::check_hot_paths(&ws, &g, &mut findings);
+    rules::check_alloc_free_modules(&ws, &g, &mut findings);
+    source::check(&ws, &mut findings);
+    catalogue::check(&ws, &design, &mut findings);
+    findings.extend(crate::golden::check_fit_table());
+    findings.extend(crate::golden::check_catch_word_constants());
+    let (mut findings, suppressed) = waiver::apply(&ws, findings);
+    sort(&mut findings);
+    Ok(Report {
+        findings,
+        suppressed,
+        groups,
+        unresolved: g.unresolved,
+    })
+}
 
+/// Orders findings by file, line, rule and symbol (stable otherwise).
+fn sort(findings: &mut [Finding]) {
+    findings.sort_by(|a, b| {
+        (&a.file, a.line, a.rule, &a.symbol).cmp(&(&b.file, b.line, b.rule, &b.symbol))
+    });
+}
+
+/// Parses the workspace: every `crates/*/src/**/*.rs` and the root
+/// facade crate's `src/` into the item model, then the root `tests/`
+/// tokens-only.
+pub fn load_workspace(root: &Path) -> Result<Workspace, String> {
+    let mut dirs: Vec<(String, PathBuf)> = Vec::new();
     let crates_dir = root.join("crates");
-    let read = fs::read_dir(&crates_dir)
-        .map_err(|e| format!("cannot read {}: {e}", crates_dir.display()))?;
-    for entry in read.flatten() {
-        let dir = entry.path();
+    for entry in fs::read_dir(&crates_dir).map_err(|e| io_error(&crates_dir, e))? {
+        let dir = entry.map_err(|e| io_error(&crates_dir, e))?.path();
         let src = dir.join("src");
-        if !src.is_dir() {
-            continue;
+        if src.is_dir() {
+            let fallback = dir.file_name().map(|n| n.to_string_lossy().into_owned());
+            let krate = crate_name(&dir.join("Cargo.toml"))?.or(fallback);
+            dirs.push((krate.unwrap_or_default(), src));
         }
-        let krate = crate_name(&dir.join("Cargo.toml")).unwrap_or_else(|| {
-            dir.file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default()
-        });
-        dirs.push((krate, src));
     }
-    // The root facade crate, if present.
     let root_src = root.join("src");
     if root_src.is_dir() {
-        if let Some(name) = crate_name(&root.join("Cargo.toml")) {
+        if let Some(name) = crate_name(&root.join("Cargo.toml"))? {
             dirs.push((name, root_src));
         }
     }
     dirs.sort();
 
+    let mut ws = Workspace::default();
     for (krate, src) in dirs {
-        let mut files = Vec::new();
-        collect_rs(&src, &mut files).map_err(|e| format!("walking {}: {e}", src.display()))?;
-        files.sort();
-        for file in files {
-            let text = fs::read_to_string(&file)
-                .map_err(|e| format!("reading {}: {e}", file.display()))?;
-            let rel = file
-                .strip_prefix(root)
-                .unwrap_or(&file)
-                .to_string_lossy()
-                .replace('\\', "/");
-            let module = module_path(&src, &file);
-            if std::env::var("XED_ANALYZE_TRACE").is_ok() {
-                eprintln!("parsing {rel}");
-            }
-            ws.add_file(&rel, &krate, &module, &text);
+        for file in rs_files(&src)? {
+            ws.add_file(
+                &rel_path(root, &file),
+                &krate,
+                &module_path(&src, &file),
+                &read(&file)?,
+            );
         }
     }
-    if std::env::var("XED_ANALYZE_TRACE").is_ok() {
-        for f in &ws.fns {
-            let tr = f.trait_name.as_deref().unwrap_or("-");
-            eprintln!(
-                "fn {} [trait {tr}] {}:{}",
-                f.qualified(),
-                ws.files[f.file].rel_path,
-                f.line
-            );
+    ws.mark_test_modules();
+    let tests = root.join("tests");
+    if tests.is_dir() {
+        for file in rs_files(&tests)? {
+            ws.add_test_file(&rel_path(root, &file), &read(&file)?);
         }
     }
     Ok(ws)
 }
 
-/// Reads the `[package] name` out of a Cargo.toml (underscore form).
-fn crate_name(manifest: &Path) -> Option<String> {
-    let text = fs::read_to_string(manifest).ok()?;
+fn io_error(path: &Path, e: std::io::Error) -> String {
+    format!("{}: {e}", path.display())
+}
+
+fn read(path: &Path) -> Result<String, String> {
+    fs::read_to_string(path).map_err(|e| io_error(path, e))
+}
+
+fn rel_path(root: &Path, file: &Path) -> String {
+    file.strip_prefix(root)
+        .unwrap_or(file)
+        .to_string_lossy()
+        .replace('\\', "/")
+}
+
+/// Every `.rs` file under `dir`, sorted: the one file walker.
+fn rs_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
+    let mut out = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for entry in fs::read_dir(&d).map_err(|e| io_error(&d, e))? {
+            let path = entry.map_err(|e| io_error(&d, e))?.path();
+            if path.is_dir() {
+                stack.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    out.sort();
+    Ok(out)
+}
+
+/// Reads the `[package] name` out of a Cargo.toml (underscore form);
+/// `None` for a manifest without one.
+fn crate_name(manifest: &Path) -> Result<Option<String>, String> {
+    let text = read(manifest)?;
     let mut in_package = false;
     for line in text.lines() {
         let t = line.trim();
         if t.starts_with('[') {
             in_package = t == "[package]";
-            continue;
-        }
-        if in_package {
-            if let Some(rest) = t.strip_prefix("name") {
-                let rest = rest.trim_start().strip_prefix('=')?.trim();
-                let name = rest.trim_matches('"');
-                return Some(name.replace('-', "_"));
+        } else if let Some(rest) = t.strip_prefix("name").filter(|_| in_package) {
+            if let Some(v) = rest.trim_start().strip_prefix('=') {
+                return Ok(Some(v.trim().trim_matches('"').replace('-', "_")));
             }
         }
     }
-    None
+    Ok(None)
 }
 
 /// Module path of `file` under `src` (empty for lib/main, components
@@ -239,36 +337,11 @@ fn module_path(src: &Path, file: &Path) -> Vec<String> {
     out
 }
 
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), std::io::Error> {
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        if path.is_dir() {
-            collect_rs(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
+fn render_text(report: &Report, errors: usize, elapsed_ms: u128) {
+    for f in &report.findings {
+        println!("{}", f.render());
     }
-    Ok(())
-}
-
-fn render_text(
-    applied: &baseline::Applied,
-    groups: &[rules::GroupReport],
-    g: &graph::CallGraph,
-    elapsed_ms: u128,
-) {
-    for f in &applied.kept {
-        let tag = f.group.map(|g| format!(" [{g}]")).unwrap_or_default();
-        println!(
-            "{}:{} {}{tag} {} — {}",
-            f.file, f.line, f.rule, f.symbol, f.message
-        );
-    }
-    for w in &applied.warnings {
-        println!("warning: {w}");
-    }
-    for gr in groups {
+    for gr in &report.groups {
         println!(
             "proof [{}]: {} entry fn(s), closure of {} fn(s)",
             gr.name,
@@ -276,32 +349,31 @@ fn render_text(
             gr.closure.len()
         );
     }
-    let total: usize = g.unresolved.values().map(|(n, _)| n).sum();
+    let sites: usize = report.unresolved.values().map(|(n, _)| n).sum();
     println!(
-        "unresolved bucket: {} distinct callee(s), {} site(s){}",
-        g.unresolved.len(),
-        total,
-        if g.unresolved.is_empty() { "" } else { ":" }
+        "unresolved bucket: {} distinct callee(s), {sites} site(s){}",
+        report.unresolved.len(),
+        if report.unresolved.is_empty() {
+            ""
+        } else {
+            ":"
+        }
     );
-    for (name, (n, example)) in g.unresolved.iter().take(20) {
+    for (name, (n, example)) in report.unresolved.iter().take(20) {
         println!("  {name} ({n} site(s), e.g. {example})");
     }
     println!(
-        "xed-analyze: {} finding(s), {} suppressed, {} stale baseline entr(y/ies), {elapsed_ms} ms",
-        applied.kept.len(),
-        applied.suppressed,
-        applied.warnings.len()
+        "xed-analyze: {} finding(s): {errors} error(s), {} warning(s), {} waived, {elapsed_ms} ms",
+        report.findings.len(),
+        report.findings.len() - errors,
+        report.suppressed
     );
 }
 
-fn render_json(
-    applied: &baseline::Applied,
-    groups: &[rules::GroupReport],
-    g: &graph::CallGraph,
-    elapsed_ms: u128,
-) {
-    let findings: Vec<String> = applied.kept.iter().map(finding_json).collect();
-    let groups_json: Vec<String> = groups
+fn render_json(report: &Report, errors: usize, elapsed_ms: u128) {
+    let findings: Vec<String> = report.findings.iter().map(Finding::render_json).collect();
+    let groups: Vec<String> = report
+        .groups
         .iter()
         .map(|gr| {
             format!(
@@ -316,32 +388,40 @@ fn render_json(
             )
         })
         .collect();
-    let unresolved: Vec<String> = g
+    let unresolved: Vec<String> = report
         .unresolved
         .iter()
         .map(|(k, (n, _))| format!("{}:{n}", json_string(k)))
         .collect();
     println!(
-        r#"{{"findings":[{}],"groups":[{}],"unresolved":{{{}}},"suppressed":{},"stale":{},"elapsed_ms":{elapsed_ms}}}"#,
+        r#"{{"findings":[{}],"groups":[{}],"unresolved":{{{}}},"suppressed":{},"errors":{errors},"warnings":{},"elapsed_ms":{elapsed_ms}}}"#,
         findings.join(","),
-        groups_json.join(","),
+        groups.join(","),
         unresolved.join(","),
-        applied.suppressed,
-        applied.warnings.len()
+        report.suppressed,
+        report.findings.len() - errors
     );
 }
 
-/// One finding as a JSON object.
-fn finding_json(f: &rules::Finding) -> String {
-    format!(
-        r#"{{"rule":"{}","file":{},"line":{},"symbol":{},"group":{},"message":{}}}"#,
-        f.rule,
-        json_string(&f.file),
-        f.line,
-        json_string(&f.symbol),
-        f.group.map_or_else(|| "null".to_string(), json_string),
-        json_string(&f.message)
-    )
+/// Runs the per-file rules (everything but the hot-path proofs and the
+/// catalogue and golden checks) over one source text and applies its
+/// waivers: the harness the rule unit tests share.
+#[cfg(test)]
+pub fn scan_file(rel_path: &str, text: &str) -> Vec<Finding> {
+    let mut ws = Workspace::default();
+    if rel_path.starts_with("tests/") {
+        ws.add_test_file(rel_path, text);
+    } else {
+        let krate = rel_path.split('/').nth(1).unwrap_or("x");
+        ws.add_file(rel_path, krate, &[], text);
+    }
+    let g = graph::build(&ws);
+    let mut findings = Vec::new();
+    rules::check_alloc_free_modules(&ws, &g, &mut findings);
+    source::check(&ws, &mut findings);
+    let mut findings = waiver::apply(&ws, findings).0;
+    sort(&mut findings);
+    findings
 }
 
 #[cfg(test)]
@@ -350,8 +430,9 @@ mod tests {
 
     #[test]
     fn finding_json_escapes_control_characters() {
-        let f = rules::Finding {
+        let f = Finding {
             rule: "XA100",
+            severity: Severity::Error,
             file: "crates/a\\b.rs".to_string(),
             line: 3,
             symbol: "x::\"y\"".to_string(),
@@ -359,8 +440,36 @@ mod tests {
             message: "line\nbreak\ttab\u{1}bell".to_string(),
         };
         assert_eq!(
-            finding_json(&f),
-            r#"{"rule":"XA100","file":"crates/a\\b.rs","line":3,"symbol":"x::\"y\"","group":"ecc-decode","message":"line\nbreak\ttab\u0001bell"}"#
+            f.render_json(),
+            r#"{"rule":"XA100","severity":"error","file":"crates/a\\b.rs","line":3,"symbol":"x::\"y\"","group":"ecc-decode","message":"line\nbreak\ttab\u0001bell"}"#
         );
+        assert_eq!(
+            f.render(),
+            "crates/a\\b.rs:3: error[XA100] x::\"y\" (ecc-decode): line\nbreak\ttab\u{1}bell"
+        );
+    }
+
+    #[test]
+    fn renders_machine_readable() {
+        let f = &scan_file("crates/ecc/src/x.rs", "y.unwrap();")[0];
+        assert!(
+            f.render()
+                .starts_with("crates/ecc/src/x.rs:1: error[XL001]:"),
+            "{}",
+            f.render()
+        );
+        let json = f.render_json();
+        assert!(json.contains(r#""rule":"XL001""#), "{json}");
+        assert!(json.contains(r#""severity":"error""#), "{json}");
+    }
+
+    #[test]
+    fn module_paths_follow_the_file_tree() {
+        let src = Path::new("crates/memsim/src");
+        let at = |f: &str| module_path(src, &src.join(f));
+        assert!(at("lib.rs").is_empty());
+        assert_eq!(at("scheduler.rs"), vec!["scheduler"]);
+        assert_eq!(at("scheduler/reference.rs"), vec!["scheduler", "reference"]);
+        assert_eq!(at("dram/mod.rs"), vec!["dram"]);
     }
 }

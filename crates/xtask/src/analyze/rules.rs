@@ -1,11 +1,12 @@
-//! The XA analyses over the workspace call graph.
+//! The analyses over the workspace call graph.
 //!
 //! | Rule  | Property                                                    |
 //! |-------|-------------------------------------------------------------|
 //! | XA100 | transitive panic-freedom of the named hot entry points      |
 //! | XA101 | transitive allocation-freedom of the same closures          |
 //! | XA102 | atomic-ordering discipline (hot Relaxed, boundary Acq/Rel)  |
-//! | XA103 | telemetry registry closure (no dead metrics)                |
+//! | XL009 | every non-test fn of the allocation-free hot modules passes |
+//! |       | XA101's classifier, and no `Vec::` path appears in them     |
 //!
 //! Justification escapes (checked against *raw* source lines, so they
 //! live in comments):
@@ -24,6 +25,8 @@ use std::collections::BTreeSet;
 
 use super::graph::{is_alloc_risk_name, CallGraph, RawSite, Target};
 use super::items::{FileAst, Workspace};
+use super::lexer::matches_at;
+use super::Finding;
 
 /// A named entry point: `(krate, optional self type, fn name)`.
 #[derive(Debug, Clone, Copy)]
@@ -40,21 +43,6 @@ pub struct GroupSpec {
     pub entries: &'static [EntrySpec],
 }
 
-/// One analyzer finding. All findings are gate failures unless
-/// suppressed by a baseline entry; findings with a `group` (the named
-/// hot paths) can never be suppressed.
-#[derive(Debug, Clone)]
-pub struct Finding {
-    pub rule: &'static str,
-    pub file: String,
-    pub line: u32,
-    /// Qualified name of the containing function (baseline key).
-    pub symbol: String,
-    /// Hot-path group the finding belongs to, if any.
-    pub group: Option<&'static str>,
-    pub message: String,
-}
-
 /// Per-group proof report.
 #[derive(Debug)]
 pub struct GroupReport {
@@ -63,13 +51,6 @@ pub struct GroupReport {
     pub roots: Vec<(String, u32)>,
     /// Qualified names of every function in the transitive closure.
     pub closure: Vec<String>,
-}
-
-/// The full analysis result (pre-baseline).
-#[derive(Debug)]
-pub struct Analysis {
-    pub findings: Vec<Finding>,
-    pub groups: Vec<GroupReport>,
 }
 
 /// The hot-path groups whose closures XA100/XA101 prove: the ECC decode
@@ -213,11 +194,6 @@ pub const HOT_GROUPS: &[GroupSpec] = &[
             EntrySpec {
                 krate: "xed_telemetry",
                 self_type: None,
-                name: "tick",
-            },
-            EntrySpec {
-                krate: "xed_telemetry",
-                self_type: None,
                 name: "count",
             },
             EntrySpec {
@@ -327,9 +303,35 @@ fn std_path_allocates(path: &str) -> bool {
     false
 }
 
+/// Designated allocation-free hot modules (rule XL009). The `ecc` entries
+/// hold the word-parallel decode kernels the simulators call per memory
+/// access; the `telemetry` entries are the recording primitives every
+/// instrumented hot loop touches (including the flight-recorder span
+/// rings in `trace.rs` — the tracing write sits on every request and
+/// scheduler-chunk path). Heap traffic in either is a performance
+/// regression by definition. `ecc/gf.rs` (table construction),
+/// `ecc/reference.rs` (the designated home for the seed's `Vec`-returning
+/// pipeline) and `telemetry/export.rs` (the once-per-report snapshot
+/// layer) are exempt, as is test code everywhere.
+pub const ALLOC_FREE_HOT_MODULES: [&str; 13] = [
+    "crates/ecc/src/bits.rs",
+    "crates/ecc/src/codeword.rs",
+    "crates/ecc/src/crc8.rs",
+    "crates/ecc/src/hamming.rs",
+    "crates/ecc/src/parity.rs",
+    "crates/ecc/src/rs.rs",
+    "crates/ecc/src/secded.rs",
+    "crates/ecc/src/secded32.rs",
+    "crates/telemetry/src/counter.rs",
+    "crates/telemetry/src/hist.rs",
+    "crates/telemetry/src/ring.rs",
+    "crates/telemetry/src/tally.rs",
+    "crates/telemetry/src/trace.rs",
+];
+
 /// Looks for `marker` in the raw source within `span` lines above the
 /// site (inclusive of the site line itself, for trailing comments).
-fn justified(file: &FileAst, line: u32, marker: &str, span: usize) -> bool {
+pub fn justified(file: &FileAst, line: u32, marker: &str, span: usize) -> bool {
     let l = line as usize; // 1-based
     if l == 0 {
         return false;
@@ -345,10 +347,14 @@ fn resolve_entry(ws: &Workspace, e: &EntrySpec) -> Vec<usize> {
     ws.find_fns(e.krate, e.self_type, e.name)
 }
 
-/// Runs every XA analysis; `registry_rel` is the telemetry registry path
-/// relative to the workspace root (XA103 is skipped when absent).
-pub fn run(ws: &Workspace, graph: &CallGraph, registry_rel: &str) -> Analysis {
-    let mut findings = Vec::new();
+/// Runs XA100–XA102: the proofs over every hot group's closure, the
+/// boundary-ordering pass and the global `SeqCst` sweep. Returns one
+/// proof report per group.
+pub fn check_hot_paths(
+    ws: &Workspace,
+    graph: &CallGraph,
+    findings: &mut Vec<Finding>,
+) -> Vec<GroupReport> {
     let mut groups = Vec::new();
     let mut scanned: BTreeSet<usize> = BTreeSet::new();
 
@@ -358,22 +364,20 @@ pub fn run(ws: &Workspace, graph: &CallGraph, registry_rel: &str) -> Analysis {
         for e in spec.entries {
             let found = resolve_entry(ws, e);
             if found.is_empty() {
+                let symbol = format!(
+                    "{}::{}{}",
+                    e.krate,
+                    e.self_type.map(|t| format!("{t}::")).unwrap_or_default(),
+                    e.name
+                );
+                let message = format!(
+                    "hot entry point `{}` not found in the workspace — the analyzer \
+                     config drifted from the code",
+                    e.name
+                );
                 findings.push(Finding {
-                    rule: "XA100",
-                    file: String::new(),
-                    line: 0,
-                    symbol: format!(
-                        "{}::{}{}",
-                        e.krate,
-                        e.self_type.map(|t| format!("{t}::")).unwrap_or_default(),
-                        e.name
-                    ),
                     group: Some(spec.name),
-                    message: format!(
-                        "hot entry point `{}` not found in the workspace — the \
-                         analyzer config drifted from the code",
-                        e.name
-                    ),
+                    ..Finding::error("XA100", "", 0, symbol, message)
                 });
             }
             for i in found {
@@ -386,7 +390,7 @@ pub fn run(ws: &Workspace, graph: &CallGraph, registry_rel: &str) -> Analysis {
             // A fn shared by several closures is scanned once, attributed
             // to the first group that reaches it.
             if scanned.insert(fi) {
-                scan_hot_fn(ws, graph, fi, spec.name, &mut findings);
+                scan_hot_fn(ws, graph, fi, spec.name, findings);
             }
         }
         groups.push(GroupReport {
@@ -412,19 +416,18 @@ pub fn run(ws: &Workspace, graph: &CallGraph, registry_rel: &str) -> Analysis {
                         _ => "AcqRel",
                     };
                     if ordering != want {
-                        findings.push(Finding {
-                            rule: "XA102",
-                            file: file.rel_path.clone(),
-                            line: *line,
-                            symbol: f.qualified(),
-                            group: None,
-                            message: format!(
+                        findings.push(Finding::error(
+                            "XA102",
+                            &file.rel_path,
+                            *line,
+                            f.qualified(),
+                            format!(
                                 "boundary `{}` uses `Ordering::{ordering}` for `{op}`; \
                                  merge/snapshot boundaries must use `{want}` to pair \
                                  with the Relaxed hot path",
                                 f.name
                             ),
-                        });
+                        ));
                     }
                 }
             }
@@ -439,27 +442,104 @@ pub fn run(ws: &Workspace, graph: &CallGraph, registry_rel: &str) -> Analysis {
         for site in &graph.facts[fi].sites {
             if let RawSite::Atomic { op, ordering, line } = site {
                 if ordering == "SeqCst" {
-                    findings.push(Finding {
-                        rule: "XA102",
-                        file: ws.files[f.file].rel_path.clone(),
-                        line: *line,
-                        symbol: f.qualified(),
-                        group: None,
-                        message: format!(
+                    findings.push(Finding::error(
+                        "XA102",
+                        &ws.files[f.file].rel_path,
+                        *line,
+                        f.qualified(),
+                        format!(
                             "stray `Ordering::SeqCst` on `{op}`; this workspace's \
                              concurrency model needs only Relaxed (hot) and \
                              Acquire/Release (boundaries)"
                         ),
-                    });
+                    ));
                 }
             }
         }
     }
 
-    // XA103: registry closure — every metric static is used somewhere.
-    findings.extend(registry_closure(ws, registry_rel));
+    groups
+}
 
-    Analysis { findings, groups }
+/// Runs XL009 over the allocation-free hot modules: the `Vec::` path arm
+/// over all their non-test tokens, then XA101's classifier over each of
+/// their non-test fns.
+pub fn check_alloc_free_modules(ws: &Workspace, graph: &CallGraph, findings: &mut Vec<Finding>) {
+    let hot = |file: &FileAst| ALLOC_FREE_HOT_MODULES.contains(&file.rel_path.as_str());
+    let mut push = |file: &FileAst, line: u32, symbol: String, what: &str| {
+        let message = format!(
+            "heap allocation ({what}) in an allocation-free hot module; use the \
+             fixed-capacity scratch/array APIs, or move `Vec`-returning convenience \
+             code to `ecc/src/reference.rs` / `telemetry/src/export.rs`"
+        );
+        findings.push(Finding::error(
+            "XL009",
+            &file.rel_path,
+            line,
+            symbol,
+            message,
+        ));
+    };
+    for (fi, file) in ws.files.iter().enumerate().filter(|(_, f)| hot(f)) {
+        let t = &file.toks;
+        for k in 0..t.len() {
+            if matches_at(t, k, &["Vec", ":", ":"]) && !file.is_test(k) {
+                push(file, t[k].line, ws.enclosing_fn(fi, k), "`Vec::`");
+            }
+        }
+    }
+    for (i, f) in ws.fns.iter().enumerate() {
+        let file = &ws.files[f.file];
+        if f.in_cfg_test || !hot(file) {
+            continue;
+        }
+        for (line, site) in alloc_sites(ws, graph, i) {
+            let what = match site {
+                Alloc::Macro(name) => format!("`{name}!`"),
+                Alloc::Std(written) | Alloc::Untyped(written) => format!("`{written}`"),
+            };
+            push(file, line, f.qualified(), &what);
+        }
+    }
+}
+
+/// One allocation XA101's classifier finds in a fn body.
+enum Alloc {
+    /// `vec!` / `format!`.
+    Macro(String),
+    /// An allocating std path or method.
+    Std(String),
+    /// An alloc-capable method name on a receiver of unknown type.
+    Untyped(String),
+}
+
+/// XA101's classifier: every allocation site in fn `fi`, as written,
+/// minus those justified by an `alloc:` comment.
+fn alloc_sites(ws: &Workspace, graph: &CallGraph, fi: usize) -> Vec<(u32, Alloc)> {
+    let file = &ws.files[ws.fns[fi].file];
+    let mut out = Vec::new();
+    for site in &graph.facts[fi].sites {
+        if let RawSite::Macro { name, line } = site {
+            if name == "vec" || name == "format" {
+                out.push((*line, Alloc::Macro(name.clone())));
+            }
+        }
+    }
+    for site in graph.sites.iter().filter(|s| s.caller == fi) {
+        if justified(file, site.line, "alloc:", 2) {
+            continue;
+        }
+        match &site.target {
+            Target::Std(path) if std_path_allocates(path) => {
+                out.push((site.line, Alloc::Std(site.written.clone())));
+            }
+            Target::Fns(_) | Target::Std(_) if site.alloc_risk => {
+                out.push((site.line, Alloc::Untyped(site.written.clone())));
+            }
+            _ => {}
+        }
+    }
+    out
 }
 
 /// Scans one function inside a hot closure for XA100/XA101/XA102
@@ -483,33 +563,20 @@ fn scan_hot_fn(
         .any(|e| e.krate == f.krate && e.name == f.name && e.self_type == f.self_type.as_deref());
     let push = |findings: &mut Vec<Finding>, rule, line, message| {
         findings.push(Finding {
-            rule,
-            file: file.rel_path.clone(),
-            line,
-            symbol: symbol.clone(),
             group: Some(group),
-            message,
+            ..Finding::error(rule, &file.rel_path, line, symbol.clone(), message)
         });
     };
 
     for site in &graph.facts[fi].sites {
         match site {
-            RawSite::Macro { name, line } => {
-                if is_panic_macro(name) {
-                    push(
-                        findings,
-                        "XA100",
-                        *line,
-                        format!("`{name}!` is reachable from hot entry group `{group}`"),
-                    );
-                } else if name == "vec" || name == "format" {
-                    push(
-                        findings,
-                        "XA101",
-                        *line,
-                        format!("`{name}!` allocates inside hot entry group `{group}`"),
-                    );
-                }
+            RawSite::Macro { name, line } if is_panic_macro(name) => {
+                push(
+                    findings,
+                    "XA100",
+                    *line,
+                    format!("`{name}!` is reachable from hot entry group `{group}`"),
+                );
             }
             RawSite::Index { line, literal }
                 if !literal && !justified(file, *line, "indexing:", 2) =>
@@ -567,17 +634,6 @@ fn scan_hot_fn(
                         site.line,
                         "`expect()` without an `invariant:` comment within 6 lines".to_string(),
                     );
-                } else if std_path_allocates(path) && !justified(file, site.line, "alloc:", 2) {
-                    push(
-                        findings,
-                        "XA101",
-                        site.line,
-                        format!(
-                            "`{}` allocates inside hot entry group `{group}`; refactor \
-                             to a reusable buffer or justify with an `alloc:` comment",
-                            site.written
-                        ),
-                    );
                 }
             }
             Target::Unresolved(name) => {
@@ -591,73 +647,23 @@ fn scan_hot_fn(
                     ),
                 );
             }
-            Target::Fns(_) if site.alloc_risk && !justified(file, site.line, "alloc:", 2) => {
-                push(
-                    findings,
-                    "XA101",
-                    site.line,
-                    format!(
-                        "`{}` has an alloc-capable name and an untyped receiver; \
-                         if the receiver is a collection this allocates — justify \
-                         with an `alloc:` comment or type the receiver",
-                        site.written
-                    ),
-                );
-            }
             _ => {}
         }
     }
-}
 
-/// XA103: every metric static declared in the registry is referenced as
-/// `metrics::NAME` somewhere outside the registry file.
-fn registry_closure(ws: &Workspace, registry_rel: &str) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let Some(reg) = ws.files.iter().find(|f| f.rel_path == registry_rel) else {
-        return findings; // no registry in this workspace (fixtures)
-    };
-
-    // Statics: `pub static NAME: Counter|Histogram` in the token stream.
-    let mut statics: Vec<(String, u32)> = Vec::new();
-    let t = &reg.toks;
-    for k in 0..t.len() {
-        if t[k].is_ident("static")
-            && t.get(k + 1)
-                .is_some_and(|x| x.kind == super::lexer::TokKind::Ident)
-            && t.get(k + 2).is_some_and(|x| x.is_punct(':'))
-            && t.get(k + 3)
-                .is_some_and(|x| x.is_ident("Counter") || x.is_ident("Histogram"))
-        {
-            statics.push((t[k + 1].text.clone(), t[k + 1].line));
-        }
+    for (line, site) in alloc_sites(ws, graph, fi) {
+        let message = match site {
+            Alloc::Macro(name) => format!("`{name}!` allocates inside hot entry group `{group}`"),
+            Alloc::Std(written) => format!(
+                "`{written}` allocates inside hot entry group `{group}`; refactor \
+                 to a reusable buffer or justify with an `alloc:` comment"
+            ),
+            Alloc::Untyped(written) => format!(
+                "`{written}` has an alloc-capable name and an untyped receiver; \
+                 if the receiver is a collection this allocates — justify \
+                 with an `alloc:` comment or type the receiver"
+            ),
+        };
+        push(findings, "XA101", line, message);
     }
-
-    for (name, line) in &statics {
-        let used = ws.files.iter().any(|f| {
-            if f.rel_path == registry_rel {
-                return false;
-            }
-            let t = &f.toks;
-            (0..t.len()).any(|k| {
-                t[k].is_ident("metrics")
-                    && t.get(k + 1).is_some_and(|x| x.is_punct(':'))
-                    && t.get(k + 2).is_some_and(|x| x.is_punct(':'))
-                    && t.get(k + 3).is_some_and(|x| x.is_ident(name))
-            })
-        });
-        if !used {
-            findings.push(Finding {
-                rule: "XA103",
-                file: reg.rel_path.clone(),
-                line: *line,
-                symbol: format!("metrics::{name}"),
-                group: None,
-                message: format!(
-                    "metric static `{name}` is registered but never written or \
-                     read outside the registry — dead metric"
-                ),
-            });
-        }
-    }
-    findings
 }

@@ -2,20 +2,14 @@
 //! paper. These call into the library crates, so they compare what the
 //! binaries will actually run with — not a regex over source text.
 
-use crate::lint::{Finding, Severity};
+use crate::analyze::Finding;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xed_faultsim::fault::{FaultExtent, Persistence};
 use xed_faultsim::fit::FitRates;
 
 fn finding(rule: &'static str, file: &str, message: String) -> Finding {
-    Finding {
-        file: file.to_string(),
-        line: 0,
-        rule,
-        severity: Severity::Error,
-        message,
-    }
+    Finding::error(rule, file, 0, String::new(), message)
 }
 
 /// XL007: `FitRates::table_i()` must reproduce paper Table I (Sridharan &

@@ -1,22 +1,20 @@
 //! Workspace automation (`cargo xtask` pattern).
 //!
 //! ```text
-//! cargo run -p xtask -- lint [--format text|json] [--root PATH]
 //! cargo run -p xtask -- analyze [--format text|json] [--root PATH]
-//!                               [--baseline PATH]
 //! cargo run -p xtask -- verify-matrix [--quick|--full] [--regen-golden]
 //!                                     [--format text|json]
 //! ```
 //!
-//! `lint` runs the `xed-lint` static-analysis pass: line-level source
-//! rules over the comment/string-sanitized library crates (see [`lint`]
-//! for the rule catalogue) plus the linked golden-value rules (see
-//! [`golden`]). Exits nonzero if any error-severity finding survives.
-//!
-//! `analyze` runs the `xed-analyze` pass (see [`analyze`]): a workspace
-//! call graph with transitive panic/alloc-freedom proofs over the named
-//! hot paths, an atomic-ordering audit, and the metric-registry closure
-//! check, gated through `xed-analyze.baseline`.
+//! `analyze` runs `xed-analyze` (see [`analyze`]), the workspace's one
+//! static-analysis pass: token rules over the library crates (XL001–XL006,
+//! XL011, XL012), the metric-registry and trace-phase catalogues checked
+//! against DESIGN.md (XL010, XA103, XL012), the linked golden-value rules
+//! (XL007/XL008, see [`golden`]), and a workspace call graph with
+//! transitive panic/alloc-freedom proofs over the named hot paths and an
+//! atomic-ordering audit (XA100–XA102, XL009). Findings are waived only
+//! in source, by a `// xed-analyze: allow(RULE) — reason` comment. Exits
+//! nonzero if any error-severity finding survives.
 //!
 //! `verify-matrix` runs the `xed-testkit` cross-validation matrix (see
 //! [`verify`]): exhaustive small-geometry oracle, analytic gate,
@@ -25,19 +23,14 @@
 
 mod analyze;
 mod golden;
-mod lint;
-mod metrics_check;
-mod trace_check;
 mod verify;
 
 use std::env;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => run_lint(&args[1..]),
         Some("analyze") => analyze::run(&args[1..]),
         Some("verify-matrix") => verify::run(&args[1..]),
         Some(other) => {
@@ -52,87 +45,6 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: cargo run -p xtask -- lint [--format text|json] [--root PATH]\n\
-                     \x20      cargo run -p xtask -- analyze [--format text|json] [--root PATH] \
-                     [--baseline PATH]\n\
+const USAGE: &str = "usage: cargo run -p xtask -- analyze [--format text|json] [--root PATH]\n\
                      \x20      cargo run -p xtask -- verify-matrix [--quick|--full] \
                      [--regen-golden] [--format text|json]";
-
-fn run_lint(args: &[String]) -> ExitCode {
-    let mut format = "text".to_string();
-    let mut root: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--format" => match it.next() {
-                Some(v) if v == "text" || v == "json" => format = v.clone(),
-                _ => {
-                    eprintln!("--format takes `text` or `json`");
-                    return ExitCode::from(2);
-                }
-            },
-            "--root" => match it.next() {
-                Some(v) => root = Some(PathBuf::from(v)),
-                None => {
-                    eprintln!("--root takes a path");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("unknown argument `{other}`");
-                eprintln!("{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    // Default root: the workspace containing this crate.
-    let root = root.unwrap_or_else(|| {
-        let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-        manifest
-            .parent()
-            .and_then(|p| p.parent())
-            .map(PathBuf::from)
-            .unwrap_or(manifest)
-    });
-
-    let mut findings = match lint::scan_workspace(&root) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("xed-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    findings.extend(golden::check_fit_table());
-    findings.extend(golden::check_catch_word_constants());
-    findings.extend(metrics_check::check_metrics(&root));
-    findings.extend(trace_check::check_traces(&root));
-
-    let errors = findings
-        .iter()
-        .filter(|f| f.severity == lint::Severity::Error)
-        .count();
-    let warnings = findings.len() - errors;
-
-    if format == "json" {
-        let items: Vec<String> = findings.iter().map(lint::Finding::render_json).collect();
-        println!(
-            r#"{{"findings":[{}],"errors":{errors},"warnings":{warnings}}}"#,
-            items.join(",")
-        );
-    } else {
-        for f in &findings {
-            println!("{}", f.render());
-        }
-        println!(
-            "xed-lint: {} finding(s): {errors} error(s), {warnings} warning(s)",
-            findings.len()
-        );
-    }
-
-    if errors > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}

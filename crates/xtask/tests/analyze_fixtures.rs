@@ -1,15 +1,20 @@
-//! Integration tests for `xed-analyze` (ISSUE 6).
+//! Integration tests for `xed-analyze`, the workspace's one
+//! static-analysis pass.
 //!
 //! A checked-in fixture mini-workspace
 //! (`tests/fixtures/mini_ws/`) defines every hot entry point and
 //! boundary fn the analyzer names, with exactly one seeded violation
-//! per XA rule arm. The golden JSON (`tests/fixtures/golden.json`) is
-//! asserted byte-for-byte modulo the elapsed-time field, so any change
-//! to finding wording, ordering, grouping, or closure sizes is a
-//! deliberate golden update. A final test runs the analyzer over the
-//! real workspace and requires it to be clean with an empty unresolved
-//! bucket.
+//! per XA rule arm, plus seeded token-rule (XL001–XL003) and catalogue
+//! (XL010, XL012) findings. The golden JSON
+//! (`tests/fixtures/golden.json`) is asserted byte-for-byte modulo the
+//! elapsed-time field, so any change to finding wording, ordering,
+//! grouping, or closure sizes is a deliberate golden update. The waiver
+//! tests run over a temporary copy of the fixture with waiver comments
+//! written in. A final test runs the analyzer over the real workspace and
+//! requires it to be clean with an empty unresolved bucket.
 
+use std::fs;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 const GOLDEN: &str = include_str!("fixtures/golden.json");
@@ -43,6 +48,34 @@ fn normalize(json: &str) -> String {
     format!("{}0{}", &json[..digits_at], &rest[end..])
 }
 
+fn copy_tree(from: &Path, to: &Path) {
+    fs::create_dir_all(to).expect("create fixture copy");
+    for entry in fs::read_dir(from).expect("read fixture") {
+        let path = entry.expect("fixture entry").path();
+        let dest = to.join(path.file_name().expect("file name"));
+        if path.is_dir() {
+            copy_tree(&path, &dest);
+        } else {
+            fs::copy(&path, &dest).expect("copy fixture file");
+        }
+    }
+}
+
+/// A temporary copy of the fixture named `name`, with each `(file, from,
+/// to)` text replacement applied.
+fn fixture_copy(name: &str, edits: &[(&str, &str, &str)]) -> PathBuf {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = fs::remove_dir_all(&root);
+    copy_tree(Path::new(&fixture_root()), &root);
+    for (file, from, to) in edits {
+        let path = root.join(file);
+        let text = fs::read_to_string(&path).expect("read fixture file");
+        assert!(text.contains(from), "{file} lacks `{from}`");
+        fs::write(&path, text.replacen(from, to, 1)).expect("write fixture file");
+    }
+    root
+}
+
 #[test]
 fn fixture_findings_match_golden() {
     let out = run_analyze(&["--root", &fixture_root(), "--format", "json"]);
@@ -69,6 +102,9 @@ fn fixture_detects_every_seeded_rule() {
         "hot Acquire, stray SeqCst, boundary Relaxed"
     );
     assert_eq!(count("XA103"), 1, "dead metric");
+    for rule in ["XL001", "XL002", "XL003", "XL010", "XL012"] {
+        assert_eq!(count(rule), 1, "{rule}");
+    }
 
     // The unwrap is two hops from the entry point: transitivity works.
     assert!(json.contains("xed_ecc::first_symbol"));
@@ -87,59 +123,94 @@ fn fixture_text_format_reports_proofs_and_unresolved() {
     assert!(text.contains("proof [ecc-decode]: 2 entry fn(s), closure of 3 fn(s)"));
     assert!(text.contains("proof [ecc-infer]: 2 entry fn(s), closure of 2 fn(s)"));
     assert!(text.contains("proof [mc-trial]: 5 entry fn(s), closure of 7 fn(s)"));
-    assert!(text.contains("proof [telemetry-write]: 16 entry fn(s), closure of 16 fn(s)"));
+    assert!(text.contains("proof [telemetry-write]: 15 entry fn(s), closure of 15 fn(s)"));
     assert!(text.contains("proof [xedd-request]: 2 entry fn(s), closure of 4 fn(s)"));
     assert!(text.contains("unresolved bucket: 1 distinct callee(s), 1 site(s)"));
     assert!(text.contains("mystery_mix (1 site(s), e.g. crates/faultsim/src/lib.rs:38)"));
 }
 
 #[test]
-fn baseline_cannot_suppress_hot_findings() {
-    let baseline = format!(
-        "{}/tests/fixtures/hot_suppress.baseline",
-        env!("CARGO_MANIFEST_DIR")
+fn hot_findings_cannot_be_waived() {
+    let root = fixture_copy(
+        "waive_hot",
+        &[(
+            "crates/ecc/src/lib.rs",
+            "// seed XA100 (panic macro)",
+            "// xed-analyze: allow(XA100, XL003) — hiding a hot finding",
+        )],
     );
-    let out = run_analyze(&[
-        "--root",
-        &fixture_root(),
-        "--format",
-        "text",
-        "--baseline",
-        &baseline,
-    ]);
+    let out = run_analyze(&["--root", root.to_str().expect("utf-8 path")]);
     assert_eq!(out.status.code(), Some(1));
     let text = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(
-        text.contains("tries to suppress a hot-path finding"),
+        text.contains(
+            "crates/ecc/src/lib.rs:11: error[waiver] xed_ecc::SecDed::decode_line (ecc-decode): \
+             the waiver at line 11 tries to suppress a hot-path XA100 finding"
+        ),
         "{text}"
     );
-    // The hot finding itself is still present alongside the rejection.
-    assert!(text.contains("`panic!` is reachable"));
+    // The hot finding itself stands next to the rejection; the non-hot
+    // XL003 on the same line is waived.
+    assert!(text.contains("`panic!` is reachable"), "{text}");
+    assert!(!text.contains("error[XL003]"), "{text}");
+    assert!(text.contains("1 waived"), "{text}");
 }
 
 #[test]
-fn baseline_suppresses_non_hot_and_reports_stale() {
-    let baseline = format!(
-        "{}/tests/fixtures/boundary.baseline",
-        env!("CARGO_MANIFEST_DIR")
+fn boundary_finding_can_be_waived_and_stale_waivers_are_reported() {
+    let root = fixture_copy(
+        "waive_boundary",
+        &[
+            (
+                "crates/telemetry/src/lib.rs",
+                "// seed XA102 (boundary not Acquire)",
+                "// xed-analyze: allow(XA102) — fixture: non-hot findings can be waived",
+            ),
+            (
+                "crates/faultsim/src/lib.rs",
+                "\n/// Not on any hot path",
+                "\n// xed-analyze: allow(XA103) — deliberately stale\n/// Not on any hot path",
+            ),
+        ],
     );
     let out = run_analyze(&[
         "--root",
-        &fixture_root(),
+        root.to_str().expect("utf-8 path"),
         "--format",
         "json",
-        "--baseline",
-        &baseline,
     ]);
     // Still findings left, so still gating.
     assert_eq!(out.status.code(), Some(1));
     let json = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(json.contains("\"suppressed\":1"), "{json}");
-    assert!(json.contains("\"stale\":1"), "{json}");
     assert!(
         !json.contains("xed_telemetry::Counter::value"),
-        "boundary finding should be suppressed: {json}"
+        "boundary finding should be waived: {json}"
     );
+    assert!(
+        json.contains(
+            r#"{"rule":"waiver","severity":"warning","file":"crates/faultsim/src/lib.rs","line":67,"#
+        ),
+        "{json}"
+    );
+    assert!(json.contains("stale waiver: no XA103 finding"), "{json}");
+}
+
+#[test]
+fn usage_and_io_errors_exit_2() {
+    let missing = format!("{}/no_such_workspace", env!("CARGO_TARGET_TMPDIR"));
+    let out = run_analyze(&["--root", &missing]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("no_such_workspace"));
+    // A workspace without DESIGN.md cannot be checked: an I/O error, not
+    // a skipped rule.
+    let root = fixture_copy("no_design", &[]);
+    fs::remove_file(root.join("DESIGN.md")).expect("remove DESIGN.md");
+    let out = run_analyze(&["--root", root.to_str().expect("utf-8 path")]);
+    assert_eq!(out.status.code(), Some(2));
+    for args in [&["--baseline", "x"][..], &["--format", "yaml"], &["--root"]] {
+        assert_eq!(run_analyze(args).status.code(), Some(2), "{args:?}");
+    }
 }
 
 #[test]

@@ -156,11 +156,6 @@ impl Span {
     }
 }
 
-/// Hot: free-function tick.
-pub fn tick(c: &Counter) {
-    c.incr();
-}
-
 /// Hot: free-function count add.
 pub fn count(c: &Counter, n: u64) {
     c.add(n);

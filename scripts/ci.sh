@@ -14,13 +14,12 @@ cargo fmt --check
 step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-step "xed-lint (static analysis + golden constants)"
-cargo run -q -p xtask -- lint
-
-# Gating: call-graph proofs over the named hot paths (DESIGN.md §13) —
-# transitive panic/alloc freedom, atomic-ordering audit, registry
-# closure. Budget: well under 2 s including the cargo wrapper.
-step "xed-analyze (call-graph hot-path proofs)"
+# Gating: the one static-analysis pass (DESIGN.md §13) — token rules,
+# the metric and trace-phase catalogues, golden constants, and
+# call-graph proofs over the named hot paths (transitive panic/alloc
+# freedom, atomic-ordering audit). Budget: well under 2 s including the
+# cargo wrapper.
+step "xed-analyze (static analysis)"
 cargo run -q -p xtask -- analyze
 
 # Gating: every intra-doc link must resolve, so a refactor cannot leave

@@ -10,7 +10,7 @@
 //!   mis-corrected;
 //! * the same sweep for the (40,32) x4 codec over its 40 positions;
 //! * `FitRates::table_i()` is pinned to the paper's Table I values (also
-//!   enforced at lint time by xed-lint rule XL007).
+//!   enforced at analysis time by xed-analyze rule XL007).
 
 use xed::ecc::secded::{DecodeOutcome, SecDed};
 use xed::ecc::secded32::{Crc8Atm32, Decode32};
@@ -103,8 +103,8 @@ fn crc8_atm32_exhaustive_single_and_double_sweep() {
 
 /// Pins `FitRates::table_i()` to the paper's Table I (Sridharan & Liberty
 /// per-chip FIT rates), including the folded multi-bank/multi-rank Chip row
-/// and the derived totals. xed-lint rule XL007 enforces the same values at
-/// lint time by linking against the crate.
+/// and the derived totals. xed-analyze rule XL007 enforces the same values
+/// at analysis time by linking against the crate.
 #[test]
 fn fit_rates_table_i_golden() {
     let rates = FitRates::table_i();
