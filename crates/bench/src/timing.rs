@@ -1,134 +1,16 @@
-//! A minimal micro-benchmark harness on `std::time::Instant`, plus the
-//! unified machine-readable run-report pipeline ([`Report`]).
+//! The run-report pipeline shared by the reproduction binaries: the
+//! `[engine]` wall-clock footer ([`engine_footer`]) and the
+//! machine-readable [`Report`].
 //!
-//! The original Criterion benches were rewritten on this harness so the
-//! workspace builds fully offline (see README "Offline builds"). The
-//! statistics are deliberately simple: warm up, run a fixed number of
-//! timed batches, report the best and median per-iteration time. "Best"
-//! is the most robust location estimate for a microbenchmark under noise
-//! (it bounds the true cost from above with the least scheduler
-//! interference).
-//!
-//! The report half centralizes what each binary used to hand-roll: the
-//! `[engine]` throughput footer ([`engine_footer`]) and JSON rendering.
-//! Every JSON artifact the binaries write — `BENCH_*.json` trajectories
-//! and the `results/fig*.json` sidecars — shares the `xed-report-v1`
-//! envelope (schema documented on [`Report`]).
+//! Every JSON artifact the binaries write — the `results/fig*.json`
+//! sidecars — shares the `xed-report-v1` envelope (schema documented on
+//! [`Report`]). Speed is measured by the benchmark in `perfbench/`, not
+//! here.
 
 use std::fmt::Write as _;
-use std::hint::black_box;
 use std::path::Path;
-use std::time::Instant;
 use xed_faultsim::montecarlo::{RunStats, SchemeResult};
 use xed_telemetry::export::json_string;
-
-/// Re-export so benches write `timing::black_box` (or use `std::hint`).
-pub use std::hint::black_box as bb;
-
-/// One measured benchmark result.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Measurement {
-    /// Iterations per timed batch.
-    pub batch_iters: u64,
-    /// Best observed nanoseconds per iteration.
-    pub best_ns: f64,
-    /// Median observed nanoseconds per iteration.
-    pub median_ns: f64,
-}
-
-impl Measurement {
-    fn throughput(&self) -> String {
-        if self.best_ns <= 0.0 {
-            return "-".into();
-        }
-        let per_sec = 1e9 / self.best_ns;
-        if per_sec >= 1e6 {
-            format!("{:.1}M/s", per_sec / 1e6)
-        } else if per_sec >= 1e3 {
-            format!("{:.1}K/s", per_sec / 1e3)
-        } else {
-            format!("{per_sec:.1}/s")
-        }
-    }
-}
-
-/// A group of related benchmarks, printed as one table section.
-#[derive(Debug)]
-pub struct Group {
-    name: String,
-    batches: u32,
-}
-
-impl Group {
-    /// Creates a named group with default settings (15 timed batches).
-    pub fn new(name: &str) -> Self {
-        println!("\n== {name} ==");
-        println!(
-            "{:<36} {:>12} {:>12} {:>10}",
-            "benchmark", "best", "median", "thrpt"
-        );
-        Self {
-            name: name.to_string(),
-            batches: 15,
-        }
-    }
-
-    /// Lowers the batch count for long-running benchmarks.
-    pub fn slow(mut self) -> Self {
-        self.batches = 5;
-        self
-    }
-
-    /// The group name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Times `f`, auto-calibrating the batch size to ~20ms, and prints one
-    /// table row. Returns the measurement for programmatic use.
-    pub fn bench<T, F: FnMut() -> T>(&self, label: &str, mut f: F) -> Measurement {
-        // Calibrate: grow the batch until it takes long enough to time.
-        let mut iters: u64 = 1;
-        loop {
-            let t = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            let elapsed = t.elapsed();
-            if elapsed.as_millis() >= 20 || iters >= 1 << 30 {
-                break;
-            }
-            // Aim straight for ~25ms based on the observed rate.
-            let per_iter = elapsed.as_nanos().max(1) as f64 / iters as f64;
-            let target = (25e6 / per_iter).ceil() as u64;
-            iters = target.clamp(iters * 2, 1 << 30);
-        }
-
-        let mut samples: Vec<f64> = (0..self.batches)
-            .map(|_| {
-                let t = Instant::now();
-                for _ in 0..iters {
-                    black_box(f());
-                }
-                t.elapsed().as_nanos() as f64 / iters as f64
-            })
-            .collect();
-        samples.sort_by(|a, b| a.total_cmp(b));
-        let m = Measurement {
-            batch_iters: iters,
-            best_ns: samples[0],
-            median_ns: samples[samples.len() / 2],
-        };
-        println!(
-            "{:<36} {:>12} {:>12} {:>10}",
-            label,
-            fmt_ns(m.best_ns),
-            fmt_ns(m.median_ns),
-            m.throughput()
-        );
-        m
-    }
-}
 
 /// A JSON value in a [`Report`] (hand-rendered; the workspace carries no
 /// serialization dependency by design).
@@ -343,37 +225,9 @@ pub fn engine_footer(stats: &RunStats) -> String {
     )
 }
 
-fn fmt_ns(ns: f64) -> String {
-    if ns < 1e3 {
-        format!("{ns:.1} ns")
-    } else if ns < 1e6 {
-        format!("{:.2} µs", ns / 1e3)
-    } else if ns < 1e9 {
-        format!("{:.2} ms", ns / 1e6)
-    } else {
-        format!("{:.2} s", ns / 1e9)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn measures_something() {
-        let g = Group::new("test");
-        let m = g.bench("noop_sum", || (0..100u64).sum::<u64>());
-        assert!(m.best_ns > 0.0);
-        assert!(m.median_ns >= m.best_ns);
-        assert!(m.batch_iters >= 1);
-    }
-
-    #[test]
-    fn formats() {
-        assert_eq!(fmt_ns(12.34), "12.3 ns");
-        assert_eq!(fmt_ns(12_340.0), "12.34 µs");
-        assert_eq!(fmt_ns(12_340_000.0), "12.34 ms");
-    }
 
     #[test]
     fn report_envelope_shape() {

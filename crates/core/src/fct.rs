@@ -86,6 +86,7 @@ impl FaultyRowChipTracker {
             return FctOutcome::Recorded;
         }
         if self.entries.len() < self.capacity {
+            // alloc: never grows: `new` reserved `capacity` and len < capacity.
             self.entries.push((row, chip));
             if self.entries.len() == self.capacity && self.entries.iter().all(|&(_, c)| c == chip) {
                 return FctOutcome::ChipCondemned { chip };
@@ -97,6 +98,7 @@ impl FaultyRowChipTracker {
             return FctOutcome::ChipCondemned { chip };
         }
         self.entries.remove(0);
+        // alloc: never grows: the remove freed a slot of the reserved capacity.
         self.entries.push((row, chip));
         FctOutcome::EvictedOldest
     }

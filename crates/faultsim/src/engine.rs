@@ -1,7 +1,7 @@
 //! The engine facade: one entry point for every reliability query.
 //!
 //! Everything that evaluates a `(scheme, FIT table, lifetime, parameters)`
-//! configuration — the figure binaries, the bench harnesses and the `xedd`
+//! configuration — the figure binaries, the benchmark and the `xedd`
 //! daemon — funnels through this module, so there is exactly one hot path
 //! behind every consumer (DESIGN.md §15). It is the only public way to
 //! run a lifetime simulation:

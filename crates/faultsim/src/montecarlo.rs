@@ -51,8 +51,8 @@
 //!   uniform) for the ~75 % of lifetimes that see no fault at all.
 //! * **Throughput instrumentation.** [`Sweep::run_one`] and
 //!   [`Sweep::run_all`] report wall time and samples/sec via
-//!   [`RunStats`]; the `mc_throughput` bench binary persists the trajectory
-//!   to `BENCH_faultsim.json`.
+//!   [`RunStats`]; the figure binaries print them as their `[engine]`
+//!   footer.
 
 use crate::engine::Sweep;
 use crate::event::{sort_by_arrival, FaultEvent, LifetimeSampler};
@@ -932,6 +932,8 @@ pub(crate) fn walk_timeline(
             },
         };
         next_expiry = next_expiry.min(until);
+        // The worker's scratch keeps its capacity across trials.
+        // alloc: amortized growth of that reused scratch.
         active.push(*e);
         expiry.push(until);
     }

@@ -6,7 +6,7 @@
 //! per report, never on a hot path. JSON is hand-rendered (the workspace
 //! has no serialization dependency); the envelope matches the
 //! `xed-report-v1` schema documented in DESIGN.md §11, which the
-//! `BENCH_*.json` trajectories and `results/fig*.json` sidecars share.
+//! `results/fig*.json` sidecars share.
 
 use crate::hist::{bucket_bounds, BUCKETS};
 use crate::trace::SpanEvent;

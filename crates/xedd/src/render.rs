@@ -83,7 +83,7 @@ pub fn final_body(query: &Query, key: &CanonicalKey, estimate: &Estimate) -> Str
     out.push_str(",\"trials\":");
     out.push_str(&estimate.samples().to_string());
     out.push_str(",\"early_stop\":");
-    out.push_str(if estimate.samples() < query.samples {
+    out.push_str(if stopped_early(query, estimate) {
         "true"
     } else {
         "false"
@@ -134,6 +134,12 @@ pub fn final_body(query: &Query, key: &CanonicalKey, estimate: &Estimate) -> Str
     out
 }
 
+/// Whether `estimate` stopped before the trials `query` asked for: the
+/// body's `early_stop` flag.
+fn stopped_early(query: &Query, estimate: &Estimate) -> bool {
+    estimate.samples() < query.samples
+}
+
 /// Evaluates a query through the engine facade and renders the complete
 /// cacheable response, recording each streamed partial. This is the one
 /// compute path the daemon runs on a cache miss — and exactly what the
@@ -141,8 +147,17 @@ pub fn final_body(query: &Query, key: &CanonicalKey, estimate: &Estimate) -> Str
 /// to the engine's.
 pub fn evaluate_to_response(
     query: &Query,
-    mut on_progress: impl FnMut(&str),
+    on_progress: impl FnMut(&str),
 ) -> Result<CachedResponse, String> {
+    evaluate_miss(query, on_progress).map(|(response, _)| response)
+}
+
+/// [`evaluate_to_response`] plus whether the run stopped early, taken
+/// from the estimate rather than re-read from the rendered body.
+pub(crate) fn evaluate_miss(
+    query: &Query,
+    mut on_progress: impl FnMut(&str),
+) -> Result<(CachedResponse, bool), String> {
     let key = query.canonical_key();
     let mut progress_lines = Vec::new();
     let estimate = xed_faultsim::engine::evaluate_streaming(query, |p| {
@@ -151,11 +166,12 @@ pub fn evaluate_to_response(
         progress_lines.push(line);
     })?;
     let body = final_body(query, &key, &estimate);
-    Ok(CachedResponse {
+    let response = CachedResponse {
         key,
         progress_lines,
         body,
-    })
+    };
+    Ok((response, stopped_early(query, &estimate)))
 }
 
 #[cfg(test)]

@@ -652,7 +652,7 @@ fn serve_as_leader(
         span_id: lead_span,
     }));
     let t_eval = trace::now_ns();
-    let result = render::evaluate_to_response(query, |line| {
+    let result = render::evaluate_miss(query, |line| {
         leader.publish_line(line);
         if streaming && head_ok {
             ttfc.mark();
@@ -675,9 +675,9 @@ fn serve_as_leader(
         t_end: trace::now_ns(),
     });
     match result {
-        Ok(response) => {
+        Ok((response, early_stop)) => {
             let response = Arc::new(response);
-            if crate::json::field(&response.body, "early_stop") == Some("true") {
+            if early_stop {
                 metrics::XEDD_EARLY_STOPS.incr();
             }
             inner.cache.insert(*leader.key(), Arc::clone(&response));

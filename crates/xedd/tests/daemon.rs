@@ -6,7 +6,7 @@
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use xedd::http;
 use xedd::{Server, XeddConfig};
 
@@ -208,4 +208,89 @@ fn servers_start_and_stop_in_a_loop_within_a_deadline() {
     finished
         .recv_timeout(Duration::from_secs(60))
         .expect("start/stop loop missed its deadline (or panicked)");
+}
+
+/// Nearest-rank percentile of sorted latencies.
+fn percentile(sorted: &[f64], p: f64) -> f64 {
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// One timed `GET`, in microseconds, with its response.
+fn timed_get(addr: &str, target: &str) -> (f64, http::ClientResponse) {
+    let t = Instant::now();
+    let resp = http::client_get(addr, target).unwrap_or_else(|e| panic!("GET {target}: {e}"));
+    (t.elapsed().as_nanos() as f64 / 1e3, resp)
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
+fn warm_hits_are_a_hundred_times_faster_than_cold_misses_at_p50() {
+    // The memo cache's reason to exist, over real TCP: 6 distinct
+    // 4M-trial queries (every one a miss that runs the full Monte-Carlo),
+    // then 4 clients x 50 repeats over those keys (every one a hit). The
+    // warm p50 must sit at least 100x below the cold p50. Timing-based,
+    // so it runs in release only and alone (`--test-threads=1`, as
+    // `scripts/ci.sh` does): on a 2-vCPU host it has read as little as
+    // 145x, only 1.45x above the bar.
+    const SAMPLES: u64 = 4_000_000;
+    const SEED: u64 = 2016;
+    const COLD_KEYS: usize = 6;
+    const CLIENTS: usize = 4;
+    const REQUESTS: usize = 50;
+    const MIN_SPEEDUP: f64 = 100.0;
+    let server = start(CLIENTS + 2, XeddConfig::default().queue_limit);
+    let addr = server.addr();
+    let target = |key: usize| {
+        format!(
+            "/v1/query?scheme=xed&samples={SAMPLES}&seed={}",
+            SEED + key as u64
+        )
+    };
+
+    let mut cold: Vec<f64> = (0..COLD_KEYS)
+        .map(|key| {
+            let (us, resp) = timed_get(&addr, &target(key));
+            assert_eq!(resp.status, 200, "cold query failed: {}", resp.body);
+            assert_eq!(resp.header("x-xedd-cache"), Some("miss"));
+            us
+        })
+        .collect();
+    let mut warm: Vec<f64> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|client| {
+                let (addr, target) = (&addr, &target);
+                scope.spawn(move || {
+                    (0..REQUESTS)
+                        .map(|i| {
+                            let (us, resp) = timed_get(addr, &target((client + i) % COLD_KEYS));
+                            assert_eq!(resp.header("x-xedd-cache"), Some("hit"));
+                            us
+                        })
+                        .collect::<Vec<f64>>()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|c| c.join().expect("warm client"))
+            .collect()
+    });
+    server.shutdown();
+
+    cold.sort_by(f64::total_cmp);
+    warm.sort_by(f64::total_cmp);
+    let (cold_p50, warm_p50) = (percentile(&cold, 50.0), percentile(&warm, 50.0));
+    let speedup = cold_p50 / warm_p50.max(1e-9);
+    println!(
+        "cold p50 {cold_p50:.0} us ({} requests), warm p50 {warm_p50:.0} us ({} requests): \
+         {speedup:.0}x (need >= {MIN_SPEEDUP}x)",
+        cold.len(),
+        warm.len()
+    );
+    assert!(
+        speedup >= MIN_SPEEDUP,
+        "warm p50 ({warm_p50:.0} us) must be >= {MIN_SPEEDUP}x below cold p50 \
+         ({cold_p50:.0} us), got {speedup:.1}x"
+    );
 }

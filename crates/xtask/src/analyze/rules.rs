@@ -279,10 +279,15 @@ fn is_panic_macro(name: &str) -> bool {
     )
 }
 
-/// Std paths/associated fns that allocate.
+/// Std paths/associated fns that allocate. A method on a receiver with
+/// no workspace candidate resolves to `.name`, so the dot is trimmed.
 fn std_path_allocates(path: &str) -> bool {
     let segs: Vec<&str> = path.split("::").collect();
-    let last = segs.last().copied().unwrap_or_default();
+    let last = segs
+        .last()
+        .copied()
+        .unwrap_or_default()
+        .trim_start_matches('.');
     if is_alloc_risk_name(last) || last == "format" {
         return true;
     }

@@ -523,6 +523,19 @@ mod tests {
     }
 
     #[test]
+    fn allocations_on_typed_std_receivers_are_flagged() {
+        // A method on a receiver typed as a std collection resolves to
+        // `Std(".push")`; the leading dot once hid it from the classifier.
+        let src = "fn typed(v: &mut Vec<u8>, s: &mut String) {\n    v.push(1);\n    s.push_str(\"x\");\n}\n";
+        let f = scan_file("crates/ecc/src/rs.rs", src);
+        let sites: Vec<_> = f.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(sites, vec![("XL009", 2), ("XL009", 3)], "{f:?}");
+        // An `alloc:` justification within two lines still clears a site.
+        let justified = "fn typed(v: &mut Vec<u8>) {\n    // alloc: bounded by the caller's capacity\n    v.push(1);\n}\n";
+        assert!(scan_file("crates/ecc/src/rs.rs", justified).is_empty());
+    }
+
+    #[test]
     fn hot_module_list_is_workspace_rooted() {
         for m in super::super::rules::ALLOC_FREE_HOT_MODULES {
             assert!(

@@ -263,3 +263,35 @@ fn disabling_telemetry_keeps_legacy_stats_and_silences_registry() {
     drop(c2);
     assert_counters(&xed_counters(disabled_stats));
 }
+
+#[test]
+// issue: non-gating by design (DESIGN.md §11.3). Timing on a shared box
+// is noise, so scripts/ci.sh runs this in release and only warns.
+#[ignore = "timing report: run in release with --ignored"]
+fn telemetry_overhead_stays_within_budget() {
+    // The counters publish at merge points, so the Monte-Carlo headline
+    // (EccDimm, 100k trials, seed 2016) with telemetry on must stay
+    // within 3 % of the same run with it off. Best of 5 interleaved
+    // pairs on each side.
+    use xed_faultsim::engine::Sweep;
+    use xed_faultsim::schemes::Scheme;
+    const BUDGET_PCT: f64 = 3.0;
+    let _guard = registry_lock();
+    let sweep = Sweep::new(100_000, 2016);
+    let (mut on, mut off) = (0.0_f64, 0.0_f64);
+    for _ in 0..5 {
+        for enabled in [true, false] {
+            xed_telemetry::set_enabled(enabled);
+            let rate = sweep.run_one(Scheme::EccDimm).stats.samples_per_sec;
+            let best = if enabled { &mut on } else { &mut off };
+            *best = best.max(rate);
+        }
+    }
+    xed_telemetry::set_enabled(true);
+    let pct = (off - on) * 100.0 / off;
+    println!("telemetry on: {on:.0} samples/sec, off: {off:.0} samples/sec, overhead: {pct:.1}%");
+    assert!(
+        pct <= BUDGET_PCT,
+        "telemetry overhead above the {BUDGET_PCT}% budget: {pct:.1}%"
+    );
+}
