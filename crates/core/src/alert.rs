@@ -22,7 +22,6 @@ use crate::error::XedError;
 use crate::fault::InjectedFault;
 use xed_ecc::parity;
 use xed_telemetry::registry::metrics;
-use xed_telemetry::{EventKind, Ring};
 
 /// How much the alert signal reveals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,7 +55,6 @@ pub struct AlertDimm {
     mode: AlertMode,
     geometry: ChipGeometry,
     stats: AlertStats,
-    ring: Ring,
 }
 
 const DATA_CHIPS: usize = 8;
@@ -74,7 +72,6 @@ impl AlertDimm {
             mode,
             geometry,
             stats: AlertStats::default(),
-            ring: Ring::new(),
         }
     }
 
@@ -88,17 +85,8 @@ impl AlertDimm {
         self.stats
     }
 
-    /// The most recent controller events (alerts, reconstructions,
-    /// diagnoses, DUEs, injected faults), oldest first.
-    pub fn events(&self) -> &Ring {
-        &self.ring
-    }
-
     /// Injects a fault into a chip.
     pub fn inject_fault(&mut self, chip: usize, fault: InjectedFault) {
-        if xed_telemetry::enabled() {
-            self.ring.record(EventKind::FaultInjected, chip as u64, 0);
-        }
         self.chips[chip].inject_fault(fault);
     }
 
@@ -133,15 +121,8 @@ impl AlertDimm {
                 alerting.push(i);
             }
         }
-        let alert = !alerting.is_empty();
-        if alert {
+        if !alerting.is_empty() {
             self.stats.alerts += 1;
-            if xed_telemetry::enabled() {
-                // The wire-OR'd pin carries no chip identity; record the
-                // suspect count instead.
-                self.ring
-                    .record(EventKind::CatchWord, alerting.len() as u64, line);
-            }
         }
         let parity_ok = parity::holds(&words[..DATA_CHIPS], words[DATA_CHIPS]);
 
@@ -162,9 +143,6 @@ impl AlertDimm {
                 // (permanent faults only — the write destroys transient
                 // evidence).
                 self.stats.diagnoses += 1;
-                if xed_telemetry::enabled() {
-                    self.ring.record(EventKind::Diagnosis, 1, line);
-                }
                 let suspects = self.pattern_diagnosis(addr, &words);
                 if suspects.len() == 1 {
                     Some(suspects[0])
@@ -182,19 +160,11 @@ impl AlertDimm {
                     data[chip] = parity::reconstruct(&data, words[DATA_CHIPS], chip);
                 }
                 self.stats.reconstructions += 1;
-                if xed_telemetry::enabled() {
-                    self.ring
-                        .record(EventKind::ErasureReconstructed, chip as u64, line);
-                }
                 self.store(addr, &data); // scrub
                 Ok(data)
             }
             None => {
                 self.stats.due_events += 1;
-                if xed_telemetry::enabled() {
-                    self.ring
-                        .record(EventKind::Due, alerting.len() as u64, line);
-                }
                 Err(XedError::DetectedUncorrectable {
                     suspects: alerting.len() as u32,
                 })

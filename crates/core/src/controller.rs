@@ -25,7 +25,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xed_ecc::parity;
 use xed_telemetry::registry::metrics;
-use xed_telemetry::{EventKind, Ring};
 
 /// Number of data chips on the DIMM.
 pub const DATA_CHIPS: usize = 8;
@@ -105,16 +104,9 @@ pub struct XedController {
     pub(crate) fct: FaultyRowChipTracker,
     pub(crate) condemned_chip: Option<usize>,
     pub(crate) stats: XedStats,
-    pub(crate) ring: Ring,
     pub(crate) rng: StdRng,
     pub(crate) inter_line_threshold_percent: u32,
     geometry: ChipGeometry,
-}
-
-/// Packs a word address into a single ring-event operand
-/// (bank : 12 | row : 32 | col : 20 — ample for every modeled geometry).
-pub(crate) fn event_addr(addr: WordAddr) -> u64 {
-    ((addr.bank as u64) << 52) | ((addr.row as u64) << 20) | addr.col as u64
 }
 
 impl XedController {
@@ -146,7 +138,6 @@ impl XedController {
             fct: FaultyRowChipTracker::new(fct_capacity),
             condemned_chip: None,
             stats: XedStats::default(),
-            ring: Ring::new(),
             rng,
             inter_line_threshold_percent,
             geometry,
@@ -168,22 +159,12 @@ impl XedController {
         self.condemned_chip
     }
 
-    /// The most recent controller events (catch-words, reconstructions,
-    /// serial modes, collisions, DUEs, injected faults), oldest first.
-    pub fn events(&self) -> &Ring {
-        &self.ring
-    }
-
     /// Injects a fault into chip `chip_index` (0–7 data, 8 parity).
     ///
     /// # Panics
     ///
     /// Panics if `chip_index >= 9`.
     pub fn inject_fault(&mut self, chip_index: usize, fault: InjectedFault) {
-        if xed_telemetry::enabled() {
-            self.ring
-                .record(EventKind::FaultInjected, chip_index as u64, 0);
-        }
         self.chips[chip_index].inject_fault(fault);
     }
 
@@ -229,10 +210,6 @@ impl XedController {
         let (catcher_buf, ncatch) = self.catching_chips(&words);
         let catchers = &catcher_buf[..ncatch];
         self.stats.catch_words_observed += catchers.len() as u64;
-        if !catchers.is_empty() && xed_telemetry::enabled() {
-            self.ring
-                .record(EventKind::CatchWord, catchers[0] as u64, event_addr(addr));
-        }
 
         match catchers.len() {
             0 => {
@@ -311,21 +288,10 @@ impl XedController {
         let collision = self.catch_words.identify(chip, reconstructed_value);
         if collision {
             self.stats.collisions += 1;
-            if xed_telemetry::enabled() {
-                self.ring
-                    .record(EventKind::Collision, chip as u64, event_addr(addr));
-            }
             self.update_catch_word(chip);
         }
 
         self.stats.reconstructions += 1;
-        if xed_telemetry::enabled() {
-            self.ring.record(
-                EventKind::ErasureReconstructed,
-                chip as u64,
-                event_addr(addr),
-            );
-        }
         // Scrub: write the corrected line back, healing transient faults.
         self.scrub(addr, &data);
         Ok(LineReadout {
@@ -341,10 +307,6 @@ impl XedController {
     /// then verify with parity.
     fn serial_mode(&mut self, addr: WordAddr, catch_words: u32) -> Result<LineReadout, XedError> {
         self.stats.serial_modes += 1;
-        if xed_telemetry::enabled() {
-            self.ring
-                .record(EventKind::SerialMode, catch_words as u64, event_addr(addr));
-        }
         for chip in &mut self.chips {
             chip.set_xed_enable(false);
         }
@@ -390,10 +352,6 @@ impl XedController {
         let others = catchers[..ncatch].iter().filter(|&&c| c != dead).count();
         if others > 0 {
             self.stats.due_events += 1;
-            if xed_telemetry::enabled() {
-                self.ring
-                    .record(EventKind::Due, others as u64 + 1, event_addr(addr));
-            }
             return Err(XedError::MultipleFaultyChips {
                 catch_words: others as u32 + 1,
             });

@@ -18,13 +18,10 @@
 //!   paper's Table IV DUE budget.
 
 use crate::chip::WordAddr;
-use crate::controller::{
-    event_addr, LineReadout, XedController, DATA_CHIPS, PARITY_CHIP, TOTAL_CHIPS,
-};
+use crate::controller::{LineReadout, XedController, DATA_CHIPS, PARITY_CHIP, TOTAL_CHIPS};
 use crate::error::XedError;
 use crate::fct::RowAddr;
 use xed_ecc::parity;
-use xed_telemetry::EventKind;
 
 impl XedController {
     /// Entry point for the parity-mismatch path: FCT lookup, then
@@ -46,9 +43,6 @@ impl XedController {
 
         // 2. Inter-Line: stream the row buffer.
         self.stats.inter_line_runs += 1;
-        if xed_telemetry::enabled() {
-            self.ring.record(EventKind::Diagnosis, 0, event_addr(addr));
-        }
         if let Some(chip) = self.inter_line_diagnosis(addr) {
             self.record_diagnosis(addr, chip);
             return self.finish_diagnosed(addr, &words, chip);
@@ -56,17 +50,11 @@ impl XedController {
 
         // 3. Intra-Line: pattern test the single line.
         self.stats.intra_line_runs += 1;
-        if xed_telemetry::enabled() {
-            self.ring.record(EventKind::Diagnosis, 1, event_addr(addr));
-        }
         let suspects = self.intra_line_diagnosis(addr, &words);
         match suspects.len() {
             1 => self.finish_diagnosed(addr, &words, suspects[0]),
             n => {
                 self.stats.due_events += 1;
-                if xed_telemetry::enabled() {
-                    self.ring.record(EventKind::Due, n as u64, event_addr(addr));
-                }
                 Err(XedError::DetectedUncorrectable { suspects: n as u32 })
             }
         }
@@ -156,13 +144,6 @@ impl XedController {
             data[chip] = parity::reconstruct(&data, words[PARITY_CHIP], chip);
         }
         self.stats.reconstructions += 1;
-        if xed_telemetry::enabled() {
-            self.ring.record(
-                EventKind::ErasureReconstructed,
-                chip as u64,
-                event_addr(addr),
-            );
-        }
         self.scrub(addr, &data);
         Ok(LineReadout {
             data,

@@ -17,7 +17,7 @@
 
 use crate::cells::CellArray;
 use crate::chip::{ChipGeometry, WordAddr};
-use crate::controller::{event_addr, XedStats};
+use crate::controller::XedStats;
 use crate::error::XedError;
 use crate::fault::{FaultRegion, InjectedFault};
 use rand::rngs::StdRng;
@@ -26,7 +26,6 @@ use xed_ecc::gf::Field;
 use xed_ecc::rs::{ReedSolomon, RsScratch};
 use xed_ecc::secded32::{CodeWord40, Crc8Atm32};
 use xed_telemetry::registry::metrics;
-use xed_telemetry::{EventKind, Ring};
 
 /// Data chips per access.
 pub const DATA_CHIPS: usize = 16;
@@ -124,7 +123,6 @@ pub struct XedChipkillSystem {
     /// repaired blind vs. at caller-declared erasure positions.
     rs_corrections: u64,
     rs_erasures: u64,
-    ring: Ring,
     rng: StdRng,
 }
 
@@ -157,7 +155,6 @@ impl XedChipkillSystem {
             stats: XedStats::default(),
             rs_corrections: 0,
             rs_erasures: 0,
-            ring: Ring::new(),
             rng,
         }
     }
@@ -165,12 +162,6 @@ impl XedChipkillSystem {
     /// Controller statistics.
     pub fn stats(&self) -> XedStats {
         self.stats
-    }
-
-    /// The most recent controller events (catch-words, reconstructions,
-    /// serial modes, collisions, DUEs, injected faults), oldest first.
-    pub fn events(&self) -> &Ring {
-        &self.ring
     }
 
     /// The chip geometry.
@@ -189,9 +180,6 @@ impl XedChipkillSystem {
     ///
     /// Panics if `chip >= 18`.
     pub fn inject_fault(&mut self, chip: usize, fault: InjectedFault) {
-        if xed_telemetry::enabled() {
-            self.ring.record(EventKind::FaultInjected, chip as u64, 0);
-        }
         self.chips[chip].inject_fault_checked(fault);
     }
 
@@ -266,10 +254,6 @@ impl XedChipkillSystem {
         }
         let catchers = &catcher_buf[..ncatch];
         self.stats.catch_words_observed += ncatch as u64;
-        if ncatch > 0 && xed_telemetry::enabled() {
-            self.ring
-                .record(EventKind::CatchWord, catchers[0] as u64, event_addr(addr));
-        }
 
         match ncatch {
             0..=2 => match self.decode_line(addr, &words, catchers) {
@@ -283,10 +267,6 @@ impl XedChipkillSystem {
             n => {
                 // Serial mode: let on-die ECC correct what it can.
                 self.stats.serial_modes += 1;
-                if xed_telemetry::enabled() {
-                    self.ring
-                        .record(EventKind::SerialMode, ncatch as u64, event_addr(addr));
-                }
                 for chip in &mut self.chips {
                     chip.xed_enable = false;
                 }
@@ -369,10 +349,6 @@ impl XedChipkillSystem {
             if corrected_words[chip] == self.catch_words[chip] {
                 collision = true;
                 self.stats.collisions += 1;
-                if xed_telemetry::enabled() {
-                    self.ring
-                        .record(EventKind::Collision, chip as u64, event_addr(addr));
-                }
                 self.rekey(chip);
             }
         }
@@ -382,17 +358,6 @@ impl XedChipkillSystem {
         if ntouched > 0 || !erasures.is_empty() {
             self.stats.reconstructions += 1;
             self.stats.scrub_writes += 1;
-            if xed_telemetry::enabled() {
-                let first = erasures
-                    .first()
-                    .copied()
-                    .unwrap_or(touched.iter().position(|&t| t).unwrap_or(TOTAL_CHIPS));
-                self.ring.record(
-                    EventKind::ErasureReconstructed,
-                    first as u64,
-                    event_addr(addr),
-                );
-            }
             self.store_line(addr, &data);
         }
         // Involved chips = erasures ∪ touched; walking the mask in index
@@ -430,9 +395,6 @@ impl XedChipkillSystem {
         // Inter-line: stream the row buffer with XED enabled; a chip with a
         // multi-line fault screams catch-words on its neighbors.
         self.stats.inter_line_runs += 1;
-        if xed_telemetry::enabled() {
-            self.ring.record(EventKind::Diagnosis, 0, event_addr(addr));
-        }
         let cols = self.geometry.cols;
         let threshold = (cols * 10).div_ceil(100).max(1);
         let mut counts = [0u32; TOTAL_CHIPS];
@@ -464,9 +426,6 @@ impl XedChipkillSystem {
         // Intra-line: all-zeros / all-ones pattern test finds permanent
         // faults confined to this line.
         self.stats.intra_line_runs += 1;
-        if xed_telemetry::enabled() {
-            self.ring.record(EventKind::Diagnosis, 1, event_addr(addr));
-        }
         let flagged = self.pattern_test(addr, words);
         for (i, &bad) in flagged.iter().enumerate() {
             if bad && !suspect_buf[..nsus].contains(&i) {
@@ -481,10 +440,6 @@ impl XedChipkillSystem {
             }
         }
         self.stats.due_events += 1;
-        if xed_telemetry::enabled() {
-            self.ring
-                .record(EventKind::Due, nsus as u64, event_addr(addr));
-        }
         Err(XedError::DetectedUncorrectable {
             suspects: nsus as u32,
         })

@@ -52,6 +52,13 @@ pub const MAX_YEARS: f64 = 1_000.0;
 /// selftest's slow stream) asks for 8 million.
 pub const MAX_SAMPLES: u64 = 1_000_000_000;
 
+/// Most trial blocks a query may be split into. A streamed run emits, and
+/// `xedd` caches, one progress line of about 300 bytes per block, so an
+/// unbounded `samples / block` would let one request fill the host's
+/// memory; 4096 lines hold about 1.2 MB. The default block admits
+/// [`MAX_SAMPLES`] in 3815 blocks.
+pub const MAX_BLOCKS: u64 = 4096;
+
 /// Most worker threads a query may ask for. An evaluation starts up to
 /// this many threads (never more than it has work chunks), so an
 /// unbounded count would let one request exhaust the host's threads and
@@ -158,6 +165,15 @@ impl Query {
             return Err(format!(
                 "samples must be at most {MAX_SAMPLES}, got {}",
                 self.samples
+            ));
+        }
+        if self.exec.block == 0 {
+            return Err("block must be at least 1".into());
+        }
+        let blocks = self.samples.div_ceil(self.exec.block);
+        if blocks > MAX_BLOCKS {
+            return Err(format!(
+                "samples / block must be at most {MAX_BLOCKS} blocks, got {blocks}"
             ));
         }
         if self.exec.threads > MAX_THREADS {
@@ -607,7 +623,7 @@ fn evaluate_streaming_inner(
         }
         QueryKind::Lifetime => {
             let sweep = q.sweep();
-            let block = q.exec.block.max(1);
+            let block = q.exec.block;
             let mut acc: Option<(SchemeResult, RunStats)> = None;
             let mut done = 0u64;
             while done < q.samples {
@@ -1126,6 +1142,18 @@ mod tests {
                 assert!(q.validate().is_err(), "{samples} samples");
                 assert!(evaluate(&q).is_err(), "{samples} samples");
             }
+            // A block size that would split the run into more progress
+            // lines than the bound, or into none, is rejected too.
+            q.samples = 10_000_000;
+            q.exec.block = 10_000_000 / MAX_BLOCKS + 1;
+            assert!(q.validate().is_ok());
+            for block in [0, 10_000_000 / MAX_BLOCKS, 1] {
+                q.exec.block = block;
+                let err = q.validate().expect_err("block bound");
+                assert!(err.contains("block"), "{block}: {err}");
+                assert!(evaluate(&q).is_err(), "{block} block");
+            }
+            q.exec.block = DEFAULT_BLOCK;
             // Likewise a thread count past the bound is rejected before a
             // single worker starts.
             q.samples = 1;

@@ -62,8 +62,8 @@ use crate::schemes::{Scheme, SchemeModel, Verdict};
 use rand::rngs::{StdRng, Streams};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+use xed_telemetry::registry::metrics;
 use xed_telemetry::trace::{self, Phase, SpanEvent};
-use xed_telemetry::{registry::metrics, Tallies};
 
 /// Trials claimed per scheduler steal. Large enough that the atomic
 /// `fetch_add` is noise (one per ~4k trials), small enough that the tail
@@ -296,22 +296,16 @@ impl RunStats {
     /// run back to back: wall times and sample counts add, throughput is
     /// recomputed over the combined run. Used by study binaries that sweep
     /// several configurations and report one aggregate footer.
-    ///
-    /// The countable fields ride [`Tallies::merge`] — the same commutative
-    /// wrapping add the worker partials fold with, so every accumulation
-    /// in this module shares one merge primitive.
     #[must_use]
     pub fn merge(&self, other: &RunStats) -> RunStats {
-        let counts = Tallies::from_array([self.samples, self.zero_fault_samples]).merge(
-            &Tallies::from_array([other.samples, other.zero_fault_samples]),
-        );
+        let samples = self.samples + other.samples;
         let wall_seconds = self.wall_seconds + other.wall_seconds;
         RunStats {
             wall_seconds,
-            samples_per_sec: counts.get(0) as f64 / wall_seconds.max(1e-9),
+            samples_per_sec: samples as f64 / wall_seconds.max(1e-9),
             threads: self.threads.max(other.threads),
-            samples: counts.get(0),
-            zero_fault_samples: counts.get(1),
+            samples,
+            zero_fault_samples: self.zero_fault_samples + other.zero_fault_samples,
         }
     }
 }
@@ -453,7 +447,7 @@ pub(crate) fn run_many(
     let span_ctx = trace::current();
     // One flag load per run: chunk-grain telemetry costs four atomic
     // updates and two clock reads per STEAL_CHUNK (4096) trials — ~0.1 %
-    // of a chunk's work — and vanishes entirely under `--no-telemetry`.
+    // of a chunk's work — and vanishes entirely when telemetry is off.
     let telemetry_on = xed_telemetry::enabled();
 
     // Wall-clock timing is reporting-only metadata; the simulation
@@ -523,33 +517,23 @@ pub(crate) fn run_many(
         .iter()
         .enumerate()
         .map(|(si, &scheme)| {
-            let mut result = SchemeResult {
+            let mut total = Partial::new(years);
+            for (partials, _) in &per_worker {
+                total.merge_from(&partials[si]);
+            }
+            zero_fault_samples += total.zero_fault;
+            bitslice_blocks += total.bitslice_blocks;
+            bitslice_spills += total.bitslice_spills;
+            inert_elided += total.inert_elided;
+            quiet_trials += total.quiet_trials;
+            SchemeResult {
                 scheme,
                 samples: count,
-                failures_by_year: vec![0; years],
-                due: 0,
-                sdc: 0,
-                failures_by_extent: [0; 6],
-            };
-            let mut counts: Tallies<P_SLOTS> = Tallies::new();
-            for (partials, _) in &per_worker {
-                let p = &partials[si];
-                counts.merge_from(&p.counts);
-                for (a, b) in result.failures_by_year.iter_mut().zip(&p.failures_by_year) {
-                    *a += b;
-                }
+                failures_by_year: total.failures_by_year,
+                due: total.due,
+                sdc: total.sdc,
+                failures_by_extent: total.by_extent,
             }
-            result.due = counts.get(P_DUE);
-            result.sdc = counts.get(P_SDC);
-            zero_fault_samples += counts.get(P_ZERO_FAULT);
-            bitslice_blocks += counts.get(P_BITSLICE_BLOCKS);
-            bitslice_spills += counts.get(P_BITSLICE_SPILLS);
-            inert_elided += counts.get(P_INERT_ELIDED);
-            quiet_trials += counts.get(P_QUIET_TRIALS);
-            for (i, slot) in result.failures_by_extent.iter_mut().enumerate() {
-                *slot = counts.get(P_EXTENT0 + i);
-            }
-            result
         })
         .collect();
 
@@ -563,7 +547,7 @@ pub(crate) fn run_many(
     };
 
     // Publish-at-merge (DESIGN.md §11): the hot loop accumulated into
-    // owned tallies; the global registry counters are bumped once per
+    // owned partials; the global registry counters are bumped once per
     // invocation, here at the join point.
     if xed_telemetry::enabled() {
         metrics::FAULTSIM_RUNS.incr();
@@ -617,47 +601,62 @@ pub(crate) fn replay_trial(sweep: &Sweep, scheme: Scheme, trial: u64) -> TrialRe
     TrialReplay {
         scheme,
         trial,
-        zero_fault: partial.counts.get(P_ZERO_FAULT) > 0,
+        zero_fault: partial.zero_fault > 0,
         steps,
         failure,
     }
 }
 
-/// Slot layout of a [`Partial`]'s fixed-size tally block.
-const P_DUE: usize = 0;
-const P_SDC: usize = 1;
-const P_ZERO_FAULT: usize = 2;
-/// First of six failure-extent slots (indexed like
-/// [`crate::fault::FaultExtent::ALL`]).
-const P_EXTENT0: usize = 3;
-/// 64-lane blocks classified by the bit-sliced kernel.
-const P_BITSLICE_BLOCKS: usize = P_EXTENT0 + 6;
-/// Trials a bit-sliced block spilled to the scalar event machinery
-/// (the popcount of the block's `nonzero` word).
-const P_BITSLICE_SPILLS: usize = P_BITSLICE_BLOCKS + 1;
-/// Single-bit faults sampled but never walked because the model proves
-/// them inert (see [`run_trial`]).
-const P_INERT_ELIDED: usize = P_BITSLICE_SPILLS + 1;
-/// Multi-fault trials the kernels ended before the sort and the walk
-/// because their timeline is quiet (see [`run_trial`]).
-const P_QUIET_TRIALS: usize = P_INERT_ELIDED + 1;
-const P_SLOTS: usize = P_QUIET_TRIALS + 1;
-
-/// Per-worker, per-scheme accumulator. The fixed-size counters live in
-/// one owned [`Tallies`] block (plain adds, commutative merge — the
-/// foundation of thread-count invariance); only the variable-length
-/// per-year failure counts stay a `Vec`.
+/// Per-worker, per-scheme accumulator: plain owned counts whose merge is
+/// a commutative add, the foundation of thread-count invariance.
+#[derive(Default)]
 struct Partial {
     failures_by_year: Vec<u64>,
-    counts: Tallies<P_SLOTS>,
+    due: u64,
+    sdc: u64,
+    zero_fault: u64,
+    /// Failures by extent, indexed like [`crate::fault::FaultExtent::ALL`].
+    by_extent: [u64; 6],
+    /// 64-lane blocks classified by the bit-sliced kernel.
+    bitslice_blocks: u64,
+    /// Trials a bit-sliced block spilled to the scalar event machinery
+    /// (the popcount of the block's `nonzero` word).
+    bitslice_spills: u64,
+    /// Single-bit faults sampled but never walked because the model proves
+    /// them inert (see [`run_trial`]).
+    inert_elided: u64,
+    /// Multi-fault trials the kernels ended before the sort and the walk
+    /// because their timeline is quiet (see [`run_trial`]).
+    quiet_trials: u64,
 }
 
 impl Partial {
     fn new(years: usize) -> Self {
         Self {
             failures_by_year: vec![0; years],
-            counts: Tallies::new(),
+            ..Self::default()
         }
+    }
+
+    /// Adds `other`'s counts into `self`.
+    fn merge_from(&mut self, other: &Partial) {
+        for (a, b) in self
+            .failures_by_year
+            .iter_mut()
+            .zip(&other.failures_by_year)
+        {
+            *a += b;
+        }
+        for (a, b) in self.by_extent.iter_mut().zip(&other.by_extent) {
+            *a += b;
+        }
+        self.due += other.due;
+        self.sdc += other.sdc;
+        self.zero_fault += other.zero_fault;
+        self.bitslice_blocks += other.bitslice_blocks;
+        self.bitslice_spills += other.bitslice_spills;
+        self.inert_elided += other.inert_elided;
+        self.quiet_trials += other.quiet_trials;
     }
 }
 
@@ -752,9 +751,9 @@ fn run_trials_bitsliced(
         streams.split_first_block(block, &mut u0s);
         let nonzero = sampler.nonzero_mask(&u0s);
         let spills = u64::from(nonzero.count_ones());
-        partial.counts.add(P_ZERO_FAULT, LANES - spills);
-        partial.counts.bump(P_BITSLICE_BLOCKS);
-        partial.counts.add(P_BITSLICE_SPILLS, spills);
+        partial.zero_fault += LANES - spills;
+        partial.bitslice_blocks += 1;
+        partial.bitslice_spills += spills;
         let mut m = nonzero;
         while m != 0 {
             let lane = m.trailing_zeros() as u64;
@@ -818,7 +817,7 @@ fn run_trial(
     mut on_step: impl FnMut(TrialStep),
 ) {
     if sampler.is_zero_fault(u0) {
-        partial.counts.bump(P_ZERO_FAULT);
+        partial.zero_fault += 1;
         return;
     }
     let mut rng = streams.split_rest(trial);
@@ -827,7 +826,7 @@ fn run_trial(
             // Unreachable for λ ≤ 30 (is_zero_fault caught it); kept for
             // the chunked large-λ Poisson path, where the headline draw
             // alone cannot prove the count is zero.
-            partial.counts.bump(P_ZERO_FAULT);
+            partial.zero_fault += 1;
             return;
         }
         1 => {
@@ -852,9 +851,9 @@ fn run_trial(
             let elide_bits = elide_inert && model.bit_always_benign();
             scratch.events.clear();
             let elided = sampler.events_append(count, &mut rng, &mut scratch.events, elide_bits);
-            partial.counts.add(P_INERT_ELIDED, u64::from(elided));
+            partial.inert_elided += u64::from(elided);
             if elide_inert && model.is_quiet_timeline(&scratch.events) {
-                partial.counts.bump(P_QUIET_TRIALS);
+                partial.quiet_trials += 1;
                 return;
             }
             sort_by_arrival(&mut scratch.events);
@@ -878,12 +877,13 @@ fn run_trial(
         let year = ((time_hours * YEAR_RECIP) as usize).min(years - 1);
         // indexing: year is clamped to years - 1 above.
         partial.failures_by_year[year] += 1;
-        partial.counts.bump(P_EXTENT0 + extent.index());
-        partial.counts.bump(if verdict == Verdict::Due {
-            P_DUE
+        // indexing: FaultExtent has six variants, one per slot.
+        partial.by_extent[extent.index()] += 1;
+        if verdict == Verdict::Due {
+            partial.due += 1;
         } else {
-            P_SDC
-        });
+            partial.sdc += 1;
+        }
     }
 }
 
@@ -1164,10 +1164,7 @@ mod tests {
             &mut partial,
             &mut Scratch::default(),
         );
-        (
-            partial.counts.get(P_INERT_ELIDED),
-            partial.counts.get(P_QUIET_TRIALS),
-        )
+        (partial.inert_elided, partial.quiet_trials)
     }
 
     #[test]

@@ -18,24 +18,14 @@
 
 use xed_ecc::crc8::Crc8Atm;
 use xed_ecc::secded::{LineOutcome, SecDed, BEATS_PER_LINE};
-use xed_telemetry::{registry::metrics, Tallies};
+use xed_telemetry::registry::metrics;
 
 /// One in `2^SINGLE_FLIP_SHIFT` lines carries a single-bit error.
 const SINGLE_FLIP_SHIFT: u32 = 7;
 /// One in `2^DOUBLE_FLIP_SHIFT` lines carries a double-bit error instead.
 const DOUBLE_FLIP_SHIFT: u32 = 13;
 
-/// Tally-slot layout of the datapath's accumulator.
-const T_LINES: usize = 0;
-const T_BEATS_CORRECTED: usize = 1;
-const T_DUE_LINES: usize = 2;
-const T_SLOTS: usize = 3;
-
 /// Decode-path counters accumulated over a run.
-///
-/// A thin snapshot view over the datapath's owned [`Tallies`] block (see
-/// [`EccDatapath::stats`]); the accumulation itself rides the telemetry
-/// merge primitives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EccPathStats {
     /// Cache lines pushed through the batched decoder.
@@ -50,7 +40,7 @@ pub struct EccPathStats {
 #[derive(Debug, Clone)]
 pub struct EccDatapath {
     code: Crc8Atm,
-    tallies: Tallies<T_SLOTS>,
+    stats: EccPathStats,
 }
 
 /// splitmix64 finalizer: a cheap, well-mixed hash of a 64-bit value.
@@ -67,17 +57,13 @@ impl EccDatapath {
     pub fn new() -> Self {
         Self {
             code: Crc8Atm::new(),
-            tallies: Tallies::new(),
+            stats: EccPathStats::default(),
         }
     }
 
-    /// Accumulated counters, as a snapshot view of the owned tally block.
+    /// Accumulated counters.
     pub fn stats(&self) -> EccPathStats {
-        EccPathStats {
-            lines_decoded: self.tallies.get(T_LINES),
-            beats_corrected: self.tallies.get(T_BEATS_CORRECTED),
-            due_lines: self.tallies.get(T_DUE_LINES),
-        }
+        self.stats
     }
 
     /// Publishes this datapath's totals into the global registry
@@ -89,7 +75,7 @@ impl EccDatapath {
         if !xed_telemetry::enabled() {
             return;
         }
-        let s = self.stats();
+        let s = self.stats;
         metrics::MEMSIM_ECCPATH_LINES_DECODED.add(s.lines_decoded);
         metrics::MEMSIM_ECCPATH_BEATS_CORRECTED.add(s.beats_corrected);
         metrics::MEMSIM_ECCPATH_DUE_LINES.add(s.due_lines);
@@ -124,11 +110,10 @@ impl EccDatapath {
         }
 
         let out = self.code.decode_line(&beats);
-        self.tallies.bump(T_LINES);
-        self.tallies
-            .add(T_BEATS_CORRECTED, u64::from(out.corrected_count()));
+        self.stats.lines_decoded += 1;
+        self.stats.beats_corrected += u64::from(out.corrected_count());
         if out.is_due() {
-            self.tallies.bump(T_DUE_LINES);
+            self.stats.due_lines += 1;
         }
         out
     }

@@ -11,18 +11,18 @@
 //!
 //! * **Zero dependencies, offline-friendly.** Pure `std`; the exporters
 //!   hand-render JSON exactly like the rest of the workspace.
-//! * **Allocation-free hot paths.** [`Counter`], [`Histogram`], [`Ring`],
-//!   [`Tallies`], and the [`trace`] flight rings never touch the heap
-//!   after construction (xed-analyze XL009 is enforced over these modules).
-//!   Allocation is confined to the snapshot/export layer, which runs once
-//!   per report.
-//! * **Owned tallies, publish-at-merge.** Code on a nanosecond budget
-//!   (the Monte-Carlo trial loop, the batched line decode) accumulates
-//!   into *owned* [`Tallies`] blocks with plain adds — zero atomics — and
-//!   publishes the totals into the static [`registry`] counters once, at
-//!   its natural merge point (end of `run_many`, end of a simulation).
-//!   The functional controllers in `xed-core` count each event once, in
-//!   their public stats struct, and publish it when they drop.
+//! * **Allocation-free hot paths.** [`Counter`], [`Histogram`] and the
+//!   [`trace`] flight rings never touch the heap after construction
+//!   (xed-analyze XL009 is enforced over these modules). Allocation is
+//!   confined to the snapshot/export layer, which runs once per report.
+//! * **One named field per count, publish-at-merge.** Code on a
+//!   nanosecond budget (the Monte-Carlo trial loop, the batched line
+//!   decode) counts into plain `u64` fields of its own stats struct —
+//!   zero atomics — and publishes the totals into the static [`registry`]
+//!   counters once, at its natural merge point (end of `run_many`, end of
+//!   a simulation). The functional controllers in `xed-core` count each
+//!   event once, in their public stats struct, and publish it when they
+//!   drop.
 //!   Only genuinely cheap-per-event instrumentation (a histogram record
 //!   per 4096-trial chunk, a queue-depth sample per enqueue in the
 //!   memory simulator, whose simulated cycle costs 0.5–0.8 µs of host
@@ -38,17 +38,16 @@
 //! # Quick tour
 //!
 //! ```
-//! use xed_telemetry::{registry, Tallies};
+//! use xed_telemetry::registry;
 //!
-//! // Hot loop: owned tallies, no atomics.
-//! const DECODED: usize = 0;
-//! const CORRECTED: usize = 1;
-//! let mut t: Tallies<2> = Tallies::new();
-//! t.bump(DECODED);
-//! t.add(CORRECTED, 3);
+//! // Hot loop: a plain owned count, no atomics.
+//! let mut lines_decoded = 0u64;
+//! for _line in 0..4 {
+//!     lines_decoded += 1;
+//! }
 //!
 //! // Merge point: publish once into the static registry.
-//! registry::metrics::ECC_LINES_DECODED.add(t.get(DECODED));
+//! xed_telemetry::count(&registry::metrics::ECC_LINES_DECODED, lines_decoded);
 //!
 //! // Report: snapshot everything that happened in this process.
 //! let snap = registry::snapshot();
@@ -60,25 +59,19 @@ pub mod counter;
 pub mod export;
 pub mod hist;
 pub mod registry;
-pub mod ring;
-pub mod span;
-pub mod tally;
 pub mod trace;
 
 pub use counter::Counter;
 pub use export::{HistogramSample, MetricSample, SampleValue, Snapshot};
 pub use hist::Histogram;
 pub use registry::{snapshot, MetricDef, MetricSource};
-pub use ring::{Event, EventKind, Ring};
-pub use span::Span;
-pub use tally::Tallies;
 pub use trace::{SpanCtx, SpanEvent, TraceBuf};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Global instrumentation switch (default: on). Cleared by benchmark
-/// binaries' `--no-telemetry` flag so the CI overhead check can compare
-/// instrumented vs. uninstrumented runs of the same build.
+/// Global instrumentation switch (default: on). Cleared by the
+/// telemetry overhead check so it can compare instrumented and
+/// uninstrumented runs of the same build.
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Whether instrumentation is enabled. A single relaxed load — callers on

@@ -243,15 +243,6 @@ pub fn find(id: &str) -> Option<&'static MetricDef> {
     CATALOGUE.iter().find(|d| d.id == id)
 }
 
-/// The live value of a counter metric (None if the ID is unknown or a
-/// histogram).
-pub fn counter_value(id: &str) -> Option<u64> {
-    match find(id)?.source {
-        MetricSource::Counter(m) => Some(m.value()),
-        MetricSource::Histogram(_) => None,
-    }
-}
-
 /// Captures every registered metric into an immutable [`Snapshot`].
 ///
 /// Each metric is read atomically per field; a snapshot taken while
@@ -329,17 +320,5 @@ mod tests {
         for (s, d) in snap.samples.iter().zip(CATALOGUE.iter()) {
             assert_eq!(s.id, d.id);
         }
-    }
-
-    #[test]
-    fn counter_value_reads_live_state() {
-        // Use a metric no other test touches.
-        metrics::CORE_SECDED_READS.reset();
-        metrics::CORE_SECDED_READS.add(41);
-        metrics::CORE_SECDED_READS.incr();
-        assert_eq!(counter_value("core.secded.reads"), Some(42));
-        assert_eq!(counter_value("memsim.sched.queue_depth"), None);
-        assert_eq!(counter_value("no.such.metric"), None);
-        metrics::CORE_SECDED_READS.reset();
     }
 }

@@ -126,8 +126,7 @@ pub const TRACE_BUF_EVENTS: usize = 128;
 pub const FLIGHT_SLOTS: usize = 32;
 
 /// A fixed-capacity ring of span events: the per-slot flight recorder.
-/// Same overwrite-oldest discipline as [`crate::Ring`], const-capacity,
-/// allocation-free.
+/// Overwrites the oldest event when full; const-capacity, allocation-free.
 #[derive(Debug)]
 pub struct TraceBuf {
     buf: [SpanEvent; TRACE_BUF_EVENTS],
@@ -351,17 +350,6 @@ pub fn with_slots(mut f: impl FnMut(usize, &TraceBuf)) {
             Err(poisoned) => poisoned.into_inner(),
         };
         f(i, &buf);
-    }
-}
-
-/// Empties every flight-recorder slot (tests and selftest isolation).
-pub fn clear_all() {
-    for slot in SLOTS.iter() {
-        let mut buf = match slot.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        buf.clear();
     }
 }
 

@@ -165,6 +165,15 @@ fn oversized_sample_counts_are_rejected_with_400() {
         "{}",
         resp.body
     );
+    // So is a block size that would fill the cache with progress lines.
+    for query in [
+        "/v1/query?scheme=xed&samples=4096&block=0",
+        "/v1/query?scheme=xed&samples=10000000&block=1000",
+    ] {
+        let resp = http::client_get(&addr, query).expect("response");
+        assert_eq!(resp.status, 400, "{query}");
+        assert!(resp.body.contains("block"), "{query}: {}", resp.body);
+    }
     server.shutdown();
 }
 

@@ -19,8 +19,7 @@
 //!
 //! - XL012: every variant is documented (backticked) in DESIGN.md §16 and
 //!   listed exactly once in `Phase::ALL`, which the exporters and
-//!   `xedtop` iterate. (XL012's discarded-guard arm is a token rule, see
-//!   [`super::source`].)
+//!   `xedtop` iterate.
 
 use super::items::Workspace;
 use super::lexer::{matches_at, Tok, TokKind};

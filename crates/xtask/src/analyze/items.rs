@@ -1088,13 +1088,13 @@ mod tests {
 
     #[test]
     fn generic_impls_resolve_to_base_type_name() {
-        let src = "impl<const N: usize> Ring<N> { fn push(&mut self) {} }\n\
-                   impl<'a> Drop for Span<'a> { fn drop(&mut self) {} }";
+        let src = "impl<const N: usize> Buf<N> { fn push(&mut self) {} }\n\
+                   impl<'a> Drop for Guard<'a> { fn drop(&mut self) {} }";
         let ws = parse(src);
         let p = ws.fns.iter().find(|f| f.name == "push").expect("push");
-        assert_eq!(p.self_type.as_deref(), Some("Ring"));
+        assert_eq!(p.self_type.as_deref(), Some("Buf"));
         let d = ws.fns.iter().find(|f| f.name == "drop").expect("drop");
-        assert_eq!(d.self_type.as_deref(), Some("Span"));
+        assert_eq!(d.self_type.as_deref(), Some("Guard"));
         assert_eq!(ws.files[0].impls[1].trait_name.as_deref(), Some("Drop"));
     }
 

@@ -13,8 +13,8 @@
 //! 2. [`items`] + [`graph`] — item extraction (fn/impl/trait/struct,
 //!    `#[cfg(test)]` regions) and a sound-over-precise workspace call
 //!    graph with an explicit unresolved bucket;
-//! 3. the rules — [`source`] (XL001–XL006, XL011 and the XL012 guard
-//!    scan, predicates over each file's tokens), [`rules`] (the
+//! 3. the rules — [`source`] (XL001–XL006 and XL011, predicates over
+//!    each file's tokens), [`rules`] (the
 //!    XA100–XA102 hot-path proofs over the call graph, and XL009),
 //!    [`catalogue`] (XL010/XA103 over the metric registry, XL012 over the
 //!    trace phases) and [`crate::golden`] (XL007/XL008 against the linked

@@ -143,41 +143,6 @@ pub const HOT_GROUPS: &[GroupSpec] = &[
             },
             EntrySpec {
                 krate: "xed_telemetry",
-                self_type: Some("Ring"),
-                name: "push",
-            },
-            EntrySpec {
-                krate: "xed_telemetry",
-                self_type: Some("Ring"),
-                name: "record",
-            },
-            EntrySpec {
-                krate: "xed_telemetry",
-                self_type: Some("Tallies"),
-                name: "add",
-            },
-            EntrySpec {
-                krate: "xed_telemetry",
-                self_type: Some("Tallies"),
-                name: "bump",
-            },
-            EntrySpec {
-                krate: "xed_telemetry",
-                self_type: Some("Tallies"),
-                name: "merge_from",
-            },
-            EntrySpec {
-                krate: "xed_telemetry",
-                self_type: Some("Span"),
-                name: "start",
-            },
-            EntrySpec {
-                krate: "xed_telemetry",
-                self_type: Some("Span"),
-                name: "finish",
-            },
-            EntrySpec {
-                krate: "xed_telemetry",
                 self_type: Some("TraceBuf"),
                 name: "record",
             },
@@ -318,7 +283,7 @@ fn std_path_allocates(path: &str) -> bool {
 /// `ecc/reference.rs` (the designated home for the seed's `Vec`-returning
 /// pipeline) and `telemetry/export.rs` (the once-per-report snapshot
 /// layer) are exempt, as is test code everywhere.
-pub const ALLOC_FREE_HOT_MODULES: [&str; 13] = [
+pub const ALLOC_FREE_HOT_MODULES: [&str; 11] = [
     "crates/ecc/src/bits.rs",
     "crates/ecc/src/codeword.rs",
     "crates/ecc/src/crc8.rs",
@@ -329,8 +294,6 @@ pub const ALLOC_FREE_HOT_MODULES: [&str; 13] = [
     "crates/ecc/src/secded32.rs",
     "crates/telemetry/src/counter.rs",
     "crates/telemetry/src/hist.rs",
-    "crates/telemetry/src/ring.rs",
-    "crates/telemetry/src/tally.rs",
     "crates/telemetry/src/trace.rs",
 ];
 

@@ -8,7 +8,7 @@
 //!
 //! `analyze` runs `xed-analyze` (see [`analyze`]), the workspace's one
 //! static-analysis pass: token rules over the library crates (XL001–XL006,
-//! XL011, XL012), the metric-registry and trace-phase catalogues checked
+//! XL011), the metric-registry and trace-phase catalogues checked
 //! against DESIGN.md (XL010, XA103, XL012), the linked golden-value rules
 //! (XL007/XL008, see [`golden`]), and a workspace call graph with
 //! transitive panic/alloc-freedom proofs over the named hot paths and an

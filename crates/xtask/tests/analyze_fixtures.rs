@@ -123,7 +123,7 @@ fn fixture_text_format_reports_proofs_and_unresolved() {
     assert!(text.contains("proof [ecc-decode]: 2 entry fn(s), closure of 3 fn(s)"));
     assert!(text.contains("proof [ecc-infer]: 2 entry fn(s), closure of 2 fn(s)"));
     assert!(text.contains("proof [mc-trial]: 5 entry fn(s), closure of 7 fn(s)"));
-    assert!(text.contains("proof [telemetry-write]: 15 entry fn(s), closure of 15 fn(s)"));
+    assert!(text.contains("proof [telemetry-write]: 8 entry fn(s), closure of 8 fn(s)"));
     assert!(text.contains("proof [xedd-request]: 2 entry fn(s), closure of 4 fn(s)"));
     assert!(text.contains("unresolved bucket: 1 distinct callee(s), 1 site(s)"));
     assert!(text.contains("mystery_mix (1 site(s), e.g. crates/faultsim/src/lib.rs:38)"));

@@ -96,66 +96,6 @@ impl Histogram {
     }
 }
 
-pub struct Ring {
-    slots: [u64; 16],
-    head: usize,
-}
-
-impl Ring {
-    /// Hot: overwrite the head slot.
-    pub fn push(&mut self, v: u64) {
-        // indexing: head is masked into the 16 fixture slots.
-        self.slots[self.head & 15] = v;
-        self.head = self.head.wrapping_add(1);
-    }
-
-    /// Hot: alias used by span recording.
-    pub fn record(&mut self, v: u64) {
-        self.push(v);
-    }
-}
-
-pub struct Tallies {
-    cells: [u64; 4],
-}
-
-impl Tallies {
-    /// Hot: bounded slot add.
-    pub fn add(&mut self, slot: usize, n: u64) {
-        // indexing: slot is masked into the 4 fixture cells.
-        self.cells[slot & 3] += n;
-    }
-
-    /// Hot: bounded slot increment.
-    pub fn bump(&mut self, slot: usize) {
-        self.add(slot, 1);
-    }
-
-    /// Hot: fold another shard in.
-    pub fn merge_from(&mut self, other: &Tallies) {
-        for i in 0..4 {
-            // indexing: i ranges over the 4 fixture cells.
-            self.cells[i] += other.cells[i];
-        }
-    }
-}
-
-pub struct Span {
-    begun: u64,
-}
-
-impl Span {
-    /// Hot: stamp the start tick.
-    pub fn start(&mut self, now: u64) {
-        self.begun = now;
-    }
-
-    /// Hot: close out into a histogram.
-    pub fn finish(&self, hist: &Histogram, now: u64) {
-        hist.record(now.wrapping_sub(self.begun));
-    }
-}
-
 /// Hot: free-function count add.
 pub fn count(c: &Counter, n: u64) {
     c.add(n);
