@@ -358,9 +358,10 @@ impl<'a> LifetimeSampler<'a> {
 
     /// Samples a fault mode proportionally to its FIT contribution from
     /// the precomputed alias table: one uniform, no data-dependent branch
-    /// (the primary/alias pick compiles to an indexed select).
+    /// (the primary/alias pick compiles to an indexed select). An event's
+    /// first draw.
     #[inline]
-    fn sample_mode<R: Rng + ?Sized>(&self, rng: &mut R) -> (FaultExtent, Persistence) {
+    pub fn sample_mode<R: Rng + ?Sized>(&self, rng: &mut R) -> (FaultExtent, Persistence) {
         let u = rng.next_u64();
         // indexing: masked to ALIAS_SLOTS - 1 (power of two), in bounds.
         let slot = &self.alias[(u & (ALIAS_SLOTS as u64 - 1)) as usize];
@@ -416,26 +417,22 @@ impl<'a> LifetimeSampler<'a> {
     /// The trial's fault count, split form (see
     /// [`PoissonSampler::sample_split`]). Callers that dispatch on the
     /// count before generating events pair this with
-    /// [`Self::sample_mode_time`] / [`Self::events_into`].
+    /// [`Self::sample_mode`] / [`Self::events_into`].
     #[inline]
     pub fn count_split<R: Rng + ?Sized>(&self, u0: u64, rng: &mut R) -> u32 {
         self.poisson.sample_split(u0, rng)
     }
 
-    /// Draws one event's mode and arrival time — the first two per-event
-    /// draws of [`Self::sample_into`], without the chip/range draws.
+    /// Draws one event's arrival time, in hours: an event's second draw,
+    /// after [`Self::sample_mode`].
     ///
-    /// The Monte-Carlo single-fault fast path uses this: with no other
-    /// active faults, a verdict never depends on *which* chip or address
-    /// range the fault hit (see `SchemeModel::evaluate_isolated`), so
-    /// those draws are dead and skipped.
+    /// The Monte-Carlo single-fault path draws only these two: with no
+    /// other active faults, a verdict never depends on *which* chip or
+    /// address range the fault hit (see `SchemeModel::evaluate_isolated`),
+    /// so those draws are dead and skipped.
     #[inline]
-    pub fn sample_mode_time<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-    ) -> (FaultExtent, Persistence, f64) {
-        let (extent, persistence) = self.sample_mode(rng);
-        (extent, persistence, rng.gen::<f64>() * self.hours)
+    pub fn sample_time<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        rng.gen::<f64>() * self.hours
     }
 
     /// Generates exactly `count` events into `out` (cleared first), sorted
@@ -483,7 +480,7 @@ impl<'a> LifetimeSampler<'a> {
         for _ in 0..count {
             let (extent, persistence) = self.sample_mode(rng);
             let event = FaultEvent {
-                time_hours: rng.gen::<f64>() * self.hours,
+                time_hours: self.sample_time(rng),
                 chip: rng.gen_range(0..self.total_chips),
                 fault: Fault::sample(rng, extent, persistence, &self.geom),
             };

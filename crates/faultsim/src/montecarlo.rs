@@ -513,6 +513,7 @@ pub(crate) fn run_many(
     let mut bitslice_spills = 0u64;
     let mut inert_elided = 0u64;
     let mut quiet_trials = 0u64;
+    let mut quiet_single = 0u64;
     let results: Vec<SchemeResult> = schemes
         .iter()
         .enumerate()
@@ -526,6 +527,7 @@ pub(crate) fn run_many(
             bitslice_spills += total.bitslice_spills;
             inert_elided += total.inert_elided;
             quiet_trials += total.quiet_trials;
+            quiet_single += total.quiet_single;
             SchemeResult {
                 scheme,
                 samples: count,
@@ -559,6 +561,7 @@ pub(crate) fn run_many(
         metrics::FAULTSIM_BITSLICE_SPILLS.add(bitslice_spills);
         metrics::FAULTSIM_TIMELINE_INERT_ELIDED.add(inert_elided);
         metrics::FAULTSIM_TIMELINE_QUIET_TRIALS.add(quiet_trials);
+        metrics::FAULTSIM_TIMELINE_QUIET_SINGLE_TRIALS.add(quiet_single);
     }
     (results, stats)
 }
@@ -628,6 +631,9 @@ struct Partial {
     /// Multi-fault trials the kernels ended before the sort and the walk
     /// because their timeline is quiet (see [`run_trial`]).
     quiet_trials: u64,
+    /// Single-fault trials the kernels ended at the fault's mode draw
+    /// because the mode is quiet (see [`run_trial`]).
+    quiet_single: u64,
 }
 
 impl Partial {
@@ -657,6 +663,7 @@ impl Partial {
         self.bitslice_spills += other.bitslice_spills;
         self.inert_elided += other.inert_elided;
         self.quiet_trials += other.quiet_trials;
+        self.quiet_single += other.quiet_single;
     }
 }
 
@@ -787,22 +794,26 @@ fn run_trials_bitsliced(
 /// monomorphises away; [`replay_trial`] passes a recorder.
 ///
 /// A multi-fault trial draws all its events first, then orders them by
-/// arrival and walks them. `elide_inert` (the kernels' setting) cuts that
-/// work in two ways that cannot change a verdict or a draw:
+/// arrival and walks them. `elide_inert` (the kernels' setting) cuts
+/// trial work in three ways that cannot change a verdict or a draw:
 ///
+/// * a lone fault of a *quiet* mode (Benign or Corrected in isolation,
+///   without a draw: [`SchemeModel::is_quiet`]) ends the trial at its mode
+///   draw, without a failure, and is tallied in
+///   `faultsim.timeline.quiet_single_trials` at merge;
 /// * with a model whose single-bit faults are inert
 ///   ([`SchemeModel::bit_always_benign`]), single-bit faults are drawn in
 ///   full but left out of the timeline;
 /// * a *quiet* timeline — no two kept faults in one protection domain,
-///   every kept fault of a mode whose isolated verdict is Benign or
-///   Corrected without a draw ([`SchemeModel::is_quiet_timeline`]) — ends
-///   the trial right after the draws, without a failure, and is tallied in
-///   `faultsim.timeline.quiet_trials` at merge. The walk could only have
-///   returned Corrected or Benign for each fault, and the trial's stream
-///   has no later reader.
+///   every kept fault of a quiet mode
+///   ([`SchemeModel::is_quiet_timeline`]) — ends the trial right after
+///   the draws, without a failure, and is tallied in
+///   `faultsim.timeline.quiet_trials` at merge.
 ///
-/// The replay passes `false`, so its steps and active counts still show
-/// every fault, and it walks every multi-fault trial.
+/// Each skipped evaluation could only have returned Corrected or Benign,
+/// and the trial's stream has no later reader. The replay passes `false`,
+/// so its steps and active counts still show every fault, and it
+/// evaluates every trial in full.
 #[allow(clippy::too_many_arguments)]
 fn run_trial(
     model: &SchemeModel,
@@ -835,7 +846,12 @@ fn run_trial(
             // never depends on the chip or address range the fault struck
             // (`SchemeModel::evaluate_isolated`). Skip those draws, the
             // event buffer, and the active-set bookkeeping entirely.
-            let (extent, persistence, time_hours) = sampler.sample_mode_time(&mut rng);
+            let (extent, persistence) = sampler.sample_mode(&mut rng);
+            if elide_inert && model.is_quiet(extent, persistence) {
+                partial.quiet_single += 1;
+                return;
+            }
+            let time_hours = sampler.sample_time(&mut rng);
             let verdict = model.evaluate_isolated(&mut rng, extent, persistence);
             on_step(TrialStep {
                 time_hours,
@@ -1081,6 +1097,60 @@ mod tests {
         }
     }
 
+    /// The kernel's tallies of `scheme`'s trials `[0, sweep.samples)`.
+    fn kernel_partial(sweep: &Sweep, scheme: Scheme, kernel: TrialKernel) -> Partial {
+        let years = sweep.years.ceil() as usize;
+        let model = SchemeModel::new(scheme, sweep.params);
+        let (sampler, streams) = trial_context(sweep, &model);
+        let mut partial = Partial::new(years);
+        run_trials(
+            &model,
+            &sampler,
+            &streams,
+            kernel,
+            0,
+            sweep.samples,
+            years,
+            &mut partial,
+            &mut Scratch::default(),
+        );
+        partial
+    }
+
+    /// What a trial tallies into its `SchemeResult`, plus the zero-fault
+    /// count.
+    fn outcome(p: &Partial) -> (&[u64], u64, u64, [u64; 6], u64) {
+        (&p.failures_by_year, p.due, p.sdc, p.by_extent, p.zero_fault)
+    }
+
+    /// For each whole 64-trial block of `scheme`'s trials under `sweep`,
+    /// the spilled lanes that end at their mode draw (a lone fault of a
+    /// quiet mode) and the ones that go on, derived from the stream
+    /// directly rather than through `run_trial`.
+    fn lane_split(sweep: &Sweep, scheme: Scheme) -> Vec<(u64, u64)> {
+        let model = SchemeModel::new(scheme, sweep.params);
+        let (sampler, streams) = trial_context(sweep, &model);
+        (0..sweep.samples / LANES)
+            .map(|b| {
+                let (mut ended, mut went_on) = (0, 0);
+                for trial in b * LANES..(b + 1) * LANES {
+                    let u0 = streams.split_first(trial);
+                    if sampler.is_zero_fault(u0) {
+                        continue;
+                    }
+                    let mut rng = streams.split_rest(trial);
+                    let quiet = sampler.count_split(u0, &mut rng) == 1 && {
+                        let (extent, persistence) = sampler.sample_mode(&mut rng);
+                        model.is_quiet(extent, persistence)
+                    };
+                    ended += u64::from(quiet);
+                    went_on += u64::from(!quiet);
+                }
+                (ended, went_on)
+            })
+            .collect()
+    }
+
     #[test]
     fn bit_sliced_kernel_is_bit_identical_to_scalar() {
         // The bit-sliced kernel must reproduce the scalar path bit for
@@ -1091,15 +1161,110 @@ mod tests {
         // pins the scalar semantics per trial), aggregate equality here
         // proves the per-trial failure sets are identical — each trial's
         // stream is keyed by (seed, scheme, trial), never by kernel.
+        //
+        // A spilled lane either ends at its mode draw (a lone fault of a
+        // quiet mode) or goes on to the full body, so each set must hold
+        // blocks that mix the two; at 10× rates almost every lane spills
+        // and most go on.
         for samples in [6_336u64, 6_337, 6_399] {
-            for scheme in [Scheme::EccDimm, Scheme::Xed, Scheme::XedChipkill] {
-                let sweep = quick(samples);
-                assert_eq!(
-                    run_with(&sweep, scheme, TrialKernel::BitSliced),
-                    run_with(&sweep, scheme, TrialKernel::Scalar),
-                    "{scheme} at {samples} samples"
-                );
+            for (set, sweep) in [quick(samples), stressed(samples)].iter().enumerate() {
+                for scheme in [Scheme::EccDimm, Scheme::Xed, Scheme::XedChipkill] {
+                    assert_eq!(
+                        run_with(sweep, scheme, TrialKernel::BitSliced),
+                        run_with(sweep, scheme, TrialKernel::Scalar),
+                        "set {set}: {scheme} at {samples} samples"
+                    );
+                    let split = lane_split(sweep, scheme);
+                    let mixed = split.iter().filter(|&&(e, g)| e > 0 && g > 0).count();
+                    assert!(mixed > 0, "set {set}: {scheme} has no mixed block");
+                    let kernel = kernel_partial(sweep, scheme, TrialKernel::BitSliced);
+                    let ended: u64 = split.iter().map(|&(e, _)| e).sum();
+                    let spilled: u64 = split.iter().map(|&(e, g)| e + g).sum();
+                    assert_eq!(kernel.bitslice_spills, spilled, "set {set}: {scheme}");
+                    // The scalar tail past the last whole block takes the
+                    // same exit, so it may add to the blocks' count.
+                    assert!(
+                        (ended..=ended + samples % LANES).contains(&kernel.quiet_single),
+                        "set {set}: {scheme}: {} exits, {ended} in whole blocks",
+                        kernel.quiet_single
+                    );
+                }
             }
+        }
+    }
+
+    #[test]
+    fn single_quiet_fault_exit_matches_the_full_body() {
+        // The kernels end a lone fault's trial at its mode draw when the
+        // mode is quiet. Against the full count-1 body (arrival time and
+        // `evaluate_isolated`, as the replay runs it) on the same trials,
+        // for every scheme under four parameter variants: the kernel's
+        // tallies are equal, the exit fires on exactly the count-1 trials
+        // of a quiet mode, and the full body found each of those Benign
+        // or Corrected.
+        const TRIALS: u64 = 20_000;
+        let variants = [
+            ModelParams::default(),
+            ModelParams {
+                transient_exposure_hours: 24.0,
+                ..ModelParams::default()
+            },
+            ModelParams {
+                on_die_ecc: false,
+                ..ModelParams::default()
+            },
+            ModelParams {
+                scaling: crate::scaling::ScalingFaults::with_rate(1e-2),
+                ..ModelParams::default()
+            },
+        ];
+        for (set, params) in variants.into_iter().enumerate() {
+            let sweep = quick(TRIALS).with_params(params);
+            let years = sweep.years.ceil() as usize;
+            let mut exits = 0;
+            for scheme in Scheme::ALL {
+                let kernel = kernel_partial(&sweep, scheme, TrialKernel::BitSliced);
+                let model = SchemeModel::new(scheme, params);
+                let (sampler, streams) = trial_context(&sweep, &model);
+                let mut full = Partial::new(years);
+                let mut scratch = Scratch::default();
+                let mut quiet_singles = 0;
+                for trial in 0..TRIALS {
+                    let mut steps = 0;
+                    let mut last = None;
+                    run_trial(
+                        &model,
+                        &sampler,
+                        &streams,
+                        trial,
+                        streams.split_first(trial),
+                        years,
+                        false,
+                        &mut full,
+                        &mut scratch,
+                        |step| {
+                            steps += 1;
+                            last = Some(step);
+                        },
+                    );
+                    // A count-1 trial is one step on no particular chip.
+                    let Some(step) = last.filter(|s| steps == 1 && s.chip.is_none()) else {
+                        continue;
+                    };
+                    if model.is_quiet(step.extent, step.persistence) {
+                        quiet_singles += 1;
+                        assert!(
+                            !step.verdict.is_failure(),
+                            "set {set}: {scheme} trial {trial}: {step:?}"
+                        );
+                    }
+                }
+                assert_eq!(outcome(&kernel), outcome(&full), "set {set}: {scheme}");
+                assert_eq!(kernel.quiet_single, quiet_singles, "set {set}: {scheme}");
+                assert_eq!(full.quiet_single, 0, "set {set}: {scheme}");
+                exits += kernel.quiet_single;
+            }
+            assert!(exits > 0, "set {set}: no single-fault exit");
         }
     }
 
@@ -1149,21 +1314,7 @@ mod tests {
     /// under `sweep`: `(single-bit faults elided, quiet trials ended
     /// before the sort and the walk)`.
     fn timeline_savings(sweep: &Sweep, scheme: Scheme) -> (u64, u64) {
-        let years = sweep.years.ceil() as usize;
-        let model = SchemeModel::new(scheme, sweep.params);
-        let (sampler, streams) = trial_context(sweep, &model);
-        let mut partial = Partial::new(years);
-        run_trials(
-            &model,
-            &sampler,
-            &streams,
-            TrialKernel::BitSliced,
-            0,
-            sweep.samples,
-            years,
-            &mut partial,
-            &mut Scratch::default(),
-        );
+        let partial = kernel_partial(sweep, scheme, TrialKernel::BitSliced);
         (partial.inert_elided, partial.quiet_trials)
     }
 

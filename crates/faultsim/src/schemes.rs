@@ -500,7 +500,7 @@ impl SchemeModel {
     /// `true` if the mode `(extent, persistence)` is quiet: evaluated
     /// alone, it is Benign or Corrected without a draw.
     #[inline]
-    fn is_quiet(&self, extent: FaultExtent, persistence: Persistence) -> bool {
+    pub(crate) fn is_quiet(&self, extent: FaultExtent, persistence: Persistence) -> bool {
         self.quiet_modes >> mode_bit(extent, persistence) & 1 != 0
     }
 

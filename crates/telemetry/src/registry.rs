@@ -61,6 +61,7 @@ pub mod metrics {
     pub static FAULTSIM_BITSLICE_SPILLS: Counter = Counter::new();
     pub static FAULTSIM_TIMELINE_INERT_ELIDED: Counter = Counter::new();
     pub static FAULTSIM_TIMELINE_QUIET_TRIALS: Counter = Counter::new();
+    pub static FAULTSIM_TIMELINE_QUIET_SINGLE_TRIALS: Counter = Counter::new();
     pub static FAULTSIM_TAIL_RUNS: Counter = Counter::new();
     pub static FAULTSIM_TAIL_TRIALS: Counter = Counter::new();
     pub static FAULTSIM_TAIL_FORCED_PAIRS: Counter = Counter::new();
@@ -173,6 +174,7 @@ pub static CATALOGUE: &[MetricDef] = &[
     c("faultsim.bitslice.spills", "Trials a bit-sliced block spilled to the scalar event machinery", &metrics::FAULTSIM_BITSLICE_SPILLS),
     c("faultsim.timeline.inert_elided", "Inert single-bit faults the lifetime kernels sampled but left out of the walked timeline", &metrics::FAULTSIM_TIMELINE_INERT_ELIDED),
     c("faultsim.timeline.quiet_trials", "Multi-fault trials the lifetime kernels ended before the sort and walk: faults in distinct domains, every mode quiet", &metrics::FAULTSIM_TIMELINE_QUIET_TRIALS),
+    c("faultsim.timeline.quiet_single_trials", "Single-fault trials the lifetime kernels ended at the fault's mode draw: the mode is quiet", &metrics::FAULTSIM_TIMELINE_QUIET_SINGLE_TRIALS),
     c("faultsim.tail.runs", "Rare-event (importance-sampled) tail-estimation invocations", &metrics::FAULTSIM_TAIL_RUNS),
     c("faultsim.tail.trials", "Conditioned trials simulated by the rare-event engine", &metrics::FAULTSIM_TAIL_TRIALS),
     c("faultsim.tail.forced_pairs", "Rare-event trials using the pair-forced proposal", &metrics::FAULTSIM_TAIL_FORCED_PAIRS),

@@ -191,13 +191,6 @@ impl TraceBuf {
     pub fn total_recorded(&self) -> u64 {
         self.total
     }
-
-    /// Forgets every retained event (capacity is untouched).
-    pub fn clear(&mut self) {
-        self.head = 0;
-        self.len = 0;
-        self.total = 0;
-    }
 }
 
 impl Default for TraceBuf {
@@ -387,9 +380,6 @@ mod tests {
         assert_eq!(first.span_id, 2, "oldest event (span 1) was evicted");
         let last = buf.iter().last().expect("ring is full");
         assert_eq!(last.span_id, 10_000);
-        buf.clear();
-        assert!(buf.is_empty());
-        assert_eq!(buf.total_recorded(), 0);
     }
 
     #[test]

@@ -497,14 +497,13 @@ fn alloc_sites(ws: &Workspace, graph: &CallGraph, fi: usize) -> Vec<(u32, Alloc)
         if justified(file, site.line, "alloc:", 2) {
             continue;
         }
-        match &site.target {
-            Target::Std(path) if std_path_allocates(path) => {
-                out.push((site.line, Alloc::Std(site.written.clone())));
-            }
-            Target::Fns(_) | Target::Std(_) if site.alloc_risk => {
-                out.push((site.line, Alloc::Untyped(site.written.clone())));
-            }
-            _ => {}
+        // An untyped receiver is classified by its name alone, before its
+        // target: whether that name resolved to some workspace method or
+        // to std must not change the finding.
+        if site.alloc_risk {
+            out.push((site.line, Alloc::Untyped(site.written.clone())));
+        } else if matches!(&site.target, Target::Std(path) if std_path_allocates(path)) {
+            out.push((site.line, Alloc::Std(site.written.clone())));
         }
     }
     out

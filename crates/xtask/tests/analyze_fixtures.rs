@@ -130,6 +130,42 @@ fn fixture_text_format_reports_proofs_and_unresolved() {
 }
 
 #[test]
+fn untyped_alloc_name_is_worded_the_same_without_a_workspace_namesake() {
+    // The fixture's `EventTape::push` makes the untyped `scratch.push` in
+    // `run_trials` resolve to a workspace fn; renaming it leaves the site
+    // resolving to std. XA101 must report the site identically either way.
+    let xa101_at_13 = |json: &str| {
+        let at = json
+            .find(r#""rule":"XA101","severity":"error","file":"crates/faultsim/src/lib.rs","line":13,"#)
+            .unwrap_or_else(|| panic!("no XA101 finding at line 13: {json}"));
+        let end = json[at..].find('}').expect("finding object closes");
+        json[at..at + end].to_string()
+    };
+    let with = run_analyze(&["--root", &fixture_root(), "--format", "json"]);
+    let root = fixture_copy(
+        "no_push_namesake",
+        &[(
+            "crates/faultsim/src/lib.rs",
+            "pub fn push(&mut self, v: u64)",
+            "pub fn put(&mut self, v: u64)",
+        )],
+    );
+    let without = run_analyze(&[
+        "--root",
+        root.to_str().expect("utf-8 path"),
+        "--format",
+        "json",
+    ]);
+    let with = String::from_utf8_lossy(&with.stdout).into_owned();
+    let without = String::from_utf8_lossy(&without.stdout).into_owned();
+    assert_eq!(xa101_at_13(&with), xa101_at_13(&without));
+    assert!(
+        xa101_at_13(&with).contains("has an alloc-capable name and an untyped receiver"),
+        "{with}"
+    );
+}
+
+#[test]
 fn hot_findings_cannot_be_waived() {
     let root = fixture_copy(
         "waive_hot",

@@ -113,8 +113,9 @@ fn mix_word(z: u64) -> u64 {
 }
 
 /// A workspace method named `push`: the untyped `scratch.push` seeded in
-/// `run_trials` resolves to it by name, so that site takes XA101's
-/// alloc-capable-name arm rather than the std-call arm.
+/// `run_trials` resolves to it by name. XA101 must word that site the
+/// same as when no workspace fn shares the name (the analyze fixture
+/// tests rename this one away to check).
 pub struct EventTape {
     slots: [u64; 4],
     head: usize,

@@ -49,7 +49,10 @@ cargo test -q --workspace
 # multi-fault walk: per-trial replays keep every fault, the kernels
 # elide inert ones and end quiet trials before the walk, and the two
 # must fold to the same result for every scheme under both kernels
-# (DESIGN.md §9.3). The premise test pins what makes the quiet exit
+# (DESIGN.md §9.3). The single-fault exit test holds the kernel's lone
+# quiet faults, ended at their mode draw, to the full count-1 body on the
+# same trials, for every scheme under four parameter variants. The
+# premise test pins what makes the quiet exit
 # safe: a fault whose domain holds no other multi-bit fault is evaluated
 # exactly as in isolation, verdict and draws. The tail engine rests on
 # the same premise: its walk over the shared domains only must end like
@@ -63,6 +66,7 @@ cargo test -q --release -p xed-faultsim --lib -- \
     one_thread_runs_every_chunk_on_the_caller \
     every_chunk_is_claimed_exactly_once_by_at_most_min_threads_chunks_workers \
     bit_sliced_kernel_is_bit_identical_to_scalar \
+    single_quiet_fault_exit_matches_the_full_body \
     replaying_every_trial_reproduces_the_aggregate_result \
     evaluation_outside_the_domain_matches_isolated \
     shared_domain_walk_matches_the_full_walk \
