@@ -22,9 +22,6 @@
 //! * [`infer`] — BEER-style inference of *undisclosed* on-die codes from
 //!   retention-test probe signatures, plus the HARP-style miscorrection
 //!   profiler that ranks at-risk bit positions.
-//! * [`lanes`] — lane-transposed (bit-sliced) batch entry points: 64
-//!   codewords encoded or validity-classified at once via a 64×64 bit
-//!   transpose and per-H-row XOR folds.
 //! * [`mod@reference`] — the original bit-serial / `Vec`-allocating codecs, kept
 //!   as the oracle the word-parallel hot-path kernels are differentially
 //!   tested against.
@@ -56,7 +53,6 @@ pub mod detection;
 pub mod gf;
 pub mod hamming;
 pub mod infer;
-pub mod lanes;
 pub mod parity;
 pub mod reference;
 pub mod rs;

@@ -57,6 +57,14 @@ pub fn run(mut log: impl FnMut(&str)) -> Result<(), String> {
         health.body.contains("\"git\":"),
         "/healthz lacks build info (git hash)",
     )?;
+    let features = crate::json::field(&health.body, "features").unwrap_or("");
+    check(
+        crate::json::field(&health.body, "level").is_some_and(|l| l.starts_with('"'))
+            && ["popcnt", "bmi2", "avx2", "fma", "avx512f"]
+                .iter()
+                .all(|f| matches!(crate::json::field(features, f), Some("true" | "false"))),
+        "/healthz lacks the compiled target level and features",
+    )?;
     check(
         crate::json::number_field(&health.body, "schemes")
             == Some(xed_faultsim::schemes::Scheme::ALL.len() as f64),
@@ -66,7 +74,7 @@ pub fn run(mut log: impl FnMut(&str)) -> Result<(), String> {
         crate::json::number_field(&health.body, "uptime_seconds").is_some(),
         "/healthz lacks uptime_seconds",
     )?;
-    log("selftest: /healthz ok (build info present)");
+    log("selftest: /healthz ok (build info and target level present)");
 
     // -- cold query, then memoized replay ---------------------------------
     let target = "/v1/query?scheme=xed&samples=200000&seed=7";

@@ -69,6 +69,60 @@ const GIT_HASH: &str = match option_env!("XEDD_GIT_HASH") {
     None => "unknown",
 };
 
+/// The instruction-set level the binary was compiled for, reported by
+/// `/healthz` next to the git hash. It is read from `cfg!`, so it names
+/// what the compiler was allowed to emit (`.cargo/config.toml` sets
+/// `x86-64-v3`; see README "Install / build"), not what the host offers.
+/// Each x86-64 level requires the one below it; other architectures
+/// report their name.
+const TARGET_LEVEL: &str = {
+    const V2: bool = cfg!(all(
+        target_feature = "cmpxchg16b",
+        target_feature = "popcnt",
+        target_feature = "sse4.2",
+        target_feature = "ssse3"
+    ));
+    const V3: bool = V2
+        && cfg!(all(
+            target_feature = "avx2",
+            target_feature = "bmi1",
+            target_feature = "bmi2",
+            target_feature = "f16c",
+            target_feature = "fma",
+            target_feature = "lzcnt",
+            target_feature = "movbe"
+        ));
+    const V4: bool = V3
+        && cfg!(all(
+            target_feature = "avx512f",
+            target_feature = "avx512bw",
+            target_feature = "avx512cd",
+            target_feature = "avx512dq",
+            target_feature = "avx512vl"
+        ));
+    if !cfg!(target_arch = "x86_64") {
+        std::env::consts::ARCH
+    } else if V4 {
+        "x86-64-v4"
+    } else if V3 {
+        "x86-64-v3"
+    } else if V2 {
+        "x86-64-v2"
+    } else {
+        "x86-64"
+    }
+};
+
+/// The target features `/healthz` lists, each as compiled in, on or off
+/// (DESIGN.md §14.1 says which kernels they move).
+const TARGET_FEATURES: [(&str, bool); 5] = [
+    ("popcnt", cfg!(target_feature = "popcnt")),
+    ("bmi2", cfg!(target_feature = "bmi2")),
+    ("avx2", cfg!(target_feature = "avx2")),
+    ("fma", cfg!(target_feature = "fma")),
+    ("avx512f", cfg!(target_feature = "avx512f")),
+];
+
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct XeddConfig {
@@ -432,8 +486,13 @@ fn route(
 ) {
     match request.path.as_str() {
         "/healthz" => {
+            let features: Vec<String> = TARGET_FEATURES
+                .iter()
+                .map(|(name, on)| format!("\"{name}\":{on}"))
+                .collect();
             let body = format!(
-                "{{\"ok\":true,\"git\":\"{GIT_HASH}\",\"schemes\":{},\"uptime_seconds\":{}}}",
+                "{{\"ok\":true,\"git\":\"{GIT_HASH}\",\"target\":{{\"level\":\"{TARGET_LEVEL}\",\"features\":{{{}}}}},\"schemes\":{},\"uptime_seconds\":{}}}",
+                features.join(","),
                 Scheme::ALL.len(),
                 inner.started.elapsed().as_secs()
             );

@@ -178,6 +178,51 @@ fn oversized_sample_counts_are_rejected_with_400() {
 }
 
 #[test]
+fn healthz_reports_the_build_and_its_target_level() {
+    let server = start(1, 4);
+    let body = http::client_get(&server.addr(), "/healthz")
+        .expect("healthz")
+        .body;
+    let git = xedd::json::field(&body, "git").expect("git");
+    let level = xedd::json::field(&body, "level").expect("level");
+    let uptime = xedd::json::field(&body, "uptime_seconds").expect("uptime");
+    // The test is built with the daemon's flags, so its own `cfg!` names
+    // the same features.
+    let features = [
+        ("popcnt", cfg!(target_feature = "popcnt")),
+        ("bmi2", cfg!(target_feature = "bmi2")),
+        ("avx2", cfg!(target_feature = "avx2")),
+        ("fma", cfg!(target_feature = "fma")),
+        ("avx512f", cfg!(target_feature = "avx512f")),
+    ]
+    .map(|(name, on)| format!("\"{name}\":{on}"))
+    .join(",");
+    assert_eq!(
+        body,
+        format!(
+            "{{\"ok\":true,\"git\":{git},\"target\":{{\"level\":{level},\"features\":{{{features}}}}},\"schemes\":{},\"uptime_seconds\":{uptime}}}",
+            xed_faultsim::schemes::Scheme::ALL.len()
+        )
+    );
+    if cfg!(target_arch = "x86_64") {
+        let levels = [
+            "\"x86-64\"",
+            "\"x86-64-v2\"",
+            "\"x86-64-v3\"",
+            "\"x86-64-v4\"",
+        ];
+        assert!(levels.contains(&level), "{level}");
+        let v3 = cfg!(all(
+            target_feature = "avx2",
+            target_feature = "bmi2",
+            target_feature = "fma"
+        ));
+        assert_eq!(v3, levels[2..].contains(&level), "{level}");
+    }
+    server.shutdown();
+}
+
+#[test]
 fn ephemeral_servers_bind_distinct_ports() {
     let a = start(1, 4);
     let b = start(1, 4);

@@ -61,17 +61,29 @@ cargo test -q --workspace
 # scheduler tests pin what keeps every run thread-count-invariant: each
 # chunk is claimed exactly once, by at most min(threads, chunks)
 # workers, and a one-thread run stays on the calling thread (§9.2).
-step "bit-sliced vs scalar kernel, replay, tail-walk and scheduler equivalence (release)"
-cargo test -q --release -p xed-faultsim --lib -- \
-    one_thread_runs_every_chunk_on_the_caller \
-    every_chunk_is_claimed_exactly_once_by_at_most_min_threads_chunks_workers \
-    bit_sliced_kernel_is_bit_identical_to_scalar \
-    single_quiet_fault_exit_matches_the_full_body \
-    replaying_every_trial_reproduces_the_aggregate_result \
-    evaluation_outside_the_domain_matches_isolated \
-    shared_domain_walk_matches_the_full_walk \
-    memoized_probe_matches_the_round_loop \
+equivalence_tests=(
+    one_thread_runs_every_chunk_on_the_caller
+    every_chunk_is_claimed_exactly_once_by_at_most_min_threads_chunks_workers
+    bit_sliced_kernel_is_bit_identical_to_scalar
+    single_quiet_fault_exit_matches_the_full_body
+    replaying_every_trial_reproduces_the_aggregate_result
+    evaluation_outside_the_domain_matches_isolated
+    shared_domain_walk_matches_the_full_walk
+    memoized_probe_matches_the_round_loop
     estimates_are_pinned_bit_for_bit_in_every_mode
+)
+step "bit-sliced vs scalar kernel, replay, tail-walk and scheduler equivalence (release)"
+cargo test -q --release -p xed-faultsim --lib -- "${equivalence_tests[@]}"
+
+# Gating: the same equivalence set built at the portable x86-64 level.
+# `.cargo/config.toml` builds at x86-64-v3, and RUSTFLAGS replaces that
+# setting, so this build has no AVX2, BMI2 or POPCNT code. It must hit
+# the same pins, the tail estimates included: results may not depend on
+# the instruction set (DESIGN.md §14.1). Its own target directory keeps
+# the v3 build's artifacts intact.
+step "kernel and tail equivalence at the portable x86-64 level (release)"
+RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/portable \
+    cargo test -q --release -p xed-faultsim --lib -- "${equivalence_tests[@]}"
 
 # Gating: the one-pass FR-FCFS scheduler with per-channel wake cycles
 # must match the three-pass reference controller it replaced, kept as a
