@@ -59,7 +59,7 @@ impl J {
 /// `params` holds the run's inputs, `series` its report-specific outputs
 /// (one object per scheme/point/system), `engine` the wall-clock footer
 /// data, and `telemetry` the active [`xed_telemetry::registry`] samples —
-/// the same objects `Snapshot::to_json_lines` emits.
+/// the same objects `Snapshot::active_to_json_array` emits.
 #[derive(Debug, Default)]
 pub struct Report {
     name: String,

@@ -75,11 +75,6 @@ impl AlertDimm {
         }
     }
 
-    /// The signaling mode in force.
-    pub fn mode(&self) -> AlertMode {
-        self.mode
-    }
-
     /// Controller statistics.
     pub fn stats(&self) -> AlertStats {
         self.stats

@@ -66,28 +66,6 @@ impl CollisionModel {
     }
 }
 
-/// Expected fraction of accesses that enter XED serial mode (multiple
-/// catch-words), given the per-chip probability `p_chip` that an accessed
-/// word carries a detectable scaling fault and `chips` data chips.
-///
-/// The paper quotes "once every 200K accesses" at a 10⁻⁴ scaling rate
-/// (Section VII-B); see `xed_faultsim::scaling` for the per-chip
-/// probability derivation and Table III.
-pub fn serial_mode_fraction(p_chip: f64, chips: u32) -> f64 {
-    assert!((0.0..=1.0).contains(&p_chip));
-    // P(≥2 of `chips` words are catch-words).
-    let n = chips as i32;
-    let p0 = (1.0 - p_chip).powi(n);
-    let p1 = chips as f64 * p_chip * (1.0 - p_chip).powi(n - 1);
-    (1.0 - p0 - p1).max(0.0)
-}
-
-/// XED's extra-read overhead per serial-mode episode: one re-read of the
-/// line with XED disabled plus the re-enabled verify path (paper VII-B
-/// describes "multiple read and write operations"; we count the re-read and
-/// the scrub write).
-pub const SERIAL_MODE_EXTRA_OPS: u32 = 2;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,19 +102,5 @@ mod tests {
         assert!(p100 < p_mean && p_mean < p_huge);
         assert!((p_mean - (1.0 - (-1.0f64).exp())).abs() < 1e-3);
         assert!(p_huge > 0.999_999);
-    }
-
-    #[test]
-    fn serial_mode_fraction_matches_binomial() {
-        // p = 6.4e-3 (64-bit word at 1e-4 rate), 8 chips.
-        let f = serial_mode_fraction(6.4e-3, 8);
-        // ~C(8,2) p² ≈ 1.1e-3.
-        assert!((8e-4..1.5e-3).contains(&f), "{f}");
-        assert_eq!(serial_mode_fraction(0.0, 8), 0.0);
-    }
-
-    #[test]
-    fn serial_mode_fraction_monotone_in_p() {
-        assert!(serial_mode_fraction(1e-2, 8) > serial_mode_fraction(1e-3, 8));
     }
 }

@@ -149,6 +149,7 @@ impl<W: CellWord> CellArray<W> {
     }
 
     /// Removes every injected fault.
+    #[cfg(test)]
     pub(crate) fn clear_faults(&mut self) {
         self.faults.clear();
     }

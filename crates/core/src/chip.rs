@@ -177,11 +177,6 @@ impl DramChip {
         self.xed_enable = enable;
     }
 
-    /// Current XED-Enable state.
-    pub fn xed_enabled(&self) -> bool {
-        self.xed_enable
-    }
-
     /// Programs the Catch-Word Register via the MRS interface.
     pub fn set_catch_word(&mut self, cw: CatchWord) {
         self.catch_word = Some(cw);
@@ -194,7 +189,8 @@ impl DramChip {
 
     /// Removes all injected faults (test helper; real chips cannot do
     /// this).
-    pub fn clear_faults(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn clear_faults(&mut self) {
         self.cells.clear_faults();
     }
 

@@ -154,11 +154,6 @@ impl XedController {
         self.stats
     }
 
-    /// The chip the FCT has condemned as permanently faulty, if any.
-    pub fn condemned_chip(&self) -> Option<usize> {
-        self.condemned_chip
-    }
-
     /// Injects a fault into chip `chip_index` (0–7 data, 8 parity).
     ///
     /// # Panics
@@ -166,11 +161,6 @@ impl XedController {
     /// Panics if `chip_index >= 9`.
     pub fn inject_fault(&mut self, chip_index: usize, fault: InjectedFault) {
         self.chips[chip_index].inject_fault(fault);
-    }
-
-    /// Read-only access to a chip (instrumentation/tests).
-    pub fn chip(&self, chip_index: usize) -> &DramChip {
-        &self.chips[chip_index]
     }
 
     /// The catch-word currently programmed into chip `chip_index`
@@ -357,27 +347,6 @@ impl XedController {
             });
         }
         self.reconstruct(addr, &words, dead)
-    }
-
-    /// Patrol scrub: walks every cache line of the DIMM once, letting the
-    /// normal read path detect, correct and write back whatever it finds.
-    /// Returns `(lines_corrected, lines_uncorrectable)`.
-    ///
-    /// Patrol scrubbing bounds how long transient corruption can linger
-    /// without a demand read (cf. the `ablation_scrubbing` study, which
-    /// quantifies the reliability effect of that exposure window).
-    pub fn patrol_scrub(&mut self) -> (u64, u64) {
-        let mut corrected = 0u64;
-        let mut uncorrectable = 0u64;
-        for line in 0..self.geometry.words() {
-            let addr = self.geometry.addr(line);
-            match self.read_line(addr) {
-                Ok(readout) if readout.reconstructed_chip.is_some() => corrected += 1,
-                Ok(_) => {}
-                Err(_) => uncorrectable += 1,
-            }
-        }
-        (corrected, uncorrectable)
     }
 
     /// Re-programs a chip's catch-word after a collision (Section V-D3).
@@ -577,24 +546,6 @@ mod tests {
         let r2 = c.read_line(a).unwrap();
         assert!(!r2.collision);
         assert_eq!(r2.data, line);
-    }
-
-    #[test]
-    fn patrol_scrub_heals_transient_row_without_demand_reads() {
-        let mut c = controller();
-        for col in 0..128 {
-            c.write_line(addr(1, 7, col), &LINE);
-        }
-        c.inject_fault(3, InjectedFault::row(1, 7, FaultKind::Transient));
-        let (corrected, uncorrectable) = c.patrol_scrub();
-        assert!(
-            corrected >= 120,
-            "most of the row scrubbed, got {corrected}"
-        );
-        assert_eq!(uncorrectable, 0);
-        // Second pass: nothing left to fix.
-        let (corrected2, _) = c.patrol_scrub();
-        assert_eq!(corrected2, 0);
     }
 
     #[test]

@@ -337,7 +337,7 @@ mod tests {
             let r = c.read_line(addr(0, 10 + row, 0)).unwrap();
             assert_eq!(r.data, LINE, "row {row}");
         }
-        assert_eq!(c.condemned_chip(), Some(5));
+        assert_eq!(c.condemned_chip, Some(5));
         // Subsequent reads anywhere treat chip 5 as a standing erasure.
         let a = addr(3, 0, 0);
         c.write_line(a, &LINE);

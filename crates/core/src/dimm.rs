@@ -85,11 +85,6 @@ impl XedDimm {
         self.controller.write_line(addr, data);
     }
 
-    /// Writes a cache line at an explicit address.
-    pub fn write_line_at(&mut self, addr: WordAddr, data: &[u64; DATA_CHIPS]) {
-        self.controller.write_line(addr, data);
-    }
-
     /// Reads a cache line at a linear index.
     ///
     /// # Errors
@@ -98,16 +93,6 @@ impl XedDimm {
     /// capability (see [`XedController::read_line`]).
     pub fn read_line(&mut self, line: u64) -> Result<LineReadout, XedError> {
         let addr = self.line_addr(line);
-        self.controller.read_line(addr)
-    }
-
-    /// Reads a cache line at an explicit address.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`XedError`] when the corruption exceeds XED's correction
-    /// capability.
-    pub fn read_line_at(&mut self, addr: WordAddr) -> Result<LineReadout, XedError> {
         self.controller.read_line(addr)
     }
 
@@ -155,15 +140,6 @@ mod tests {
         let out = dimm.read_line(0).unwrap();
         assert_eq!(out.data, line);
         assert!(dimm.stats().reconstructions > 0);
-    }
-
-    #[test]
-    fn explicit_addressing_equivalent() {
-        let mut d = XedDimm::new(XedConfig::default());
-        let a = d.line_addr(130);
-        d.write_line_at(a, &[3; 8]);
-        assert_eq!(d.read_line(130).unwrap().data, [3; 8]);
-        assert_eq!(d.read_line_at(a).unwrap().data, [3; 8]);
     }
 
     #[test]

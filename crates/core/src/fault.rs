@@ -78,18 +78,6 @@ impl FaultRegion {
             FaultRegion::Chip => true,
         }
     }
-
-    /// `true` if the region spans more than one cache line, making it
-    /// discoverable by Inter-Line Fault Diagnosis.
-    pub fn spans_lines(&self) -> bool {
-        matches!(
-            self,
-            FaultRegion::Column { .. }
-                | FaultRegion::Row { .. }
-                | FaultRegion::Bank { .. }
-                | FaultRegion::Chip
-        )
-    }
 }
 
 /// A fault injected into one chip.
@@ -266,18 +254,6 @@ mod tests {
         let word = FaultRegion::Word { addr: a(0, 1, 2) };
         assert!(word.covers(a(0, 1, 2)));
         assert!(!word.covers(a(0, 1, 3)));
-    }
-
-    #[test]
-    fn spans_lines_predicate() {
-        assert!(FaultRegion::Chip.spans_lines());
-        assert!(FaultRegion::Row { bank: 0, row: 0 }.spans_lines());
-        assert!(!FaultRegion::Word { addr: a(0, 0, 0) }.spans_lines());
-        assert!(!FaultRegion::Bit {
-            addr: a(0, 0, 0),
-            bit: 3
-        }
-        .spans_lines());
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::dimm::{XedConfig, XedDimm};
 use crate::fault::InjectedFault;
 use crate::secded_dimm::{SecdedDimm, SecdedReadout};
 use crate::xed_chipkill::XedChipkillSystem;
-use xed_ecc::reference::{crc8_u32_bitserial, crc8_u64_bitserial};
+use xed_ecc::reference::crc8_u64_bitserial;
 
 /// Three-way classification of one realized line read.
 ///
@@ -86,19 +86,6 @@ pub fn with_event_at(fault: InjectedFault, addr: WordAddr) -> InjectedFault {
         let candidate = fault.with_seed(0xE4E2_7000u64.wrapping_add(seed));
         let (dx, cx) = candidate.corruption(addr);
         if cx != crc8_u64_bitserial(dx) {
-            return candidate;
-        }
-    }
-    unreachable_search()
-}
-
-/// x4 variant of [`with_miss_at`]: the (40,32) corruption at `addr` is a
-/// codeword of the 32-bit CRC8-ATM on-die code.
-pub fn with_miss_at_x4(fault: InjectedFault, addr: WordAddr) -> InjectedFault {
-    for seed in 0..SEARCH_CAP {
-        let candidate = fault.with_seed(0x4D15_5E40u64.wrapping_add(seed));
-        let (dx, cx) = candidate.corruption40(addr);
-        if cx == crc8_u32_bitserial(dx) {
             return candidate;
         }
     }

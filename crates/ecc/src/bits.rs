@@ -11,24 +11,6 @@ pub fn parity64(x: u64) -> u8 {
     (x.count_ones() & 1) as u8
 }
 
-/// Extracts bit `i` of `x` (0 = least significant).
-///
-/// # Panics
-///
-/// Panics in debug builds if `i >= 64`.
-#[inline]
-pub fn bit64(x: u64, i: u32) -> u8 {
-    debug_assert!(i < 64);
-    ((x >> i) & 1) as u8
-}
-
-/// Returns `x` with bit `i` set to `v` (`v` must be 0 or 1).
-#[inline]
-pub fn with_bit64(x: u64, i: u32, v: u8) -> u64 {
-    debug_assert!(v <= 1);
-    (x & !(1u64 << i)) | ((v as u64) << i)
-}
-
 /// Iterator over the indices of the set bits of `x`, ascending.
 ///
 /// ```
@@ -90,21 +72,12 @@ mod tests {
     }
 
     #[test]
-    fn bit_roundtrip() {
-        let x = 0xA5A5_5A5A_DEAD_BEEFu64;
-        assert!(set_bits64(u64::MAX).all(|i| {
-            let b = bit64(x, i);
-            with_bit64(x, i, b) == x && (with_bit64(x, i, 1 - b) ^ x) == (1u64 << i)
-        }));
-    }
-
-    #[test]
     fn set_bits_matches_count() {
         let x = 0xF0F0_1234_5678_9ABCu64;
         let v: Vec<u32> = set_bits64(x).collect();
         assert_eq!(v.len(), x.count_ones() as usize);
         for &i in &v {
-            assert_eq!(bit64(x, i), 1);
+            assert_eq!((x >> i) & 1, 1);
         }
         // ascending
         assert!(v.windows(2).all(|w| w[0] < w[1]));

@@ -104,11 +104,6 @@ impl Chipkill {
     pub fn decode_with_erasures(&self, beat: &[u8], erased_chips: &[usize]) -> SymbolOutcome {
         to_outcome(self.rs.decode(beat, erased_chips), Self::DATA_CHIPS)
     }
-
-    /// The underlying Reed–Solomon code.
-    pub fn rs(&self) -> &ReedSolomon {
-        &self.rs
-    }
 }
 
 /// Double-symbol-correct Double-Chipkill over 36 chips (32 data + 4 check).
@@ -144,11 +139,6 @@ impl DoubleChipkill {
     /// Decodes, correcting up to two unknown symbol errors.
     pub fn decode(&self, beat: &[u8]) -> SymbolOutcome {
         to_outcome(self.rs.decode(beat, &[]), Self::DATA_CHIPS)
-    }
-
-    /// The underlying Reed–Solomon code.
-    pub fn rs(&self) -> &ReedSolomon {
-        &self.rs
     }
 }
 

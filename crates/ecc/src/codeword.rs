@@ -35,10 +35,6 @@ pub struct CodeWord72 {
 impl CodeWord72 {
     /// Total number of bits in the codeword.
     pub const BITS: u32 = 72;
-    /// Number of data bits.
-    pub const DATA_BITS: u32 = 64;
-    /// Number of check bits.
-    pub const CHECK_BITS: u32 = 8;
 
     /// Creates a codeword from its data and check parts.
     #[inline]

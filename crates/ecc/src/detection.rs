@@ -103,57 +103,6 @@ pub fn measure<C: SecDed>(
     }
 }
 
-/// Exhaustively counts the *undetectable* error patterns of a given
-/// weight: patterns that map every valid codeword onto another valid
-/// codeword (i.e. the error pattern is itself a codeword). By linearity
-/// this is data-independent, so one codeword census characterizes the
-/// code.
-///
-/// Weight 4 is the interesting census for a distance-4 SECDED code: its
-/// count divided by C(72,4) is the exact undetected fraction behind the
-/// Table II "random 4-bit" row.
-///
-/// # Panics
-///
-/// Panics if `weight` is not in `1..=4` (larger weights are
-/// combinatorially expensive; use [`measure`] instead).
-pub fn undetected_pattern_census<C: SecDed>(code: &C, weight: u32) -> u64 {
-    assert!(
-        (1..=4).contains(&weight),
-        "census supported for weights 1-4"
-    );
-    let base = code.encode(0);
-    let mut count = 0u64;
-    let mut idx = [0u32; 4];
-    // Iterate all ascending index tuples of the requested weight.
-    fn rec<C: SecDed>(
-        code: &C,
-        base: crate::codeword::CodeWord72,
-        weight: u32,
-        start: u32,
-        depth: u32,
-        idx: &mut [u32; 4],
-        count: &mut u64,
-    ) {
-        if depth == weight {
-            let mut w = base;
-            for &i in &idx[..weight as usize] {
-                w = w.with_bit_flipped(i);
-            }
-            if code.is_valid(w) {
-                *count += 1;
-            }
-            return;
-        }
-        for i in start..(72 - (weight - depth - 1)) {
-            idx[depth as usize] = i;
-            rec(code, base, weight, i + 1, depth + 1, idx, count);
-        }
-    }
-    rec(code, base, weight, 0, 0, &mut idx, &mut count);
-    count
-}
-
 /// Measures a full Table II row set: `k = 1..=8` for both error models.
 pub fn table2_rows<C: SecDed>(
     code: &C,
@@ -182,6 +131,57 @@ mod tests {
     use crate::hamming::Hamming7264;
 
     const TRIALS: u64 = 4_000;
+
+    /// Exhaustively counts the *undetectable* error patterns of a given
+    /// weight: patterns that map every valid codeword onto another valid
+    /// codeword (i.e. the error pattern is itself a codeword). By linearity
+    /// this is data-independent, so one codeword census characterizes the
+    /// code.
+    ///
+    /// Weight 4 is the interesting census for a distance-4 SECDED code: its
+    /// count divided by C(72,4) is the exact undetected fraction behind the
+    /// Table II "random 4-bit" row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weight` is not in `1..=4` (larger weights are
+    /// combinatorially expensive; use [`measure`] instead).
+    fn undetected_pattern_census<C: SecDed>(code: &C, weight: u32) -> u64 {
+        assert!(
+            (1..=4).contains(&weight),
+            "census supported for weights 1-4"
+        );
+        let base = code.encode(0);
+        let mut count = 0u64;
+        let mut idx = [0u32; 4];
+        // Iterate all ascending index tuples of the requested weight.
+        fn rec<C: SecDed>(
+            code: &C,
+            base: crate::codeword::CodeWord72,
+            weight: u32,
+            start: u32,
+            depth: u32,
+            idx: &mut [u32; 4],
+            count: &mut u64,
+        ) {
+            if depth == weight {
+                let mut w = base;
+                for &i in &idx[..weight as usize] {
+                    w = w.with_bit_flipped(i);
+                }
+                if code.is_valid(w) {
+                    *count += 1;
+                }
+                return;
+            }
+            for i in start..(72 - (weight - depth - 1)) {
+                idx[depth as usize] = i;
+                rec(code, base, weight, i + 1, depth + 1, idx, count);
+            }
+        }
+        rec(code, base, weight, 0, 0, &mut idx, &mut count);
+        count
+    }
 
     #[test]
     fn single_and_double_always_detected_both_codes() {

@@ -191,43 +191,6 @@ impl fmt::Debug for Field {
 }
 
 impl Field {
-    /// Builds GF(2^m) from a primitive polynomial given including the leading
-    /// term (e.g. `0x11D` = x^8+x^4+x^3+x^2+1 for GF(256)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is not in `1..=8` or the polynomial is not primitive
-    /// (i.e. `x` does not generate the multiplicative group).
-    pub fn new(m: u32, poly: u32) -> Self {
-        assert!((1..=8).contains(&m), "only GF(2^1)..GF(2^8) supported");
-        let size = 1usize << m;
-        let order = size - 1;
-        let mut log = vec![0u16; size];
-        let mut exp = vec![0u8; 2 * order];
-        let mut x = 1u32;
-        for i in 0..order {
-            assert!(
-                i == 0 || x != 1,
-                "polynomial {poly:#x} is not primitive for m={m} (x has order {i})"
-            );
-            exp[i] = x as u8;
-            exp[i + order] = x as u8;
-            log[x as usize] = i as u16;
-            x <<= 1;
-            if x & (1 << m) != 0 {
-                x ^= poly;
-            }
-        }
-        assert_eq!(x, 1, "polynomial {poly:#x} is not primitive for m={m}");
-        Self {
-            m,
-            size,
-            poly,
-            log,
-            exp,
-        }
-    }
-
     /// The standard GF(256) field used by the byte-symbol Reed–Solomon
     /// codecs (primitive polynomial x^8+x^4+x^3+x^2+1). Backed by the
     /// compile-time tables proved correct by this module's `const`
@@ -278,17 +241,6 @@ impl Field {
     #[inline]
     pub fn alpha_pow(&self, i: usize) -> u8 {
         self.exp[i % self.order()]
-    }
-
-    /// Discrete log base α of a nonzero element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a == 0` (zero has no logarithm).
-    #[inline]
-    pub fn log(&self, a: u8) -> usize {
-        assert!(a != 0, "log of zero");
-        self.log[a as usize] as usize
     }
 
     /// Field addition (XOR).
@@ -359,14 +311,6 @@ impl Field {
         self.try_inv(b).map(|binv| self.mul(a, binv))
     }
 
-    /// a^n by repeated table lookups.
-    pub fn pow(&self, a: u8, n: usize) -> u8 {
-        if a == 0 {
-            return if n == 0 { 1 } else { 0 };
-        }
-        self.exp[(self.log[a as usize] as usize * n) % self.order()]
-    }
-
     /// Evaluates a polynomial (coefficients ascending, `poly[i]·x^i`) at `x`.
     pub fn poly_eval(&self, poly: &[u8], x: u8) -> u8 {
         let mut acc = 0u8;
@@ -397,6 +341,46 @@ impl Field {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Field {
+        /// Builds GF(2^m) at run time from a primitive polynomial given
+        /// including the leading term (e.g. `0x11D` = x^8+x^4+x^3+x^2+1 for
+        /// GF(256)): the oracle of the compile-time tables.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `m` is not in `1..=8` or the polynomial is not primitive
+        /// (i.e. `x` does not generate the multiplicative group).
+        fn new(m: u32, poly: u32) -> Self {
+            assert!((1..=8).contains(&m), "only GF(2^1)..GF(2^8) supported");
+            let size = 1usize << m;
+            let order = size - 1;
+            let mut log = vec![0u16; size];
+            let mut exp = vec![0u8; 2 * order];
+            let mut x = 1u32;
+            for i in 0..order {
+                assert!(
+                    i == 0 || x != 1,
+                    "polynomial {poly:#x} is not primitive for m={m} (x has order {i})"
+                );
+                exp[i] = x as u8;
+                exp[i + order] = x as u8;
+                log[x as usize] = i as u16;
+                x <<= 1;
+                if x & (1 << m) != 0 {
+                    x ^= poly;
+                }
+            }
+            assert_eq!(x, 1, "polynomial {poly:#x} is not primitive for m={m}");
+            Self {
+                m,
+                size,
+                poly,
+                log,
+                exp,
+            }
+        }
+    }
 
     fn fields() -> Vec<Field> {
         vec![Field::gf256(), Field::gf16()]
@@ -471,20 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn pow_matches_repeated_mul() {
-        let f = Field::gf256();
-        for a in [1u8, 2, 3, 0x53, 0xFF] {
-            let mut acc = 1u8;
-            for n in 0..20 {
-                assert_eq!(f.pow(a, n), acc);
-                acc = f.mul(acc, a);
-            }
-        }
-        assert_eq!(f.pow(0, 0), 1);
-        assert_eq!(f.pow(0, 5), 0);
-    }
-
-    #[test]
     fn poly_eval_horner() {
         let f = Field::gf256();
         // p(x) = 3 + 2x + x^2 at x=2 : 3 ^ mul(2,2) ^ mul(1,4) = 3^4^4 = 3
@@ -517,7 +487,7 @@ mod tests {
     fn log_exp_inverse() {
         let f = Field::gf256();
         for a in 1..=255u8 {
-            assert_eq!(f.alpha_pow(f.log(a)), a);
+            assert_eq!(f.alpha_pow(f.log[a as usize] as usize), a);
         }
     }
 

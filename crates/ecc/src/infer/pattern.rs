@@ -95,15 +95,6 @@ impl ChargePattern {
     pub fn weight(self) -> u32 {
         self.mask.count_ones()
     }
-
-    /// The symmetric difference of two patterns — the key algebraic
-    /// move of the inference engine (GF(2): the combined probe's
-    /// syndrome is the XOR of the two constituents'). Returns
-    /// [`PatternError::AllZero`] when the patterns are equal, which the
-    /// solver treats as a *certain* match, not something to probe.
-    pub fn symmetric_difference(self, other: Self, k: u32) -> Result<Self, PatternError> {
-        Self::new(self.mask ^ other.mask, k)
-    }
 }
 
 #[cfg(test)]
@@ -115,8 +106,6 @@ mod tests {
         // Regression: the all-zero test pattern used to be representable
         // and produced an uninformative Silent signature downstream.
         assert_eq!(ChargePattern::new(0, 64), Err(PatternError::AllZero));
-        let a = ChargePattern::new(0b101, 64).unwrap();
-        assert_eq!(a.symmetric_difference(a, 64), Err(PatternError::AllZero));
         assert!(ChargePattern::new(0, 64)
             .unwrap_err()
             .to_string()
@@ -138,12 +127,10 @@ mod tests {
     }
 
     #[test]
-    fn accessors_and_symmetric_difference() {
+    fn accessors() {
         let a = ChargePattern::new(0b0110, 8).unwrap();
-        let b = ChargePattern::new(0b0101, 8).unwrap();
         assert_eq!(a.weight(), 2);
-        let d = a.symmetric_difference(b, 8).unwrap();
-        assert_eq!(d.mask(), 0b0011);
+        assert_eq!(a.mask(), 0b0110);
         assert_eq!(ChargePattern::walking_one(3, 8).unwrap().mask(), 0b1000);
     }
 }

@@ -26,7 +26,7 @@
 //!   single-trial [`Sweep::replay_trial`] behind the golden traces.
 
 use crate::fault::FaultExtent;
-use crate::fit::{FitRates, ModeRate, LIFETIME_YEARS};
+use crate::fit::{FitRates, ModeRate, HOURS_PER_YEAR, LIFETIME_YEARS};
 use crate::montecarlo::{self, RunReport, RunStats, SchemeResult, TrialKernel, TrialReplay};
 use crate::rareevent::{TailConfig, TailEstimate, TailMode, TailSimulator};
 use crate::schemes::{CodeModel, ModelParams, Scheme};
@@ -43,6 +43,15 @@ pub const DEFAULT_BLOCK: u64 = 1 << 18;
 /// scheme, so an unbounded `years` would let one request exhaust memory; a
 /// millennium is far beyond any DRAM service life.
 pub const MAX_YEARS: f64 = 1_000.0;
+
+/// Most faults a query may expect per trial: the system-wide Poisson
+/// mean, FIT total × 10⁻⁹ × lifetime hours × chips. A trial draws every
+/// fault of its lifetime and holds them in one buffer, so its time and
+/// memory grow with this mean, and a client's FIT table alone could
+/// otherwise make one trial take minutes or ask for 10¹² events. The
+/// largest in-repo mean is about 834: 10x the Table I rates over
+/// [`MAX_YEARS`] on the 144-chip x4 system.
+pub const MAX_FAULTS_PER_TRIAL: f64 = 10_000.0;
 
 /// Most trials a query may ask for. A run's time grows linearly with
 /// `samples`, so an unbounded count would let one request hold a worker
@@ -147,14 +156,6 @@ impl Query {
         }
     }
 
-    /// An importance-sampled tail query with paper-default parameters.
-    pub fn tail(scheme: Scheme, samples: u64, seed: u64) -> Self {
-        Self {
-            kind: QueryKind::Tail { force: None },
-            ..Self::lifetime(scheme, samples, seed)
-        }
-    }
-
     /// Validates the query, returning a human-readable reason when it
     /// cannot be evaluated. The daemon maps this to HTTP 400.
     pub fn validate(&self) -> Result<(), String> {
@@ -234,6 +235,14 @@ impl Query {
                     row.extent
                 ));
             }
+        }
+        let chips = f64::from(self.scheme.system_config().total_chips());
+        let faults = self.rates.total_fit() * 1e-9 * self.years * HOURS_PER_YEAR * chips;
+        if !(faults.is_finite() && faults <= MAX_FAULTS_PER_TRIAL) {
+            return Err(format!(
+                "expected faults per trial (FIT total x lifetime hours x chips) must be at \
+                 most {MAX_FAULTS_PER_TRIAL}, got {faults:e}"
+            ));
         }
         if matches!(self.kind, QueryKind::Tail { .. }) && self.epsilon.is_some() {
             return Err("epsilon early-stop applies to lifetime queries only".into());
@@ -502,14 +511,6 @@ impl Estimate {
             f64::INFINITY
         }
     }
-
-    /// Wall-clock seconds the evaluation took (metadata).
-    pub fn wall_seconds(&self) -> f64 {
-        match self {
-            Estimate::Lifetime(r) => r.stats.wall_seconds,
-            Estimate::Tail(t) => t.wall_seconds,
-        }
-    }
 }
 
 /// One streamed partial-confidence snapshot: the estimate after
@@ -657,7 +658,8 @@ fn evaluate_streaming_inner(
 /// The lifetime run configuration and its batch front door for
 /// multi-scheme sweeps: what the figure and bench binaries run through.
 /// All schemes share one work-stealing pool, and each per-scheme result is
-/// bit-identical to evaluating that scheme's [`Sweep::query`] alone.
+/// bit-identical to [`evaluate`] on the same scheme's lifetime [`Query`]
+/// alone.
 ///
 /// Results are a pure function of `(seed, scheme, samples, years, params,
 /// rates)`; the thread count only affects wall time.
@@ -704,13 +706,6 @@ impl Sweep {
         self
     }
 
-    /// Sets the lifetime in years.
-    #[must_use]
-    pub fn with_years(mut self, years: f64) -> Self {
-        self.years = years;
-        self
-    }
-
     /// Sets the worker thread count (`0` = all cores).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -742,25 +737,6 @@ impl Sweep {
     /// reproduces the aggregate [`SchemeResult`] bit-for-bit.
     pub fn replay_trial(&self, scheme: Scheme, trial: u64) -> TrialReplay {
         montecarlo::replay_trial(self, scheme, trial)
-    }
-
-    /// The [`Query`] equivalent of running `scheme` under this sweep —
-    /// the daemon-side identity of the same computation.
-    pub fn query(&self, scheme: Scheme) -> Query {
-        Query {
-            scheme,
-            kind: QueryKind::Lifetime,
-            samples: self.samples,
-            years: self.years,
-            seed: self.seed,
-            epsilon: None,
-            params: self.params,
-            rates: self.rates.clone(),
-            exec: Exec {
-                threads: self.threads,
-                block: DEFAULT_BLOCK,
-            },
-        }
     }
 }
 
@@ -1060,7 +1036,10 @@ mod tests {
 
     #[test]
     fn evaluate_matches_tail_simulator() {
-        let q = Query::tail(Scheme::XedChipkill, 20_000, 7);
+        let q = Query {
+            kind: QueryKind::Tail { force: None },
+            ..Query::lifetime(Scheme::XedChipkill, 20_000, 7)
+        };
         let direct = TailSimulator::new(TailConfig {
             samples: 20_000,
             seed: 7,
@@ -1081,10 +1060,25 @@ mod tests {
 
     #[test]
     fn sweep_results_match_per_scheme_queries() {
+        // The daemon-side identity of running a scheme under a sweep.
         let sweep = Sweep::new(20_000, 7);
+        let query = |scheme| Query {
+            scheme,
+            kind: QueryKind::Lifetime,
+            samples: sweep.samples,
+            years: sweep.years,
+            seed: sweep.seed,
+            epsilon: None,
+            params: sweep.params,
+            rates: sweep.rates.clone(),
+            exec: Exec {
+                threads: sweep.threads,
+                block: DEFAULT_BLOCK,
+            },
+        };
         let (results, _) = sweep.run_all(&[Scheme::EccDimm, Scheme::Xed]);
         for result in &results {
-            match evaluate(&sweep.query(result.scheme)).expect("valid query") {
+            match evaluate(&query(result.scheme)).expect("valid query") {
                 Estimate::Lifetime(report) => assert_eq!(&report.result, result),
                 Estimate::Tail(_) => panic!("lifetime query returned a tail estimate"),
             }
@@ -1121,6 +1115,45 @@ mod tests {
             assert!(q.validate().is_err(), "{years} years");
             assert!(evaluate(&q).is_err(), "{years} years");
         }
+    }
+
+    #[test]
+    fn fault_counts_beyond_the_bound_are_rejected_before_any_trial() {
+        // A client's FIT table sets how many faults every trial draws and
+        // holds, so an absurd rate must be a validation error, not a hung
+        // worker; a sum of finite rates that overflows to infinity too.
+        let bit = |fit: f64, extent| ModeRate {
+            extent,
+            transient_fit: fit,
+            permanent_fit: 0.0,
+        };
+        let mut q = Query::lifetime(Scheme::Xed, 1, 7);
+        for rows in [
+            vec![bit(1e9, FaultExtent::Bit)],
+            vec![bit(1e12, FaultExtent::Bit)],
+            vec![bit(1e308, FaultExtent::Bit), bit(1e308, FaultExtent::Chip)],
+        ] {
+            q.rates = FitRates::custom(rows);
+            let err = q.validate().expect_err("absurd FIT table");
+            assert!(err.contains("expected faults per trial"), "{err}");
+            assert!(evaluate(&q).is_err());
+        }
+        // Every in-repo workload stays valid: the longest lifetime at 10x
+        // the Table I rates on the largest system.
+        let mut q = Query::lifetime(Scheme::DoubleChipkill, 1, 7);
+        q.years = MAX_YEARS;
+        q.rates = FitRates::custom(
+            FitRates::table_i()
+                .rows()
+                .iter()
+                .map(|r| ModeRate {
+                    transient_fit: 10.0 * r.transient_fit,
+                    permanent_fit: 10.0 * r.permanent_fit,
+                    ..*r
+                })
+                .collect(),
+        );
+        assert!(q.validate().is_ok());
     }
 
     #[test]

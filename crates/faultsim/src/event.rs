@@ -42,34 +42,13 @@ impl FaultEvent {
     };
 }
 
-/// Mean above which [`poisson`] splits the draw into independent chunks
-/// (`exp(-30)` is still comfortably inside `f64` range; the paper's system
-/// means are all below 1).
+/// Mean above which [`PoissonSampler::sample_split`] splits the draw into
+/// independent chunks (`exp(-30)` is still comfortably inside `f64` range;
+/// the paper's system means are all below 1).
 pub(crate) const POISSON_CHUNK: f64 = 30.0;
 
-/// Samples a Poisson-distributed count with mean `lambda`.
-///
-/// Uses Knuth's product-of-uniforms method (exact) for small means — the
-/// paper configurations all have λ < 1 — and splits larger means into
-/// chunks, exploiting that sums of independent Poissons are Poisson.
-pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u32 {
-    assert!(
-        lambda.is_finite() && lambda >= 0.0,
-        "poisson mean {lambda} must be finite and ≥ 0"
-    );
-    let mut total = 0u32;
-    let mut remaining = lambda;
-    while remaining > POISSON_CHUNK {
-        total += poisson_knuth(rng, (-POISSON_CHUNK).exp());
-        remaining -= POISSON_CHUNK;
-    }
-    total + poisson_knuth(rng, (-remaining).exp())
-}
-
-/// Knuth's method given the precomputed threshold `l = exp(-lambda)`.
-///
-/// A count of zero costs exactly one uniform draw and one compare — the
-/// Monte-Carlo zero-fault fast path rides on this.
+/// Knuth's product-of-uniforms method (exact) given the precomputed
+/// threshold `l = exp(-lambda)`.
 fn poisson_knuth<R: Rng + ?Sized>(rng: &mut R, l: f64) -> u32 {
     let mut k = 0u32;
     let mut p = 1.0f64;
@@ -100,10 +79,11 @@ fn poisson_knuth_from<R: Rng + ?Sized>(p0: f64, rng: &mut R, l: f64) -> u32 {
 
 /// A Poisson sampler with its `exp(-λ)` threshold precomputed.
 ///
-/// [`poisson`] recomputes the exponential on every call; at Monte-Carlo
-/// trial rates (tens of millions of draws per second) that transcendental
-/// dominates the zero-fault path, so the hot loop hoists it here once per
-/// run.
+/// Knuth's method needs `exp(-λ)`; at Monte-Carlo trial rates (tens of
+/// millions of draws per second) that transcendental would dominate the
+/// zero-fault path, so it is computed here once per run. Means above
+/// `POISSON_CHUNK` (30) are split into chunks, exploiting that sums of
+/// independent Poissons are Poisson.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoissonSampler {
     lambda: f64,
@@ -138,31 +118,6 @@ impl PoissonSampler {
     /// The configured mean.
     pub fn lambda(&self) -> f64 {
         self.lambda
-    }
-
-    /// Draws one Poisson-distributed count.
-    #[inline]
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
-        if self.lambda <= POISSON_CHUNK {
-            // First Knuth iteration, unrolled with the integer-form compare.
-            // `u/2⁵³ ≤ exp(-λ) ⟺ u < zero_thresh` exactly, so this returns
-            // the same counts from the same draws as `poisson_knuth`.
-            let u = rng.next_u64() >> 11;
-            if u < self.zero_thresh {
-                return 0;
-            }
-            let mut p = u as f64 * (1.0 / (1u64 << 53) as f64);
-            let mut k = 1u32;
-            loop {
-                p *= rng.gen::<f64>();
-                if p <= self.exp_neg_lambda {
-                    return k;
-                }
-                k += 1;
-            }
-        } else {
-            poisson(rng, self.lambda)
-        }
     }
 
     /// `true` if a trial whose first uniform draw is the 64-bit value `u0`
@@ -251,8 +206,8 @@ struct AliasSlot {
 /// distribution compiled into a Walker alias table (one uniform draw and
 /// one branch-free table lookup per event, instead of walking the
 /// `FitRates` row `Vec`). The per-trial work is only the draws
-/// themselves; used with a caller-owned event buffer via
-/// [`LifetimeSampler::sample_into`], a trial allocates nothing.
+/// themselves; with a caller-owned event buffer filled by
+/// [`LifetimeSampler::events_append`], a trial allocates nothing.
 #[derive(Debug, Clone)]
 pub struct LifetimeSampler<'a> {
     rates: &'a FitRates,
@@ -369,20 +324,6 @@ impl<'a> LifetimeSampler<'a> {
         [slot.alias, slot.primary][usize::from(u >> 4 < slot.thresh)]
     }
 
-    /// Samples one system's fault timeline into `out` (cleared first),
-    /// sorted by arrival time.
-    ///
-    /// Zero-fault fast path: the Poisson count is drawn before the buffer
-    /// is touched, so the overwhelmingly common empty lifetime costs one
-    /// uniform draw and never writes an event. Reusing `out` across trials
-    /// makes the loop allocation-free once the buffer has grown to the
-    /// largest count seen.
-    #[inline]
-    pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<FaultEvent>) {
-        let count = self.poisson.sample(rng);
-        self.events_into(count, rng, out);
-    }
-
     /// `true` if a trial whose first uniform draw is `u0` sees no fault at
     /// all — the Monte-Carlo zero-fault fast path (see
     /// [`PoissonSampler::is_zero`]).
@@ -400,24 +341,11 @@ impl<'a> LifetimeSampler<'a> {
         self.poisson.nonzero_mask(u0s)
     }
 
-    /// [`Self::sample_into`] with the trial's first uniform supplied as the
-    /// raw 64-bit value `u0` (see [`PoissonSampler::sample_split`]); `rng`
-    /// carries every draw after it.
-    #[inline]
-    pub fn sample_into_split<R: Rng + ?Sized>(
-        &self,
-        u0: u64,
-        rng: &mut R,
-        out: &mut Vec<FaultEvent>,
-    ) {
-        let count = self.poisson.sample_split(u0, rng);
-        self.events_into(count, rng, out);
-    }
-
-    /// The trial's fault count, split form (see
-    /// [`PoissonSampler::sample_split`]). Callers that dispatch on the
-    /// count before generating events pair this with
-    /// [`Self::sample_mode`] / [`Self::events_into`].
+    /// The trial's fault count, with its first uniform supplied as the raw
+    /// 64-bit value `u0` (see [`PoissonSampler::sample_split`]); `rng`
+    /// carries every draw after it. Callers dispatch on the count before
+    /// generating events with [`Self::sample_mode`] /
+    /// [`Self::events_append`].
     #[inline]
     pub fn count_split<R: Rng + ?Sized>(&self, u0: u64, rng: &mut R) -> u32 {
         self.poisson.sample_split(u0, rng)
@@ -433,16 +361,6 @@ impl<'a> LifetimeSampler<'a> {
     #[inline]
     pub fn sample_time<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         rng.gen::<f64>() * self.hours
-    }
-
-    /// Generates exactly `count` events into `out` (cleared first), sorted
-    /// by arrival time — [`Self::sample_into`] with the count already
-    /// drawn. Keeps every event, single-bit ones included.
-    #[inline]
-    pub fn events_into<R: Rng + ?Sized>(&self, count: u32, rng: &mut R, out: &mut Vec<FaultEvent>) {
-        out.clear();
-        self.events_append(count, rng, out, false);
-        sort_by_arrival(out);
     }
 
     /// Draws exactly `count` fresh events and appends them to `out`
@@ -496,8 +414,8 @@ impl<'a> LifetimeSampler<'a> {
 }
 
 /// Orders a timeline by arrival time — the one ordering every timeline
-/// walk relies on ([`LifetimeSampler::events_into`], the lifetime
-/// kernels' multi-fault trials and the rare-event timelines).
+/// walk relies on (the lifetime kernels' multi-fault trials and the
+/// rare-event timelines).
 #[inline]
 pub(crate) fn sort_by_arrival(events: &mut [FaultEvent]) {
     if events.len() > 1 {
@@ -505,38 +423,37 @@ pub(crate) fn sort_by_arrival(events: &mut [FaultEvent]) {
     }
 }
 
-/// Samples the full fault timeline of one system over `years`, sorted by
-/// arrival time.
-///
-/// Convenience wrapper over [`LifetimeSampler`] that allocates a fresh
-/// `Vec`; hot loops should hold a `LifetimeSampler` and reuse a buffer via
-/// [`LifetimeSampler::sample_into`] instead.
-pub fn sample_lifetime<R: Rng + ?Sized>(
-    rng: &mut R,
-    rates: &FitRates,
-    geom: &DramGeometry,
-    total_chips: u32,
-    years: f64,
-) -> Vec<FaultEvent> {
-    let sampler = LifetimeSampler::new(rates, *geom, total_chips, years);
-    let mut events = Vec::new();
-    sampler.sample_into(rng, &mut events);
-    events
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fit::LIFETIME_YEARS;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// One count from a fresh headline draw, as the kernels split it.
+    fn count(sampler: &PoissonSampler, rng: &mut StdRng) -> u32 {
+        let u0 = rng.next_u64();
+        sampler.sample_split(u0, rng)
+    }
+
+    /// One full timeline, sorted by arrival, as the multi-fault walk sees
+    /// it.
+    fn lifetime(sampler: &LifetimeSampler<'_>, rng: &mut StdRng) -> Vec<FaultEvent> {
+        let u0 = rng.next_u64();
+        let n = sampler.count_split(u0, rng);
+        let mut events = Vec::new();
+        sampler.events_append(n, rng, &mut events, false);
+        sort_by_arrival(&mut events);
+        events
+    }
 
     #[test]
     fn poisson_mean_and_variance() {
         let mut rng = StdRng::seed_from_u64(1);
         let lambda = 3.7;
+        let sampler = PoissonSampler::new(lambda);
         let n = 100_000;
-        let samples: Vec<u32> = (0..n).map(|_| poisson(&mut rng, lambda)).collect();
+        let samples: Vec<u32> = (0..n).map(|_| count(&sampler, &mut rng)).collect();
         let mean = samples.iter().map(|&x| x as f64).sum::<f64>() / n as f64;
         let var = samples
             .iter()
@@ -550,8 +467,9 @@ mod tests {
     #[test]
     fn poisson_zero_lambda() {
         let mut rng = StdRng::seed_from_u64(2);
+        let sampler = PoissonSampler::new(0.0);
         for _ in 0..100 {
-            assert_eq!(poisson(&mut rng, 0.0), 0);
+            assert_eq!(count(&sampler, &mut rng), 0);
         }
     }
 
@@ -559,12 +477,10 @@ mod tests {
     fn lifetime_event_count_matches_expectation() {
         let mut rng = StdRng::seed_from_u64(3);
         let rates = FitRates::table_i();
-        let geom = DramGeometry::x8_2gb();
         let chips = 72;
+        let sampler = LifetimeSampler::new(&rates, DramGeometry::x8_2gb(), chips, LIFETIME_YEARS);
         let runs = 20_000;
-        let total: usize = (0..runs)
-            .map(|_| sample_lifetime(&mut rng, &rates, &geom, chips, LIFETIME_YEARS).len())
-            .sum();
+        let total: usize = (0..runs).map(|_| lifetime(&sampler, &mut rng).len()).sum();
         let mean = total as f64 / runs as f64;
         // λ = 66.1e-9 · 61320 · 72 ≈ 0.2919
         let expected = 66.1e-9 * LIFETIME_YEARS * HOURS_PER_YEAR * chips as f64;
@@ -578,10 +494,10 @@ mod tests {
     fn events_sorted_and_in_range() {
         let mut rng = StdRng::seed_from_u64(4);
         let rates = FitRates::table_i();
-        let geom = DramGeometry::x8_2gb();
         // Crank the chip count so most samples have several events.
+        let sampler = LifetimeSampler::new(&rates, DramGeometry::x8_2gb(), 100_000, LIFETIME_YEARS);
         for _ in 0..50 {
-            let ev = sample_lifetime(&mut rng, &rates, &geom, 100_000, LIFETIME_YEARS);
+            let ev = lifetime(&sampler, &mut rng);
             for w in ev.windows(2) {
                 assert!(w[0].time_hours <= w[1].time_hours);
             }
@@ -593,56 +509,31 @@ mod tests {
     }
 
     #[test]
-    fn sampler_equivalent_to_sample_lifetime() {
-        // The wrapper and the reusable-buffer path must draw identical
-        // timelines from identical generator states.
-        let rates = FitRates::table_i();
-        let geom = DramGeometry::x8_2gb();
-        let sampler = LifetimeSampler::new(&rates, geom, 5_000, LIFETIME_YEARS);
-        let mut buf = Vec::new();
-        for seed in 0..200 {
-            let mut a = StdRng::seed_from_u64(seed);
-            let mut b = StdRng::seed_from_u64(seed);
-            let fresh = sample_lifetime(&mut a, &rates, &geom, 5_000, LIFETIME_YEARS);
-            sampler.sample_into(&mut b, &mut buf);
-            assert_eq!(fresh, buf, "seed {seed}");
-            assert_eq!(a, b, "generators must consume the same draws");
-        }
-    }
-
-    #[test]
     fn poisson_sampler_matches_poisson_distribution() {
         let mut rng = StdRng::seed_from_u64(8);
         let sampler = PoissonSampler::new(0.3);
         let n = 200_000;
-        let zeros = (0..n).filter(|_| sampler.sample(&mut rng) == 0).count();
+        let zeros = (0..n).filter(|_| count(&sampler, &mut rng) == 0).count();
         let p0 = zeros as f64 / n as f64;
         let expected = (-0.3f64).exp(); // ≈ 0.7408
         assert!((p0 - expected).abs() < 0.005, "P(0) {p0} vs {expected}");
-        // Large-mean fallback still chunks correctly.
-        let big = PoissonSampler::new(120.0);
-        let mean = (0..20_000)
-            .map(|_| big.sample(&mut rng) as f64)
-            .sum::<f64>()
-            / 20_000.0;
-        assert!((mean - 120.0).abs() < 0.5, "mean {mean}");
     }
 
     #[test]
     fn zero_fault_fast_path_consumes_one_draw() {
-        // With λ = 0 every trial is the fast path: one uniform draw, no
-        // buffer writes.
+        // With λ = 0 every headline draw proves a zero count, and the
+        // count consumes nothing after it.
         let rates = FitRates::custom(vec![]);
         let geom = DramGeometry::x8_2gb();
         let sampler = LifetimeSampler::new(&rates, geom, 72, LIFETIME_YEARS);
         assert_eq!(sampler.lambda(), 0.0);
         let mut rng = StdRng::seed_from_u64(11);
         let mut reference = StdRng::seed_from_u64(11);
-        let mut buf = vec![];
         for _ in 0..50 {
-            sampler.sample_into(&mut rng, &mut buf);
-            assert!(buf.is_empty());
-            let _: f64 = reference.gen();
+            let u0 = rng.next_u64();
+            assert!(sampler.is_zero_fault(u0));
+            assert_eq!(sampler.count_split(u0, &mut rng), 0);
+            let _: u64 = reference.gen();
         }
         assert_eq!(rng, reference, "fast path must draw exactly one uniform");
     }
@@ -678,17 +569,17 @@ mod tests {
     #[test]
     #[should_panic]
     fn poisson_rejects_negative_lambda() {
-        let mut rng = StdRng::seed_from_u64(5);
-        poisson(&mut rng, -1.0);
+        PoissonSampler::new(-1.0);
     }
 
     #[test]
     fn poisson_large_lambda_chunked() {
         let mut rng = StdRng::seed_from_u64(6);
         let lambda = 120.0;
+        let sampler = PoissonSampler::new(lambda);
         let n = 20_000;
         let mean = (0..n)
-            .map(|_| poisson(&mut rng, lambda) as f64)
+            .map(|_| count(&sampler, &mut rng) as f64)
             .sum::<f64>()
             / n as f64;
         assert!((mean - lambda).abs() < 0.5, "mean {mean}");

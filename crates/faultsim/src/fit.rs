@@ -5,7 +5,6 @@
 //! failures in the field", SC 2012), reproduced as Table I of the XED paper.
 
 use crate::fault::{FaultExtent, Persistence};
-use rand::Rng;
 
 /// Hours in one (365-day) year.
 pub const HOURS_PER_YEAR: f64 = 24.0 * 365.0;
@@ -130,34 +129,6 @@ impl FitRates {
     pub fn expected_faults(&self, hours: f64) -> f64 {
         self.total_fit() * 1e-9 * hours
     }
-
-    /// Samples a fault mode proportionally to its FIT contribution.
-    pub fn sample_mode<R: Rng + ?Sized>(&self, rng: &mut R) -> (FaultExtent, Persistence) {
-        let total = self.total_fit();
-        assert!(total > 0.0, "cannot sample from all-zero FIT rates");
-        let mut x = rng.gen_range(0.0..total);
-        for r in &self.rows {
-            if x < r.transient_fit {
-                return (r.extent, Persistence::Transient);
-            }
-            x -= r.transient_fit;
-            if x < r.permanent_fit {
-                return (r.extent, Persistence::Permanent);
-            }
-            x -= r.permanent_fit;
-        }
-        // Floating-point edge: fall back to the last nonzero row.
-        // invariant: total > 0.0 was asserted above, and total is the sum of
-        // the per-row rates, so at least one row has a nonzero rate.
-        let last = (self.rows.iter().rev())
-            .find(|r| r.transient_fit + r.permanent_fit > 0.0)
-            .expect("nonzero total implies a nonzero row");
-        if last.permanent_fit > 0.0 {
-            (last.extent, Persistence::Permanent)
-        } else {
-            (last.extent, Persistence::Transient)
-        }
-    }
 }
 
 impl Default for FitRates {
@@ -166,15 +137,11 @@ impl Default for FitRates {
     }
 }
 
-/// Converts a FIT rate into a probability of at least one event over a
-/// duration (exponential model).
-pub fn fit_to_probability(fit: f64, hours: f64) -> f64 {
-    1.0 - (-fit * 1e-9 * hours).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::LifetimeSampler;
+    use crate::geometry::DramGeometry;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -207,13 +174,16 @@ mod tests {
 
     #[test]
     fn sampling_matches_rates() {
+        // The lifetime sampler's alias table draws each mode in
+        // proportion to its FIT contribution.
         let r = FitRates::table_i();
+        let sampler = LifetimeSampler::new(&r, DramGeometry::x8_2gb(), 1, 1.0);
         let mut rng = StdRng::seed_from_u64(5);
         let n = 200_000;
         let mut bit_transient = 0u32;
         let mut bank_permanent = 0u32;
         for _ in 0..n {
-            match r.sample_mode(&mut rng) {
+            match sampler.sample_mode(&mut rng) {
                 (FaultExtent::Bit, Persistence::Transient) => bit_transient += 1,
                 (FaultExtent::Bank, Persistence::Permanent) => bank_permanent += 1,
                 _ => {}
@@ -229,13 +199,6 @@ mod tests {
             (p_bank_p - 10.0 / 66.1).abs() < 0.01,
             "bank permanent {p_bank_p}"
         );
-    }
-
-    #[test]
-    fn fit_probability_small_rate_linear() {
-        let p = fit_to_probability(33.3, 61320.0);
-        let linear = 33.3e-9 * 61320.0;
-        assert!((p - linear).abs() / linear < 0.01);
     }
 
     #[test]

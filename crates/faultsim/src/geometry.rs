@@ -45,11 +45,6 @@ impl DramGeometry {
         }
     }
 
-    /// Total capacity in bits.
-    pub fn capacity_bits(&self) -> u64 {
-        self.banks as u64 * self.rows as u64 * self.cols as u64 * self.word_bits as u64
-    }
-
     /// Total number of on-die ECC words.
     pub fn words(&self) -> u64 {
         self.banks as u64 * self.rows as u64 * self.cols as u64
@@ -66,20 +61,19 @@ impl Default for DramGeometry {
 mod tests {
     use super::*;
 
+    fn capacity_bits(g: DramGeometry) -> u64 {
+        g.words() * u64::from(g.word_bits)
+    }
+
     #[test]
     fn x8_device_is_2gbit() {
-        assert_eq!(DramGeometry::x8_2gb().capacity_bits(), 2u64 << 30);
+        assert_eq!(capacity_bits(DramGeometry::x8_2gb()), 2u64 << 30);
+        assert_eq!(DramGeometry::x8_2gb().words(), (2u64 << 30) / 64);
     }
 
     #[test]
     fn x4_device_is_2gbit() {
-        assert_eq!(DramGeometry::x4_2gb().capacity_bits(), 2u64 << 30);
-    }
-
-    #[test]
-    fn word_count_matches_capacity() {
-        let g = DramGeometry::x8_2gb();
-        assert_eq!(g.words() * 64, g.capacity_bits());
+        assert_eq!(capacity_bits(DramGeometry::x4_2gb()), 2u64 << 30);
     }
 
     #[test]

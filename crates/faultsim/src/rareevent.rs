@@ -1961,13 +1961,16 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
     fn tail_ci_beats_plain_mc_tenfold_at_matched_wall_clock() {
-        use crate::engine::{self, Estimate, Query, Sweep};
+        use crate::engine::{self, Estimate, Query, QueryKind, Sweep};
         const SAMPLES: u64 = 1_000_000;
         const SEED: u64 = 2016;
         const MIN_CI_IMPROVEMENT: f64 = 10.0;
         for scheme in [Scheme::XedChipkill, Scheme::DoubleChipkill] {
-            let Ok(Estimate::Tail(tail)) = engine::evaluate(&Query::tail(scheme, SAMPLES, SEED))
-            else {
+            let query = Query {
+                kind: QueryKind::Tail { force: None },
+                ..Query::lifetime(scheme, SAMPLES, SEED)
+            };
+            let Ok(Estimate::Tail(tail)) = engine::evaluate(&query) else {
                 panic!("{scheme:?}: a paper-default tail query yields a tail estimate");
             };
             // Measure the plain engine on this scheme, then give it the

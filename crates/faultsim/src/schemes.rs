@@ -302,48 +302,6 @@ impl Default for ModelParams {
     }
 }
 
-impl ModelParams {
-    /// Exhaustively measures the probability modeled by
-    /// [`ModelParams::dimm_secded_burst_detect`] against the repo's own
-    /// (72,64) Hamming decoder: the fraction of the 9 × 255 chip-aligned
-    /// nonzero 8-bit burst patterns that decode as *detected* rather than
-    /// clean or (mis-)corrected. The code is linear and decoding is
-    /// syndrome-based, so checking each pattern against the all-zeros
-    /// codeword covers every codeword.
-    pub fn measured_secded_burst_detect() -> f64 {
-        use xed_ecc::secded::{DecodeOutcome, SecDed};
-        let code = xed_ecc::Hamming7264::new();
-        let clean = code.encode(0);
-        let mut detected = 0u32;
-        let mut total = 0u32;
-        for chip in 0..9u32 {
-            for pattern in 1..=255u8 {
-                let e = xed_ecc::CodeWord72::error_pattern(
-                    (0..8u32)
-                        .filter(|j| (pattern >> j) & 1 == 1)
-                        .map(|j| 8 * chip + (7 - j)),
-                );
-                total += 1;
-                if code.decode(clean.with_error(e)) == DecodeOutcome::Detected {
-                    detected += 1;
-                }
-            }
-        }
-        f64::from(detected) / f64::from(total)
-    }
-
-    /// [`ModelParams::default`] with `dimm_secded_burst_detect` replaced by
-    /// the [`ModelParams::measured_secded_burst_detect`] census value.
-    /// Opt-in: the default keeps the documented 0.51 so seeded Monte-Carlo
-    /// outputs stay bit-stable across releases.
-    pub fn with_measured_burst_detect() -> Self {
-        Self {
-            dimm_secded_burst_detect: Self::measured_secded_burst_detect(),
-            ..Self::default()
-        }
-    }
-}
-
 /// A scheme plus its response-model parameters; evaluates fault arrivals.
 #[derive(Debug, Clone)]
 pub struct SchemeModel {
@@ -952,9 +910,10 @@ mod tests {
     }
 
     /// The original concurrency search, kept as the differential oracle
-    /// for [`SchemeModel::concurrent_chips`]: domain membership through
-    /// `rank_of`/`channel_of`, candidates collected into a `Vec`, and a
-    /// subset search that tracks used chips in another `Vec`.
+    /// for [`SchemeModel::concurrent_chips`]: domain membership by
+    /// dividing chip indices down to ranks or channels, candidates
+    /// collected into a `Vec`, and a subset search that tracks used chips
+    /// in another `Vec`.
     fn reference_concurrent_chips(m: &SchemeModel, e: &FaultEvent, active: &[FaultEvent]) -> u32 {
         let visible = |a: &&FaultEvent| {
             a.chip != e.chip
@@ -986,10 +945,12 @@ mod tests {
     }
 
     fn reference_same_domain(m: &SchemeModel, a: u32, b: u32) -> bool {
+        let c = m.config();
+        let rank = |chip: u32| chip / c.chips_per_rank;
         if m.scheme().domain_is_channel() {
-            m.config().channel_of(a) == m.config().channel_of(b)
+            rank(a) / c.ranks_per_channel == rank(b) / c.ranks_per_channel
         } else {
-            m.config().rank_of(a) == m.config().rank_of(b)
+            rank(a) == rank(b)
         }
     }
 
@@ -1725,14 +1686,41 @@ mod tests {
         assert!(quiet > 500 && loud > 500, "quiet {quiet}, loud {loud}");
     }
 
+    /// Exhaustively measures the probability modeled by
+    /// [`ModelParams::dimm_secded_burst_detect`] against the repo's own
+    /// (72,64) Hamming decoder: the fraction of the 9 × 255 chip-aligned
+    /// nonzero 8-bit burst patterns that decode as *detected* rather than
+    /// clean or (mis-)corrected. The code is linear and decoding is
+    /// syndrome-based, so checking each pattern against the all-zeros
+    /// codeword covers every codeword.
+    fn measured_secded_burst_detect() -> f64 {
+        use xed_ecc::secded::{DecodeOutcome, SecDed};
+        let code = xed_ecc::Hamming7264::new();
+        let clean = code.encode(0);
+        let mut detected = 0u32;
+        let mut total = 0u32;
+        for chip in 0..9u32 {
+            for pattern in 1..=255u8 {
+                let e = xed_ecc::CodeWord72::error_pattern(
+                    (0..8u32)
+                        .filter(|j| (pattern >> j) & 1 == 1)
+                        .map(|j| 8 * chip + (7 - j)),
+                );
+                total += 1;
+                if code.decode(clean.with_error(e)) == DecodeOutcome::Detected {
+                    detected += 1;
+                }
+            }
+        }
+        f64::from(detected) / f64::from(total)
+    }
+
     #[test]
     fn measured_burst_detect_matches_paper_census() {
-        let m = ModelParams::measured_secded_burst_detect();
+        let m = measured_secded_burst_detect();
         // Paper Table II reports 50.75% burst-8 detection for Hamming;
         // the chip-aligned census of our construction must land nearby.
         assert!((m - 0.5075).abs() < 0.03, "measured {m}");
-        let p = ModelParams::with_measured_burst_detect();
-        assert!((p.dimm_secded_burst_detect - m).abs() < 1e-12);
         // The documented default stays pinned for seeded reproducibility.
         let d = ModelParams::default().dimm_secded_burst_detect;
         assert!((d - 0.51).abs() < 1e-12);

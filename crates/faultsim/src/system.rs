@@ -72,24 +72,6 @@ impl SystemConfig {
     pub fn total_chips(&self) -> u32 {
         self.total_ranks() * self.chips_per_rank
     }
-
-    /// The rank (0-based, global) a chip belongs to. The chip index
-    /// must be in range; checked in debug builds only so the trial hot
-    /// loop stays panic-free (samplers only emit in-range chips).
-    pub fn rank_of(&self, chip: u32) -> u32 {
-        debug_assert!(chip < self.total_chips(), "chip {chip} out of range");
-        chip / self.chips_per_rank
-    }
-
-    /// The channel a chip belongs to.
-    pub fn channel_of(&self, chip: u32) -> u32 {
-        self.rank_of(chip) / self.ranks_per_channel
-    }
-
-    /// Index of the chip within its rank.
-    pub fn slot_of(&self, chip: u32) -> u32 {
-        chip % self.chips_per_rank
-    }
 }
 
 impl Default for SystemConfig {
@@ -113,24 +95,6 @@ mod tests {
     fn x4_chipkill_has_144_chips() {
         let s = SystemConfig::x4_chipkill();
         assert_eq!(s.total_chips(), 144);
-    }
-
-    #[test]
-    fn chip_addressing() {
-        let s = SystemConfig::x8_ecc_dimm();
-        // chip 0..9 = rank 0 (channel 0), 9..18 = rank 1 (channel 0), ...
-        assert_eq!(s.rank_of(0), 0);
-        assert_eq!(s.rank_of(8), 0);
-        assert_eq!(s.rank_of(9), 1);
-        assert_eq!(s.channel_of(9), 0);
-        assert_eq!(s.channel_of(18), 1);
-        assert_eq!(s.slot_of(13), 4);
-    }
-
-    #[test]
-    #[cfg_attr(debug_assertions, should_panic)]
-    fn rank_of_out_of_range_panics() {
-        SystemConfig::x8_ecc_dimm().rank_of(72);
     }
 
     #[test]

@@ -72,11 +72,6 @@ impl Core {
         }
     }
 
-    /// Instructions retired so far.
-    pub fn retired(&self) -> u64 {
-        self.retired
-    }
-
     /// The cycle the core finished, if it has.
     pub fn finished_at(&self) -> Option<u64> {
         self.finished_at
@@ -201,7 +196,7 @@ mod tests {
             cycle += 1;
         }
         assert!(c.finished(), "core never finished");
-        assert!(c.retired() >= 10_000);
+        assert!(c.retired >= 10_000);
         // 10k instructions at 16/cycle = at least 625 cycles.
         assert!(c.finished_at().unwrap() >= 624);
     }
@@ -222,11 +217,7 @@ mod tests {
         }
         let first = first_read_at.expect("some read must be issued");
         assert!(!c.finished());
-        assert!(
-            c.retired() <= first + 160,
-            "retired {} past ROB",
-            c.retired()
-        );
+        assert!(c.retired <= first + 160, "retired {} past ROB", c.retired);
         assert!(c.stalls.rob_full_cycles > 0);
     }
 
@@ -302,6 +293,6 @@ mod tests {
                 break;
             }
         }
-        assert!(c.finished(), "retired {} of 100000", c.retired());
+        assert!(c.finished(), "retired {} of 100000", c.retired);
     }
 }

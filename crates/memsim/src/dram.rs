@@ -172,11 +172,6 @@ impl Dram {
         Self { timing, channels }
     }
 
-    /// The timing parameters in force.
-    pub fn timing(&self) -> &DdrTiming {
-        &self.timing
-    }
-
     /// Channel accessor.
     pub fn channel(&self, c: u32) -> &Channel {
         &self.channels[c as usize]
@@ -247,13 +242,15 @@ impl Dram {
     // ---- refresh ----------------------------------------------------
 
     /// `true` if the rank is due (or overdue) for a refresh.
-    pub fn refresh_due(&self, c: u32, r: u32, now: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn refresh_due(&self, c: u32, r: u32, now: u64) -> bool {
         let rank = self.channel(c).rank(r);
         now >= rank.next_refresh_due
     }
 
     /// `true` if the rank is currently executing a refresh.
-    pub fn refreshing(&self, c: u32, r: u32, now: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn refreshing(&self, c: u32, r: u32, now: u64) -> bool {
         now < self.channel(c).rank(r).refresh_until
     }
 
@@ -453,7 +450,7 @@ mod tests {
         let mut d = dram();
         assert!(d.can_activate(0, 0, 0, 0));
         d.issue_activate(0, 0, 0, 42, 0);
-        let t_rcd = d.timing().t_rcd;
+        let t_rcd = d.timing.t_rcd;
         assert!(!d.can_read(0, 0, 0, 42, t_rcd - 1));
         assert!(d.can_read(0, 0, 0, 42, t_rcd));
         // Wrong row never readable.
@@ -471,12 +468,12 @@ mod tests {
     fn precharge_waits_for_tras() {
         let mut d = dram();
         d.issue_activate(0, 0, 0, 1, 0);
-        let t_ras = d.timing().t_ras;
+        let t_ras = d.timing.t_ras;
         assert!(!d.can_precharge(0, 0, 0, t_ras - 1));
         assert!(d.can_precharge(0, 0, 0, t_ras));
         d.issue_precharge(0, 0, 0, t_ras);
         // tRP before next ACT; also tRC from the original ACT.
-        let earliest = (t_ras + d.timing().t_rp).max(d.timing().t_rc);
+        let earliest = (t_ras + d.timing.t_rp).max(d.timing.t_rc);
         assert!(!d.can_activate(0, 0, 0, earliest - 1));
         assert!(d.can_activate(0, 0, 0, earliest));
     }
@@ -484,7 +481,7 @@ mod tests {
     #[test]
     fn tfaw_limits_bursts_of_activates() {
         let mut d = dram();
-        let t_rrd = d.timing().t_rrd;
+        let t_rrd = d.timing.t_rrd;
         let mut now = 0;
         for b in 0..4 {
             assert!(d.can_activate(0, 0, b, now), "bank {b} at {now}");
@@ -493,7 +490,7 @@ mod tests {
         }
         // Fifth ACT must wait for the tFAW window.
         assert!(!d.can_activate(0, 0, 4, now));
-        let window_open = d.timing().t_faw; // first ACT at 0
+        let window_open = d.timing.t_faw; // first ACT at 0
         assert!(d.can_activate(0, 0, 4, window_open));
     }
 
@@ -501,12 +498,12 @@ mod tests {
     fn reads_share_data_bus_tccd_apart() {
         let mut d = dram();
         d.issue_activate(0, 0, 0, 5, 0);
-        d.issue_activate(0, 0, 1, 6, d.timing().t_rrd);
+        d.issue_activate(0, 0, 1, 6, d.timing.t_rrd);
         // Wait until both banks have cleared tRCD so only tCCD binds.
-        let t0 = d.timing().t_rrd + d.timing().t_rcd;
+        let t0 = d.timing.t_rrd + d.timing.t_rcd;
         d.issue_read(0, 0, 0, 5, t0);
         assert!(!d.can_read(0, 0, 1, 6, t0 + 1), "tCCD spacing");
-        assert!(d.can_read(0, 0, 1, 6, t0 + d.timing().t_ccd));
+        assert!(d.can_read(0, 0, 1, 6, t0 + d.timing.t_ccd));
     }
 
     #[test]
@@ -514,22 +511,22 @@ mod tests {
         let mut d = dram();
         d.issue_activate(0, 0, 0, 5, 0);
         d.issue_activate(0, 1, 0, 5, 1);
-        let t0 = d.timing().t_rcd + 1;
+        let t0 = d.timing.t_rcd + 1;
         d.issue_read(0, 0, 0, 5, t0);
         // Same-cycle-spacing read on the other rank must wait an extra
         // tRTRS for the bus turnaround.
-        let t_ccd = d.timing().t_ccd;
+        let t_ccd = d.timing.t_ccd;
         assert!(!d.can_read(0, 1, 0, 5, t0 + t_ccd));
-        assert!(d.can_read(0, 1, 0, 5, t0 + t_ccd + d.timing().t_rtrs));
+        assert!(d.can_read(0, 1, 0, 5, t0 + t_ccd + d.timing.t_rtrs));
     }
 
     #[test]
     fn write_to_read_turnaround() {
         let mut d = dram();
         d.issue_activate(0, 0, 0, 5, 0);
-        let t0 = d.timing().t_rcd;
+        let t0 = d.timing.t_rcd;
         let data_end = d.issue_write(0, 0, 0, 5, t0);
-        let t_wtr = d.timing().t_wtr;
+        let t_wtr = d.timing.t_wtr;
         assert!(!d.can_read(0, 0, 0, 5, data_end + t_wtr - 1));
         assert!(d.can_read(0, 0, 0, 5, data_end + t_wtr));
     }
@@ -538,9 +535,9 @@ mod tests {
     fn write_recovery_before_precharge() {
         let mut d = dram();
         d.issue_activate(0, 0, 0, 5, 0);
-        let t0 = d.timing().t_rcd;
+        let t0 = d.timing.t_rcd;
         let data_end = d.issue_write(0, 0, 0, 5, t0);
-        let t_wr = d.timing().t_wr;
+        let t_wr = d.timing.t_wr;
         assert!(!d.can_precharge(0, 0, 0, data_end + t_wr - 1));
         assert!(d.can_precharge(0, 0, 0, data_end + t_wr));
     }
@@ -553,7 +550,7 @@ mod tests {
         d.issue_refresh(0, 0, due);
         assert!(d.refreshing(0, 0, due + 1));
         assert!(!d.can_activate(0, 0, 0, due + 1));
-        let t_rfc = d.timing().t_rfc;
+        let t_rfc = d.timing.t_rfc;
         assert!(!d.refreshing(0, 0, due + t_rfc));
         assert!(d.can_activate(0, 0, 0, due + t_rfc));
         // Next due advanced by tREFI.
@@ -632,7 +629,7 @@ mod tests {
     fn stats_count_operations() {
         let mut d = dram();
         d.issue_activate(0, 0, 0, 5, 0);
-        d.issue_read(0, 0, 0, 5, d.timing().t_rcd);
+        d.issue_read(0, 0, 0, 5, d.timing.t_rcd);
         let s = d.channel(0).rank(0).stats;
         assert_eq!(s.acts, 1);
         assert_eq!(s.reads, 1);

@@ -134,12 +134,6 @@ impl FileTrace {
         self.cursor = (self.cursor + 1) % self.ops.len();
         op
     }
-
-    /// Total read/write counts of one pass.
-    pub fn rw_counts(&self) -> (usize, usize) {
-        let writes = self.ops.iter().filter(|o| o.is_write).count();
-        (self.ops.len() - writes, writes)
-    }
 }
 
 #[cfg(test)]
@@ -157,7 +151,8 @@ mod tests {
     fn parses_sample() {
         let t: FileTrace = SAMPLE.parse().unwrap();
         assert_eq!(t.len(), 3);
-        assert_eq!(t.rw_counts(), (2, 1));
+        let writes: Vec<bool> = t.ops.iter().map(|o| o.is_write).collect();
+        assert_eq!(writes, [false, true, false]);
     }
 
     #[test]

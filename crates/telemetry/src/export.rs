@@ -115,14 +115,6 @@ impl Snapshot {
         }
     }
 
-    /// The histogram capture for `id` (None for counters / unknown IDs).
-    pub fn histogram(&self, id: &str) -> Option<&HistogramSample> {
-        match &self.get(id)?.value {
-            SampleValue::Histogram(h) => Some(h.as_ref()),
-            SampleValue::Counter(_) => None,
-        }
-    }
-
     /// Samples with any recorded activity (non-zero counters, non-empty
     /// histograms).
     pub fn active(&self) -> impl Iterator<Item = &MetricSample> {
@@ -172,23 +164,13 @@ impl Snapshot {
         Snapshot { samples }
     }
 
-    /// Renders every metric as one JSON object per line:
+    /// Renders every metric as one JSON array (for embedding in a report
+    /// envelope under a `"metrics"` key), one object per metric:
     ///
     /// ```text
     /// {"id":"faultsim.trials","kind":"counter","value":1000000}
     /// {"id":"faultsim.chunk_ns","kind":"histogram","count":245,...}
     /// ```
-    pub fn to_json_lines(&self) -> String {
-        let mut out = String::new();
-        for s in &self.samples {
-            render_sample_json(&mut out, s);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders every metric as one JSON array (for embedding in a report
-    /// envelope under a `"metrics"` key).
     pub fn to_json_array(&self) -> String {
         let mut out = String::from("[");
         for (i, s) in self.samples.iter().enumerate() {
@@ -247,44 +229,6 @@ impl Snapshot {
                     out.push_str(&format!("{name}_sum {}\n{name}_count {count}\n", h.sum));
                 }
             }
-        }
-        out
-    }
-
-    /// Renders an aligned, human-readable table of the *active* metrics
-    /// (an all-zero catalogue row is noise in a run report).
-    pub fn to_table(&self) -> String {
-        let active: Vec<&MetricSample> = self.active().collect();
-        let id_w = active
-            .iter()
-            .map(|s| s.id.len())
-            .chain(["metric".len()])
-            .max()
-            .unwrap_or(6);
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<id_w$}  {:<9}  {}\n",
-            "metric", "kind", "value"
-        ));
-        for s in &active {
-            match &s.value {
-                SampleValue::Counter(v) => {
-                    out.push_str(&format!("{:<id_w$}  {:<9}  {v}\n", s.id, "counter"));
-                }
-                SampleValue::Histogram(h) => {
-                    out.push_str(&format!(
-                        "{:<id_w$}  {:<9}  n={} mean={:.1} max={}\n",
-                        s.id,
-                        "histogram",
-                        h.count(),
-                        h.mean(),
-                        h.max
-                    ));
-                }
-            }
-        }
-        if active.is_empty() {
-            out.push_str("(no activity recorded)\n");
         }
         out
     }
@@ -590,7 +534,9 @@ mod tests {
         // counter becomes its delta; the moved histogram is carried over.
         assert_eq!(d.counter("t.counter"), Some(4));
         assert!(d.get("t.steady").is_none());
-        assert_eq!(d.histogram("t.hist").map(|h| h.count()), Some(2));
+        assert!(
+            matches!(&d.get("t.hist").unwrap().value, SampleValue::Histogram(h) if h.count() == 2)
+        );
         // Diffing a snapshot against itself is empty.
         assert!(now.diff(&now).samples.is_empty());
         // A metric missing from the baseline counts from zero.
@@ -617,26 +563,19 @@ mod tests {
 
         let snap = registry::snapshot();
         assert_eq!(snap.counter("ecc.rs.erasures"), Some(3));
-        let h = snap.histogram("memsim.sched.read_latency").unwrap();
+        let SampleValue::Histogram(h) = &snap.get("memsim.sched.read_latency").unwrap().value
+        else {
+            panic!("a histogram metric samples as a histogram");
+        };
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum, 300);
 
-        let lines = snap.to_json_lines();
-        assert!(lines.contains("{\"id\":\"ecc.rs.erasures\",\"kind\":\"counter\",\"value\":3}"));
-        assert!(lines.contains("\"id\":\"memsim.sched.read_latency\",\"kind\":\"histogram\""));
-        // One line per catalogue entry.
-        assert_eq!(lines.lines().count(), snap.samples.len());
-        // Every line parses as a balanced object (cheap structural check).
-        for line in lines.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        }
-
         let arr = snap.to_json_array();
         assert!(arr.starts_with('[') && arr.ends_with(']'));
-
-        let table = snap.to_table();
-        assert!(table.contains("ecc.rs.erasures"));
-        assert!(table.contains("n=2 mean=150.0 max=200"));
+        assert!(arr.contains("{\"id\":\"ecc.rs.erasures\",\"kind\":\"counter\",\"value\":3}"));
+        assert!(arr.contains("\"id\":\"memsim.sched.read_latency\",\"kind\":\"histogram\""));
+        // One object per catalogue entry.
+        assert_eq!(arr.matches("{\"id\":").count(), snap.samples.len());
 
         metrics::ECC_RS_ERASURES.reset();
         metrics::MEMSIM_SCHED_READ_LATENCY.reset();

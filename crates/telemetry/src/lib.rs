@@ -52,7 +52,7 @@
 //! // Report: snapshot everything that happened in this process.
 //! let snap = registry::snapshot();
 //! assert!(snap.get("ecc.lines_decoded").is_some());
-//! println!("{}", snap.to_table());
+//! println!("{}", snap.active_to_json_array());
 //! ```
 
 pub mod counter;

@@ -134,8 +134,6 @@ pub struct TraceBuf {
     head: usize,
     /// Live events (≤ `TRACE_BUF_EVENTS`).
     len: usize,
-    /// Lifetime writes, including overwritten ones.
-    total: u64,
 }
 
 impl TraceBuf {
@@ -146,7 +144,6 @@ impl TraceBuf {
             buf: [SpanEvent::EMPTY; TRACE_BUF_EVENTS],
             head: 0,
             len: 0,
-            total: 0,
         }
     }
 
@@ -161,7 +158,6 @@ impl TraceBuf {
         if self.len < TRACE_BUF_EVENTS {
             self.len += 1;
         }
-        self.total += 1;
         overwrote
     }
 
@@ -184,12 +180,6 @@ impl TraceBuf {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Lifetime writes, including overwritten ones.
-    #[must_use]
-    pub fn total_recorded(&self) -> u64 {
-        self.total
     }
 }
 
@@ -375,7 +365,6 @@ mod tests {
         assert_eq!(buf.len(), TRACE_BUF_EVENTS);
         assert!(buf.record(ev(1, 10_000)), "full ring must report overwrite");
         assert_eq!(buf.len(), TRACE_BUF_EVENTS);
-        assert_eq!(buf.total_recorded(), TRACE_BUF_EVENTS as u64 + 1);
         let first = buf.iter().next().expect("ring is full");
         assert_eq!(first.span_id, 2, "oldest event (span 1) was evicted");
         let last = buf.iter().last().expect("ring is full");

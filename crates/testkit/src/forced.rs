@@ -88,11 +88,6 @@ impl ForcedRng {
             draws: 0,
         }
     }
-
-    /// Draws consumed so far (an `evaluate` call makes at most one).
-    pub fn draws(&self) -> u64 {
-        self.draws
-    }
 }
 
 impl RngCore for ForcedRng {
@@ -121,7 +116,7 @@ mod tests {
             let u: f64 = one.gen();
             assert!(u < 1.0 && u > 0.999_999, "u = {u}");
         }
-        assert_eq!(zero.draws(), 4);
+        assert_eq!(zero.draws, 4);
     }
 
     #[test]

@@ -23,9 +23,6 @@ pub const RELIABILITY_CONSISTENCY: u64 = 99;
 /// claim is checked on an independent stream).
 pub const SCALING_ORDERING: u64 = 5;
 
-/// Default seed of the reporting binaries (`xed_bench::Options`).
-pub const BENCH_DEFAULT: u64 = 2016;
-
 /// Seed of the golden conformance traces (`xed-trace-v1`).
 pub const GOLDEN_TRACE: u64 = 2016;
 

@@ -52,11 +52,6 @@ impl MemoCache {
         }
     }
 
-    /// Total responses the cache can hold.
-    pub fn capacity(&self) -> usize {
-        self.per_shard * self.shards.len()
-    }
-
     /// Looks up a canonical key, refreshing its LRU position. Records the
     /// `xedd.cache.{hits,misses}` outcome.
     ///
@@ -194,10 +189,11 @@ mod tests {
 
     #[test]
     fn capacity_is_clamped_and_sharded() {
+        let capacity = |c: &MemoCache| c.per_shard * c.shards.len();
         let cache = MemoCache::new(0, 0);
-        assert_eq!(cache.capacity(), 1);
+        assert_eq!(capacity(&cache), 1);
         let cache = MemoCache::new(64, 16);
-        assert_eq!(cache.capacity(), 64);
+        assert_eq!(capacity(&cache), 64);
         for n in 0..200 {
             cache.insert(key(n), response(n));
         }

@@ -150,14 +150,6 @@ impl Coalescer {
         })
     }
 
-    /// Flights currently in the table.
-    pub fn in_flight(&self) -> usize {
-        match self.table.lock() {
-            Ok(guard) => guard.len(),
-            Err(poisoned) => poisoned.into_inner().len(),
-        }
-    }
-
     fn remove(&self, key: &CanonicalKey) {
         let mut table = match self.table.lock() {
             Ok(guard) => guard,
@@ -279,7 +271,7 @@ mod tests {
         let (lines, result) = handle.join().expect("follower thread");
         assert_eq!(lines, ["line-0", "line-1"]);
         assert_eq!(result.expect("ok").body, "final");
-        assert_eq!(c.in_flight(), 0);
+        assert!(c.table.lock().expect("table lock").is_empty());
     }
 
     #[test]
@@ -313,7 +305,7 @@ mod tests {
         drop(leader);
         let result = flight.wait();
         assert!(result.is_err(), "abandoned flight must error, not hang");
-        assert_eq!(c.in_flight(), 0);
+        assert!(c.table.lock().expect("table lock").is_empty());
     }
 
     #[test]

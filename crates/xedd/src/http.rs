@@ -104,10 +104,16 @@ pub fn parse_trace_id(value: &str) -> Option<u64> {
     if value.len() != 16 {
         return None;
     }
-    match u64::from_str_radix(value, 16) {
-        Ok(0) | Err(_) => None,
-        Ok(id) => Some(id),
+    parse_hex(value).filter(|&id| id != 0)
+}
+
+/// Parses `text` as hex digits and nothing else: `from_str_radix` alone
+/// also takes a leading `+`.
+fn parse_hex(text: &str) -> Option<u64> {
+    if text.is_empty() || !text.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return None;
     }
+    u64::from_str_radix(text, 16).ok()
 }
 
 /// Reads one header line; `None` marks the end-of-headers blank line.
@@ -132,7 +138,8 @@ pub fn percent_decode(text: &str) -> Result<String, String> {
                 let hex = bytes
                     .get(i + 1..i + 3)
                     .and_then(|h| std::str::from_utf8(h).ok())
-                    .and_then(|h| u8::from_str_radix(h, 16).ok())
+                    .and_then(parse_hex)
+                    .and_then(|h| u8::try_from(h).ok())
                     .ok_or_else(|| format!("bad percent escape in {text:?}"))?;
                 out.push(hex);
                 i += 3;
@@ -503,8 +510,9 @@ impl ChunkStream {
     /// terminating zero-length chunk.
     pub fn next_chunk(&mut self) -> Result<Option<String>, String> {
         let size_line = read_line(&mut self.reader)?;
-        let size = usize::from_str_radix(size_line.trim(), 16)
-            .map_err(|_| format!("bad chunk size {size_line:?}"))?;
+        let size = parse_hex(size_line.trim())
+            .and_then(|n| usize::try_from(n).ok())
+            .ok_or_else(|| format!("bad chunk size {size_line:?}"))?;
         if size == 0 {
             let _trailer = read_line(&mut self.reader)?;
             return Ok(None);
@@ -584,8 +592,9 @@ pub fn read_client_response(reader: &mut impl BufRead) -> Result<ClientResponse,
         let mut body = String::new();
         loop {
             let size_line = read_line(reader)?;
-            let size = usize::from_str_radix(size_line.trim(), 16)
-                .map_err(|_| format!("bad chunk size {size_line:?}"))?;
+            let size = parse_hex(size_line.trim())
+                .and_then(|n| usize::try_from(n).ok())
+                .ok_or_else(|| format!("bad chunk size {size_line:?}"))?;
             if size == 0 {
                 let _trailer = read_line(reader)?;
                 break;
@@ -686,6 +695,24 @@ mod tests {
         assert_eq!(percent_decode("%2Fv1%2Fquery").expect("valid"), "/v1/query");
         assert!(percent_decode("%zz").is_err());
         assert!(percent_decode("%2").is_err());
+        // A sign is not a hex digit.
+        assert!(percent_decode("%+f").is_err());
+        assert!(percent_decode("%-1").is_err());
+    }
+
+    #[test]
+    fn trace_ids_are_sixteen_hex_digits() {
+        assert_eq!(parse_trace_id("00000000c0ffee42"), Some(0xc0ff_ee42));
+        assert_eq!(parse_trace_id("00000000C0FFEE42"), Some(0xc0ff_ee42));
+        for bad in [
+            "+00000000000000f",
+            "0000000000000000",
+            "00000000c0ffee4",
+            "00000000c0ffee42a",
+            "00000000c0ffee4g",
+        ] {
+            assert_eq!(parse_trace_id(bad), None, "{bad}");
+        }
     }
 
     fn params(pairs: &[(&str, &str)]) -> Vec<(String, String)> {

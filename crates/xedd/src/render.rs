@@ -189,7 +189,10 @@ mod tests {
         for line in &resp.progress_lines {
             assert!(crate::json::is_valid(line), "line: {line}");
         }
-        let tail = Query::tail(Scheme::XedChipkill, 5_000, 7);
+        let tail = Query {
+            kind: QueryKind::Tail { force: None },
+            ..Query::lifetime(Scheme::XedChipkill, 5_000, 7)
+        };
         let resp = evaluate_to_response(&tail, |_| {}).expect("valid query");
         assert!(
             crate::json::is_valid(&resp.body),

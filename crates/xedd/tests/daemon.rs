@@ -174,6 +174,16 @@ fn oversized_sample_counts_are_rejected_with_400() {
         assert_eq!(resp.status, 400, "{query}");
         assert!(resp.body.contains("block"), "{query}: {}", resp.body);
     }
+    // And a FIT table that would make every trial draw about 10^12
+    // faults.
+    let resp =
+        http::client_get(&addr, "/v1/query?scheme=xed&samples=1&fit=bit:1e12:0").expect("response");
+    assert_eq!(resp.status, 400);
+    assert!(
+        resp.body.contains("expected faults per trial"),
+        "{}",
+        resp.body
+    );
     server.shutdown();
 }
 

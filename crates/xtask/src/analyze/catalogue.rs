@@ -21,7 +21,7 @@
 //!   listed exactly once in `Phase::ALL`, which the exporters and
 //!   `xedtop` iterate.
 
-use super::items::Workspace;
+use super::items::{FileKind, Workspace};
 use super::lexer::{matches_at, Tok, TokKind};
 use super::Finding;
 
@@ -107,7 +107,7 @@ fn registry(ws: &Workspace, design: &str, findings: &mut Vec<Finding>) {
     // Every `metrics::NAME` outside the registry: (file, token, name).
     let mut uses: Vec<(usize, usize, &str)> = Vec::new();
     for (fi, file) in ws.files.iter().enumerate() {
-        if file.rel_path != REGISTRY {
+        if file.rel_path != REGISTRY && file.kind != FileKind::Outside {
             uses.extend(
                 (0..file.toks.len()).filter_map(|k| Some((fi, k, metrics_path(&file.toks, k)?))),
             );

@@ -31,7 +31,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-use super::items::{FnItem, Workspace};
+use super::items::{FileKind, FnItem, Workspace};
 use super::lexer::{Tok, TokKind};
 
 /// How a method call's receiver was written at the call site.
@@ -50,6 +50,9 @@ pub enum Recv {
 pub enum RawSite {
     /// `a::b::c(…)` — full path segments.
     Path { segs: Vec<String>, line: u32 },
+    /// `a::b::c` not called: a lowercase path named as a value, which may
+    /// be a fn passed by name (`map(Type::f)`, a fn pointer).
+    Value { segs: Vec<String> },
     /// `.name(…)` with the receiver shape.
     Method { name: String, recv: Recv, line: u32 },
     /// `name!(…)`.
@@ -261,6 +264,14 @@ pub fn extract_body(toks: &[Tok], body: (usize, usize)) -> BodyFacts {
                     });
                     k = j;
                     continue;
+                }
+                // `name:` is a struct-literal field or a binding's type.
+                if !t.get(j).is_some_and(|x| x.is_punct(':'))
+                    && segs
+                        .last()
+                        .is_some_and(|s| s.starts_with(|c: char| c.is_lowercase() || c == '_'))
+                {
+                    facts.sites.push(RawSite::Value { segs });
                 }
                 k = j.max(k + 1);
                 continue;
@@ -497,6 +508,16 @@ pub struct CallGraph {
     pub facts: Vec<BodyFacts>,
     /// Resolved workspace-level call edges: `edges[i]` = callee indices.
     pub edges: Vec<Vec<usize>>,
+    /// The edges a resolution by name alone adds: from a method call
+    /// whose receiver type is only guessed (a field of that name
+    /// somewhere), or from a call left unresolved, to every workspace fn
+    /// of the called name. The hot-path proofs walk `edges` only; XA104,
+    /// which must never call a live fn dead, walks both.
+    pub name_edges: Vec<Vec<usize>>,
+    /// The workspace fns that the non-test `const` and `static`
+    /// initializers ([`Workspace::inits`]) call or name, by both kinds
+    /// of edge: reached with no fn to reach them from.
+    pub init_callees: Vec<usize>,
     /// Every resolved call site (workspace, std, and unresolved).
     pub sites: Vec<CallSite>,
     /// Unresolved bucket: display name → (site count, example site).
@@ -511,6 +532,8 @@ struct Indexes {
     typed_methods: HashMap<(String, String), Vec<usize>>,
     /// Free fn name → indices, per crate.
     free_by_crate: HashMap<(String, String), Vec<usize>>,
+    /// Free fn name → indices, workspace-wide.
+    free_by_name: HashMap<String, Vec<usize>>,
     /// Struct field name → outer type idents (workspace-wide).
     fields: HashMap<String, Vec<String>>,
     /// Trait name → impl self-type names (workspace-wide).
@@ -531,6 +554,7 @@ fn build_indexes(ws: &Workspace) -> Indexes {
         methods: HashMap::new(),
         typed_methods: HashMap::new(),
         free_by_crate: HashMap::new(),
+        free_by_name: HashMap::new(),
         fields: HashMap::new(),
         trait_impls: HashMap::new(),
         type_traits: HashMap::new(),
@@ -539,8 +563,8 @@ fn build_indexes(ws: &Workspace) -> Indexes {
         crate_names: HashSet::new(),
     };
     for (i, f) in ws.fns.iter().enumerate() {
-        if f.in_cfg_test {
-            continue; // test helpers never join the candidate sets
+        if f.in_cfg_test || ws.files[f.file].kind == FileKind::Outside {
+            continue; // test helpers and outside fns never join the candidate sets
         }
         ix.crate_names.insert(f.krate.clone());
         match &f.self_type {
@@ -556,10 +580,11 @@ fn build_indexes(ws: &Workspace) -> Indexes {
                     .entry((f.krate.clone(), f.name.clone()))
                     .or_default()
                     .push(i);
+                ix.free_by_name.entry(f.name.clone()).or_default().push(i);
             }
         }
     }
-    for file in &ws.files {
+    for file in ws.files.iter().filter(|f| f.kind != FileKind::Outside) {
         ix.crate_names.insert(file.krate.clone());
         for t in &file.types {
             ix.types.insert(t.clone());
@@ -592,95 +617,126 @@ fn build_indexes(ws: &Workspace) -> Indexes {
 /// Builds the resolved call graph for a parsed workspace.
 pub fn build(ws: &Workspace) -> CallGraph {
     let ix = build_indexes(ws);
-    let mut facts: Vec<BodyFacts> = Vec::with_capacity(ws.fns.len());
-    for f in &ws.fns {
-        match f.body {
-            Some(range) => facts.push(extract_body(&ws.files[f.file].toks, range)),
-            None => facts.push(BodyFacts::default()),
-        }
-    }
+    // The fns, then the initializers: `i >= n` is `ws.inits[i - n]`.
+    let n = ws.fns.len();
+    let bodies: Vec<&FnItem> = ws.fns.iter().chain(&ws.inits).collect();
+    let mut facts: Vec<BodyFacts> = bodies
+        .iter()
+        .map(|f| match f.body {
+            Some(range) => extract_body(&ws.files[f.file].toks, range),
+            None => BodyFacts::default(),
+        })
+        .collect();
 
-    let mut edges: Vec<Vec<usize>> = vec![Vec::new(); ws.fns.len()];
+    let mut edges: Vec<Vec<usize>> = vec![Vec::new(); bodies.len()];
+    let mut name_edges: Vec<Vec<usize>> = vec![Vec::new(); bodies.len()];
     let mut sites: Vec<CallSite> = Vec::new();
     let mut unresolved: BTreeMap<String, (usize, String)> = BTreeMap::new();
 
-    for (i, f) in ws.fns.iter().enumerate() {
+    for (i, f) in bodies.iter().copied().enumerate() {
         if f.in_cfg_test {
             continue;
         }
+        // Calls through body-local closures / nested items or callable
+        // parameters (`F: FnMut(…)`) are inline — their effects are
+        // already scanned with this body.
+        let local = |segs: &[String]| {
+            segs.len() == 1
+                && (facts[i].local_callables.contains(&segs[0])
+                    || f.params.iter().any(|(n, _)| n == &segs[0]))
+        };
         for site in &facts[i].sites {
-            let (line, written, target) = match site {
-                RawSite::Path { segs, line } => {
-                    // Calls through body-local closures / nested items or
-                    // callable parameters (`F: FnMut(…)`) are inline —
-                    // their effects are already scanned with this body.
-                    if segs.len() == 1
-                        && (facts[i].local_callables.contains(&segs[0])
-                            || f.params.iter().any(|(n, _)| n == &segs[0]))
-                    {
+            let (line, written, target, alloc_risk, guessed) = match site {
+                RawSite::Path { segs, .. } if local(segs) => continue,
+                RawSite::Path { segs, line } => (
+                    *line,
+                    segs.join("::"),
+                    resolve_path(ws, &ix, f, segs),
+                    false,
+                    false,
+                ),
+                RawSite::Value { segs, .. } => {
+                    if local(segs) || segs.len() == 1 && facts[i].locals.contains_key(&segs[0]) {
                         continue;
                     }
-                    let written = segs.join("::");
-                    let target = resolve_path(ws, &ix, f, segs);
-                    (*line, written, target)
-                }
-                RawSite::Method { name, recv, line } => {
-                    let written = format!(".{name}");
-                    let mut typed = false;
-                    let target = resolve_method(ws, &ix, f, &facts[i], name, recv, &mut typed);
-                    let risk = !typed && is_alloc_risk_name(name);
-                    sites.push(CallSite {
-                        caller: i,
-                        line: *line,
-                        target: target.clone(),
-                        written,
-                        alloc_risk: risk,
-                    });
-                    if let Target::Fns(callees) = &target {
-                        for &c in callees {
-                            if !edges[i].contains(&c) {
-                                edges[i].push(c);
-                            }
-                        }
-                    }
-                    if let Target::Unresolved(name) = &target {
-                        let e = unresolved.entry(name.clone()).or_insert_with(|| {
-                            (0, format!("{}:{}", ws.files[f.file].rel_path, line))
-                        });
-                        e.0 += 1;
+                    // A fn named as a value is reached like a call; any
+                    // other lowercase path is a local or a field.
+                    if let Target::Fns(callees) = resolve_path(ws, &ix, f, segs) {
+                        add_edges(&mut edges[i], &callees);
                     }
                     continue;
                 }
+                RawSite::Method { name, recv, line } => {
+                    let mut typed = false;
+                    let target = resolve_method(ws, &ix, f, &facts[i], name, recv, &mut typed);
+                    let risk = !typed && is_alloc_risk_name(name);
+                    // A receiver typed only by a guess: a field of that
+                    // name somewhere, or a local whose initializer names a
+                    // workspace type without this method (`let r =
+                    // Sim::new(…).run(); r.exec_time_ns()`).
+                    let guessed = match recv {
+                        Recv::Named(n) => match facts[i].locals.get(n) {
+                            Some(ty) => ix.types.contains(ty) && !matches!(target, Target::Fns(_)),
+                            None => !f.params.iter().any(|(p, _)| p == n),
+                        },
+                        _ => false,
+                    };
+                    (*line, format!(".{name}"), target, risk, guessed)
+                }
                 _ => continue,
             };
+            if guessed || matches!(target, Target::Unresolved(_)) {
+                let name = written.rsplit(['.', ':']).next().unwrap_or_default();
+                let by_name = (ix.methods.get(name).into_iter().flatten())
+                    .chain(ix.free_by_name.get(name).into_iter().flatten());
+                add_edges(&mut name_edges[i], &by_name.copied().collect::<Vec<_>>());
+            }
             if let Target::Fns(callees) = &target {
-                for &c in callees {
-                    if !edges[i].contains(&c) {
-                        edges[i].push(c);
-                    }
-                }
+                add_edges(&mut edges[i], callees);
+            }
+            // An initializer is no caller, and an outside file is no code
+            // the proofs cover: both count only through their edges.
+            if i >= n {
+                continue;
             }
             if let Target::Unresolved(name) = &target {
-                let e = unresolved
-                    .entry(name.clone())
-                    .or_insert_with(|| (0, format!("{}:{}", ws.files[f.file].rel_path, line)));
-                e.0 += 1;
+                if ws.files[f.file].kind != FileKind::Outside {
+                    let e = unresolved
+                        .entry(name.clone())
+                        .or_insert_with(|| (0, format!("{}:{}", ws.files[f.file].rel_path, line)));
+                    e.0 += 1;
+                }
             }
             sites.push(CallSite {
                 caller: i,
                 line,
                 target,
                 written,
-                alloc_risk: false,
+                alloc_risk,
             });
         }
     }
 
+    let mut init_callees: Vec<usize> = Vec::new();
+    for callees in edges.split_off(n).iter().chain(&name_edges.split_off(n)) {
+        add_edges(&mut init_callees, callees);
+    }
+    facts.truncate(n);
     CallGraph {
         facts,
         edges,
+        name_edges,
+        init_callees,
         sites,
         unresolved,
+    }
+}
+
+fn add_edges(edges: &mut Vec<usize>, callees: &[usize]) {
+    for &c in callees {
+        if !edges.contains(&c) {
+            edges.push(c);
+        }
     }
 }
 
@@ -951,6 +1007,25 @@ mod tests {
         let top = idx(&ws, "top");
         let helper = idx(&ws, "helper");
         assert_eq!(g.edges[top], vec![helper]);
+    }
+
+    #[test]
+    fn name_edges_follow_guesses_not_std_calls() {
+        let src = "struct Sim; struct Res;\n\
+                   impl Sim { fn new() -> Sim { Sim } fn run(&self) -> Res { Res } }\n\
+                   impl Res { fn time(&self) -> u64 { 0 } }\n\
+                   fn top() { let v: Vec<u8> = Vec::new(); v.len(); let r = Sim::new().run(); r.time(); }\n\
+                   fn seed() -> u8 { 1 }\n\
+                   static SEED: u8 = seed();";
+        let ws = ws_of(&[("crates/a/src/lib.rs", src)]);
+        let g = build(&ws);
+        let top = idx(&ws, "top");
+        // `Vec::new()` and `.len()` resolve to std: no edge to `Sim::new`
+        // by name. `r` is typed `Sim` by a guess that has no `time`, so
+        // `.time()` fans out by name.
+        assert_eq!(g.edges[top], vec![idx(&ws, "new"), idx(&ws, "run")]);
+        assert_eq!(g.name_edges[top], vec![idx(&ws, "time")]);
+        assert_eq!(g.init_callees, vec![idx(&ws, "seed")]);
     }
 
     #[test]

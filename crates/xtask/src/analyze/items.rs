@@ -23,7 +23,10 @@
 //!   …) becomes a test region of the token stream, which every rule
 //!   skips; a `#[cfg(test)] mod name;` declaration makes the file that
 //!   holds `name` test code as a whole (see
-//!   [`Workspace::mark_test_modules`]).
+//!   [`Workspace::mark_test_modules`]);
+//! * visibility — which fns are bare `pub`, and every bare-`pub` `const`,
+//!   `static`, `struct`, `enum` and `type` with its token range (XA104's
+//!   two arms).
 
 use super::lexer::{Tok, TokKind};
 
@@ -66,6 +69,10 @@ pub struct FnItem {
     pub generics: Vec<(String, Vec<String>)>,
     /// Inside a `#[cfg(test)]` region or a test-only file.
     pub in_cfg_test: bool,
+    /// Declared bare `pub` (not `pub(crate)`/`pub(super)`).
+    pub is_pub: bool,
+    /// A method of an `impl Trait for Type` block.
+    pub in_trait_impl: bool,
 }
 
 impl FnItem {
@@ -95,11 +102,41 @@ pub struct ImplDecl {
     pub trait_name: Option<String>,
 }
 
+/// One bare-`pub` `const`, `static`, `struct`, `enum` or `type` item.
+#[derive(Debug, Clone)]
+pub struct PubItem {
+    /// Item keyword, e.g. `const`.
+    pub kind: String,
+    /// Item name.
+    pub name: String,
+    /// 1-based line of the name.
+    pub line: u32,
+    /// Token range `[start, end)` of the whole definition.
+    pub span: (usize, usize),
+}
+
+/// What a loaded file is to the rules.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FileKind {
+    /// Library code: `crates/*/src` and the root `src/`, bins excepted.
+    Lib,
+    /// A bin (`src/main.rs`, `src/bin/`, or every file of a crate with
+    /// no `src/lib.rs`): code every rule reads, and a root of XA104.
+    Bin,
+    /// A root of XA104 outside every crate's `src/` (the root `tests/`
+    /// and `examples/`, every `crates/*/tests`, `perfbench/src`): only
+    /// XA104 and XL011 read it, and its fns are never candidates of the
+    /// call graph.
+    Outside,
+}
+
 /// One parsed source file with its token stream and extracted context.
 #[derive(Debug)]
 pub struct FileAst {
     /// Path relative to the workspace root.
     pub rel_path: String,
+    /// Library code, a bin, or a file outside every crate's `src/`.
+    pub kind: FileKind,
     /// Crate name (underscore form).
     pub krate: String,
     /// Module path of the file within its crate.
@@ -116,6 +153,11 @@ pub struct FileAst {
     pub test_mods: Vec<Vec<String>>,
     /// `use` alias map.
     pub uses: Vec<UseEntry>,
+    /// Token ranges of the `use` declarations: a `use` names an item
+    /// without using it.
+    pub use_spans: Vec<(usize, usize)>,
+    /// Bare-`pub` non-fn items, test code included.
+    pub pub_items: Vec<PubItem>,
     /// `struct`/`enum` type names declared in this file.
     pub types: Vec<String>,
     /// Constructor-position names: tuple structs and enum variants.
@@ -135,6 +177,7 @@ impl FileAst {
     fn new(rel_path: &str, krate: &str, module: &[String], src: &str) -> FileAst {
         FileAst {
             rel_path: rel_path.to_string(),
+            kind: FileKind::Lib,
             krate: krate.to_string(),
             module: module.to_vec(),
             toks: super::lexer::tokenize(src),
@@ -142,6 +185,8 @@ impl FileAst {
             test_regions: Vec::new(),
             test_mods: Vec::new(),
             uses: Vec::new(),
+            use_spans: Vec::new(),
+            pub_items: Vec::new(),
             types: Vec::new(),
             ctors: Vec::new(),
             impls: Vec::new(),
@@ -163,37 +208,48 @@ fn in_regions(regions: &[(usize, usize)], k: usize) -> bool {
 /// The parsed workspace: all files plus the global function list.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    /// Parsed source files (`crates/*/src`, the root `src/`).
+    /// Parsed source files: `crates/*/src` and the root `src/`, then the
+    /// outside files (see [`FileKind`]).
     pub files: Vec<FileAst>,
-    /// The workspace `tests/` files: tokenized for the rules that scan
-    /// test code, never item-extracted or added to the call graph.
-    pub tests: Vec<FileAst>,
     /// Every extracted function, across all files.
     pub fns: Vec<FnItem>,
+    /// The initializers of every `const` and `static` item outside fn
+    /// bodies, each as a body with no fn: the item's name, and its whole
+    /// definition as the body. They run at compile time or on first use,
+    /// so what they call is reached with no call site in any fn.
+    pub inits: Vec<FnItem>,
 }
 
 impl Workspace {
-    /// Parses one file's source text into the workspace.
+    /// Parses one library file's source text into the workspace: the
+    /// unit tests' shorthand for [`Workspace::add_file_as`].
+    #[cfg(test)]
     pub fn add_file(&mut self, rel_path: &str, krate: &str, module: &[String], src: &str) {
-        let file_idx = self.files.len();
-        let mut file = FileAst::new(rel_path, krate, module, src);
-        let mut fns = Vec::new();
-        extract(&mut file, krate, module, file_idx, &mut fns);
-        self.files.push(file);
-        self.fns.extend(fns);
+        self.add_file_as(FileKind::Lib, rel_path, krate, module, src);
     }
 
-    /// Adds an integration-test file: tokens and comments only, all of
-    /// it test code.
-    pub fn add_test_file(&mut self, rel_path: &str, src: &str) {
-        let mut file = FileAst::new(rel_path, "", &[], src);
-        file.test_regions.push((0, file.toks.len()));
-        self.tests.push(file);
+    /// Parses one file of the given kind into the workspace.
+    pub fn add_file_as(
+        &mut self,
+        kind: FileKind,
+        rel_path: &str,
+        krate: &str,
+        module: &[String],
+        src: &str,
+    ) {
+        let file_idx = self.files.len();
+        let mut file = FileAst::new(rel_path, krate, module, src);
+        file.kind = kind;
+        let (mut fns, mut inits) = (Vec::new(), Vec::new());
+        extract(&mut file, krate, module, file_idx, &mut fns, &mut inits);
+        self.files.push(file);
+        self.fns.extend(fns);
+        self.inits.extend(inits);
     }
 
     /// Marks every file declared through a `#[cfg(test)] mod name;` (and
     /// its submodules) as test code, fns included. Run once after the
-    /// last [`Workspace::add_file`].
+    /// last library or bin file is added.
     pub fn mark_test_modules(&mut self) {
         let decls: Vec<(String, Vec<String>)> = self
             .files
@@ -206,7 +262,7 @@ impl Workspace {
                 .any(|(k, m)| *k == file.krate && file.module.starts_with(m))
             {
                 file.test_regions = vec![(0, file.toks.len())];
-                for f in self.fns.iter_mut().filter(|f| f.file == i) {
+                for f in (self.fns.iter_mut().chain(&mut self.inits)).filter(|f| f.file == i) {
                     f.in_cfg_test = true;
                 }
             }
@@ -326,6 +382,7 @@ fn extract(
     base_module: &[String],
     file_idx: usize,
     fns: &mut Vec<FnItem>,
+    inits: &mut Vec<FnItem>,
 ) {
     let toks = std::mem::take(&mut file.toks);
     let mut w = Walker {
@@ -375,8 +432,10 @@ fn extract(
         let Some(t) = w.peek(0) else { break };
         match (t.kind, t.text.as_str()) {
             (TokKind::Ident, "use") => {
+                let at = w.i;
                 w.bump();
                 parse_use(&mut w, &mut file.uses);
+                file.use_spans.push((at, w.i));
             }
             (TokKind::Ident, "mod") => {
                 let at = w.i;
@@ -402,6 +461,7 @@ fn extract(
                 }
             }
             (TokKind::Ident, "struct") => {
+                record_item(&w, file, krate, base_module, file_idx, inits);
                 w.bump();
                 if let Some(t) = w.peek(0) {
                     if t.kind == TokKind::Ident {
@@ -419,6 +479,7 @@ fn extract(
                 skip_item_rest(&mut w);
             }
             (TokKind::Ident, "enum") => {
+                record_item(&w, file, krate, base_module, file_idx, inits);
                 w.bump();
                 if let Some(t) = w.peek(0) {
                     if t.kind == TokKind::Ident {
@@ -451,7 +512,12 @@ fn extract(
                     }
                 }
             }
+            (TokKind::Ident, "const" | "type") => {
+                record_item(&w, file, krate, base_module, file_idx, inits);
+                w.bump();
+            }
             (TokKind::Ident, "static") => {
+                record_item(&w, file, krate, base_module, file_idx, inits);
                 w.bump();
                 if w.peek(0).is_some_and(|t| t.is_ident("mut")) {
                     w.bump();
@@ -505,10 +571,14 @@ fn extract(
             (TokKind::Ident, "fn") => {
                 let line = t.line;
                 let in_test = in_regions(&file.test_regions, w.i);
+                let public = is_pub(w.toks, w.i);
                 w.bump();
                 let item = parse_fn(&mut w, krate, base_module, file_idx, line, in_test);
                 if let Some(f) = item {
-                    fns.push(f);
+                    fns.push(FnItem {
+                        is_pub: public,
+                        ..f
+                    });
                 }
             }
             (TokKind::Punct, "{") => {
@@ -531,6 +601,81 @@ fn extract(
         }
     }
     file.toks = toks;
+}
+
+/// `true` if the item whose keyword is token `k` is declared bare
+/// `pub`: the surface other crates can name. `pub(crate)` and friends
+/// end in `)`, so they never match.
+fn is_pub(toks: &[Tok], mut k: usize) -> bool {
+    while k > 0
+        && (toks[k - 1].kind == TokKind::Str
+            || ["const", "unsafe", "async", "extern"]
+                .iter()
+                .any(|q| toks[k - 1].is_ident(q)))
+    {
+        k -= 1;
+    }
+    k > 0 && toks[k - 1].is_ident("pub")
+}
+
+/// The name of the item at keyword `k` (`const`, `static`, `struct`,
+/// `enum` or `type`); `None` for `const fn` and `const {…}`.
+fn item_name(toks: &[Tok], k: usize) -> Option<&Tok> {
+    let mut at = k + 1;
+    if toks[k].is_ident("static") && toks.get(at).is_some_and(|t| t.is_ident("mut")) {
+        at += 1;
+    }
+    let name = toks
+        .get(at)
+        .filter(|t| t.kind == TokKind::Ident && t.text != "fn")?;
+    // A `const` item reads `const NAME:`.
+    let item = !toks[k].is_ident("const") || toks.get(at + 1).is_some_and(|t| t.is_punct(':'));
+    item.then_some(name)
+}
+
+/// Records the item at the walker's keyword (`const`, `static`,
+/// `struct`, `enum` or `type`): a bare-`pub` one in
+/// [`FileAst::pub_items`], and a `const` or `static` one's initializer
+/// in `inits` (see [`Workspace::inits`]).
+fn record_item(
+    w: &Walker<'_>,
+    file: &mut FileAst,
+    krate: &str,
+    base_module: &[String],
+    file_idx: usize,
+    inits: &mut Vec<FnItem>,
+) {
+    let (toks, k) = (w.toks, w.i);
+    let Some(name) = item_name(toks, k) else {
+        return;
+    };
+    let (span, line, name) = ((k, item_end(toks, k)), name.line, name.text.clone());
+    if toks[k].is_ident("const") || toks[k].is_ident("static") {
+        let in_test = in_regions(&file.test_regions, k);
+        let (params, generics) = (Vec::new(), Vec::new());
+        let init = make_fn(
+            w,
+            krate,
+            base_module,
+            file_idx,
+            line,
+            name.clone(),
+            Some(span),
+            params,
+            generics,
+            in_test,
+        );
+        inits.push(init);
+    }
+    if is_pub(toks, k) {
+        let kind = toks[k].text.clone();
+        file.pub_items.push(PubItem {
+            kind,
+            name,
+            line,
+            span,
+        });
+    }
 }
 
 /// Index just past the item that starts at token `k` (after the
@@ -788,11 +933,13 @@ fn make_fn(
     let mut module: Vec<String> = base_module.to_vec();
     let mut self_type = None;
     let mut is_trait_default = false;
+    let mut in_trait_impl = false;
     for (scope, _) in &w.scopes {
         match scope {
             Scope::Module(m) => module.push(m.clone()),
             Scope::Impl(d) => {
                 self_type = Some(d.self_type.clone());
+                in_trait_impl = d.trait_name.is_some();
             }
             Scope::Trait(t) => {
                 self_type = Some(t.clone());
@@ -813,6 +960,8 @@ fn make_fn(
         params,
         generics,
         in_cfg_test,
+        is_pub: false,
+        in_trait_impl,
     }
 }
 
@@ -1228,6 +1377,44 @@ mod tests {
         assert!(ws.files[0].types.contains(&"Verdict".to_string()));
         assert!(ws.files[0].types.contains(&"Outcome".to_string()));
         assert!(ws.files[0].ctors.contains(&"Hit".to_string()));
+    }
+
+    #[test]
+    fn bare_pub_items_and_fns_are_recorded() {
+        let src = "pub fn a() {}\npub(crate) fn b() {}\npub const fn c() {}\nfn d() {}\n\
+                   impl S { pub fn m(&self) {} }\nimpl Clone for S { fn clone(&self) -> S { S } }\n\
+                   pub const X: u8 = 1;\npub(crate) const Y: u8 = 2;\npub static Z: u8 = 3;\n\
+                   pub struct S;\npub enum E { V }\npub type T = u8;\nuse crate::X;\n";
+        let ws = parse(src);
+        let public: Vec<&str> = ws
+            .fns
+            .iter()
+            .filter(|f| f.is_pub)
+            .map(|f| f.name.as_str())
+            .collect();
+        assert_eq!(public, ["a", "c", "m"]);
+        let clone = ws.fns.iter().find(|f| f.name == "clone").expect("clone");
+        assert!(clone.in_trait_impl);
+        let items: Vec<(&str, &str)> = ws.files[0]
+            .pub_items
+            .iter()
+            .map(|i| (i.kind.as_str(), i.name.as_str()))
+            .collect();
+        assert_eq!(
+            items,
+            [
+                ("const", "X"),
+                ("static", "Z"),
+                ("struct", "S"),
+                ("enum", "E"),
+                ("type", "T")
+            ]
+        );
+        // The `use` is one span; the definition of `X` spans its tokens.
+        let f = &ws.files[0];
+        assert_eq!(f.use_spans.len(), 1);
+        let (s, e) = f.pub_items[0].span;
+        assert!(f.toks[s].is_ident("const") && f.toks[e - 1].is_punct(';'));
     }
 
     #[test]

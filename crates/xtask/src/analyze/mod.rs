@@ -15,7 +15,8 @@
 //!    graph with an explicit unresolved bucket;
 //! 3. the rules — [`source`] (XL001–XL006 and XL011, predicates over
 //!    each file's tokens), [`rules`] (the
-//!    XA100–XA102 hot-path proofs over the call graph, and XL009),
+//!    XA100–XA102 hot-path proofs over the call graph, XL009, and XA104
+//!    over the same graph walked from the root files),
 //!    [`catalogue`] (XL010/XA103 over the metric registry, XL012 over the
 //!    trace phases) and [`crate::golden`] (XL007/XL008 against the linked
 //!    constants);
@@ -40,13 +41,13 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use items::Workspace;
+use items::{FileKind, Workspace};
 use xed_telemetry::export::json_string;
 
 /// Every rule id `xed-analyze` reports; a waiver may name any of them.
-pub const RULES: [&str; 16] = [
+pub const RULES: [&str; 17] = [
     "XL001", "XL002", "XL003", "XL004", "XL005", "XL006", "XL007", "XL008", "XL009", "XL010",
-    "XL011", "XL012", "XA100", "XA101", "XA102", "XA103",
+    "XL011", "XL012", "XA100", "XA101", "XA102", "XA103", "XA104",
 ];
 
 /// Severity of a finding. Errors make the process exit nonzero.
@@ -204,6 +205,7 @@ pub fn analyze(root: &Path) -> Result<Report, String> {
     let mut findings = Vec::new();
     let groups = rules::check_hot_paths(&ws, &g, &mut findings);
     rules::check_alloc_free_modules(&ws, &g, &mut findings);
+    rules::check_dead_surface(&ws, &g, &mut findings);
     source::check(&ws, &mut findings);
     catalogue::check(&ws, &design, &mut findings);
     findings.extend(crate::golden::check_fit_table());
@@ -225,19 +227,23 @@ fn sort(findings: &mut [Finding]) {
     });
 }
 
-/// Parses the workspace: every `crates/*/src/**/*.rs` and the root
-/// facade crate's `src/` into the item model, then the root `tests/`
-/// tokens-only.
+/// Parses the workspace into the item model: every `crates/*/src/**/*.rs`
+/// and the root facade crate's `src/` (the bins among them marked
+/// [`FileKind::Bin`]), then the [`FileKind::Outside`] files XA104 also
+/// walks from: the root `tests/` and `examples/`, every `crates/*/tests`
+/// and `perfbench/src`.
 pub fn load_workspace(root: &Path) -> Result<Workspace, String> {
     let mut dirs: Vec<(String, PathBuf)> = Vec::new();
+    let mut outside: Vec<(String, PathBuf)> = Vec::new();
     let crates_dir = root.join("crates");
     for entry in fs::read_dir(&crates_dir).map_err(|e| io_error(&crates_dir, e))? {
         let dir = entry.map_err(|e| io_error(&crates_dir, e))?.path();
-        let src = dir.join("src");
-        if src.is_dir() {
-            let fallback = dir.file_name().map(|n| n.to_string_lossy().into_owned());
-            let krate = crate_name(&dir.join("Cargo.toml"))?.or(fallback);
-            dirs.push((krate.unwrap_or_default(), src));
+        let krate = package_name(&dir)?;
+        if dir.join("src").is_dir() {
+            dirs.push((krate.clone(), dir.join("src")));
+        }
+        if dir.join("tests").is_dir() {
+            outside.push((krate, dir.join("tests")));
         }
     }
     let root_src = root.join("src");
@@ -246,24 +252,38 @@ pub fn load_workspace(root: &Path) -> Result<Workspace, String> {
             dirs.push((name, root_src));
         }
     }
+    let perfbench = root.join("perfbench");
+    for (dir, package) in [("tests", root), ("examples", root), ("src", &perfbench)] {
+        let path = package.join(dir);
+        if path.is_dir() {
+            outside.push((package_name(package)?, path));
+        }
+    }
     dirs.sort();
+    outside.sort();
 
     let mut ws = Workspace::default();
     for (krate, src) in dirs {
+        let bin_crate = !src.join("lib.rs").is_file();
         for file in rs_files(&src)? {
-            ws.add_file(
-                &rel_path(root, &file),
-                &krate,
-                &module_path(&src, &file),
-                &read(&file)?,
-            );
+            let module = module_path(&src, &file);
+            let bin = bin_crate
+                || module.first().is_some_and(|m| m == "bin")
+                || file == src.join("main.rs");
+            let kind = if bin { FileKind::Bin } else { FileKind::Lib };
+            ws.add_file_as(kind, &rel_path(root, &file), &krate, &module, &read(&file)?);
         }
     }
     ws.mark_test_modules();
-    let tests = root.join("tests");
-    if tests.is_dir() {
-        for file in rs_files(&tests)? {
-            ws.add_test_file(&rel_path(root, &file), &read(&file)?);
+    for (krate, dir) in outside {
+        for file in rs_files(&dir)? {
+            ws.add_file_as(
+                FileKind::Outside,
+                &rel_path(root, &file),
+                &krate,
+                &module_path(&dir, &file),
+                &read(&file)?,
+            );
         }
     }
     Ok(ws)
@@ -284,7 +304,9 @@ fn rel_path(root: &Path, file: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Every `.rs` file under `dir`, sorted: the one file walker.
+/// Every `.rs` file under `dir`, sorted: the one file walker. A
+/// `fixtures` directory holds test inputs (the analyzer's own seeded
+/// mini-workspace), not code of this workspace, so it is skipped.
 fn rs_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
     let mut out = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
@@ -292,7 +314,9 @@ fn rs_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
         for entry in fs::read_dir(&d).map_err(|e| io_error(&d, e))? {
             let path = entry.map_err(|e| io_error(&d, e))?.path();
             if path.is_dir() {
-                stack.push(path);
+                if !path.ends_with("fixtures") {
+                    stack.push(path);
+                }
             } else if path.extension().is_some_and(|e| e == "rs") {
                 out.push(path);
             }
@@ -300,6 +324,20 @@ fn rs_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
     }
     out.sort();
     Ok(out)
+}
+
+/// The crate name of the package at `dir`: its manifest's `[package]
+/// name`, else the directory name.
+fn package_name(dir: &Path) -> Result<String, String> {
+    let manifest = dir.join("Cargo.toml");
+    let name = if manifest.is_file() {
+        crate_name(&manifest)?
+    } else {
+        None
+    };
+    Ok(name
+        .or_else(|| dir.file_name().map(|n| n.to_string_lossy().into_owned()))
+        .unwrap_or_default())
 }
 
 /// Reads the `[package] name` out of a Cargo.toml (underscore form);
@@ -410,7 +448,7 @@ fn render_json(report: &Report, errors: usize, elapsed_ms: u128) {
 pub fn scan_file(rel_path: &str, text: &str) -> Vec<Finding> {
     let mut ws = Workspace::default();
     if rel_path.starts_with("tests/") {
-        ws.add_test_file(rel_path, text);
+        ws.add_file_as(FileKind::Outside, rel_path, "tests", &[], text);
     } else {
         let krate = rel_path.split('/').nth(1).unwrap_or("x");
         ws.add_file(rel_path, krate, &[], text);

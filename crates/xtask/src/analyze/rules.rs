@@ -7,6 +7,8 @@
 //! | XA102 | atomic-ordering discipline (hot Relaxed, boundary Acq/Rel)  |
 //! | XL009 | every non-test fn of the allocation-free hot modules passes |
 //! |       | XA101's classifier, and no `Vec::` path appears in them     |
+//! | XA104 | every bare-`pub` item of a library crate has a user: a fn   |
+//! |       | is reachable from a root, any other item is named           |
 //!
 //! Justification escapes (checked against *raw* source lines, so they
 //! live in comments):
@@ -21,11 +23,11 @@
 //! `unwrap` and panic macros have **no** escape inside a proved closure:
 //! refactor to `expect` + `invariant:` or to non-panicking code.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use super::graph::{is_alloc_risk_name, CallGraph, RawSite, Target};
-use super::items::{FileAst, Workspace};
-use super::lexer::matches_at;
+use super::items::{FileAst, FileKind, Workspace};
+use super::lexer::{matches_at, TokKind};
 use super::Finding;
 
 /// A named entry point: `(krate, optional self type, fn name)`.
@@ -632,5 +634,149 @@ fn scan_hot_fn(
             ),
         };
         push(findings, "XA101", line, message);
+    }
+}
+
+/// XA104: the public surface nothing uses, which `rustc`'s `dead_code`
+/// lint cannot see in a library crate.
+///
+/// - Fn arm: a `pub` fn or inherent method of a library file is a
+///   finding when no root reaches it through the call graph, value
+///   references (`map(Type::f)`) included. The roots are every non-test
+///   fn of a root file (bins, integration tests, examples, the
+///   benchmark), every trait method, which std and the compiler call
+///   with no call site (`Display::fmt`, `Drop::drop`, `Iterator::next`),
+///   and every fn a `const` or `static` initializer calls or names.
+/// - Name arm: a `pub` const, static, struct, enum or type alias is a
+///   finding when no token outside its own definition names it, its own
+///   file's test code and every `use` excluded.
+///
+/// The graph over-approximates edges (an untyped or guessed receiver,
+/// and an unresolved call, fan out to every fn of the name), so a dead
+/// method that shares its name with such a call is missed. A call that
+/// resolves to std (`Vec::new()`, `.len()` on a typed `Vec`) adds no
+/// edge.
+pub fn check_dead_surface(ws: &Workspace, graph: &CallGraph, findings: &mut Vec<Finding>) {
+    let roots: Vec<usize> = (0..ws.fns.len())
+        .filter(|&i| {
+            let f = &ws.fns[i];
+            !f.in_cfg_test
+                && (ws.files[f.file].kind != FileKind::Lib || f.in_trait_impl || f.is_trait_default)
+        })
+        .chain(graph.init_callees.iter().copied())
+        .collect();
+    let edges: Vec<Vec<usize>> = (graph.edges.iter().zip(&graph.name_edges))
+        .map(|(e, n)| e.iter().chain(n).copied().collect())
+        .collect();
+    let reached = super::graph::reachable(&edges, &roots);
+    for (i, f) in ws.fns.iter().enumerate() {
+        let file = &ws.files[f.file];
+        if f.is_pub && !f.in_cfg_test && file.kind == FileKind::Lib && !reached.contains(&i) {
+            findings.push(Finding::error(
+                "XA104",
+                &file.rel_path,
+                f.line,
+                f.qualified(),
+                format!(
+                    "`pub fn {}` is reachable from no root (bin, test, example or \
+                     benchmark); delete it, move it under `#[cfg(test)]`, or waive \
+                     it with the reason it is surface",
+                    f.name
+                ),
+            ));
+        }
+    }
+
+    // Name arm: every candidate by name, then one pass over the tokens.
+    let mut wanted: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
+    for (fi, file) in ws
+        .files
+        .iter()
+        .enumerate()
+        .filter(|(_, f)| f.kind == FileKind::Lib)
+    {
+        for (ii, item) in file.pub_items.iter().enumerate() {
+            if !file.is_test(item.span.0) {
+                wanted.entry(&item.name).or_default().push((fi, ii));
+            }
+        }
+    }
+    let mut named: BTreeSet<(usize, usize)> = BTreeSet::new();
+    let mut names: Vec<&str> = Vec::new();
+    for (fi, file) in ws.files.iter().enumerate() {
+        for (k, t) in file.toks.iter().enumerate() {
+            names.clear();
+            match t.kind {
+                TokKind::Ident => names.push(&t.text),
+                TokKind::Str => names.extend(format_captures(&t.text)),
+                _ => continue,
+            }
+            for items in names.iter().filter_map(|n| wanted.get(n)) {
+                if file.use_spans.iter().any(|&(s, e)| s <= k && k < e) {
+                    continue;
+                }
+                for &(di, ii) in items {
+                    let (s, e) = ws.files[di].pub_items[ii].span;
+                    if di != fi || !(s <= k && k < e || file.is_test(k)) {
+                        named.insert((di, ii));
+                    }
+                }
+            }
+        }
+    }
+    for &(fi, ii) in wanted.values().flatten().filter(|at| !named.contains(at)) {
+        let (file, item) = (&ws.files[fi], &ws.files[fi].pub_items[ii]);
+        let module: String = file.module.iter().map(|m| format!("{m}::")).collect();
+        findings.push(Finding::error(
+            "XA104",
+            &file.rel_path,
+            item.line,
+            format!("{}::{module}{}", file.krate, item.name),
+            format!(
+                "`pub {} {}` is named nowhere outside its definition and its file's \
+                 tests; delete it, move it under `#[cfg(test)]`, or waive it with the \
+                 reason it is surface",
+                item.kind, item.name
+            ),
+        ));
+    }
+}
+
+/// The identifiers a string literal captures as inline format arguments
+/// (`"{GOLDEN_PATH}"`, `"{x:>8}"`).
+fn format_captures(literal: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    let mut rest = literal;
+    while let Some(at) = rest.find('{') {
+        let after = &rest[at + 1..];
+        if let Some(escaped) = after.strip_prefix('{') {
+            rest = escaped;
+            continue;
+        }
+        let end = after
+            .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .unwrap_or(after.len());
+        let (name, tail) = after.split_at(end);
+        if name.starts_with(|c: char| c.is_alphabetic() || c == '_')
+            && (tail.starts_with('}') || tail.starts_with(':'))
+        {
+            out.push(name);
+        }
+        rest = after;
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::format_captures;
+
+    #[test]
+    fn format_captures_are_the_named_arguments() {
+        assert_eq!(
+            format_captures(r#""{}/{GOLDEN_PATH} {x:>8} {{literal}} {0} {a.b}""#),
+            ["GOLDEN_PATH", "x"]
+        );
+        assert!(format_captures(r#""no braces""#).is_empty());
     }
 }

@@ -14,8 +14,9 @@
 //! "lib" is the non-test code of the library crates
 //! (`crates/{ecc,faultsim,core,memsim,telemetry,xedd}/src`), code outside
 //! fns included; test code is what the item model marks `#[cfg(test)]`.
-//! "all" is every token of every `crates/*/src` file and of the
-//! workspace `tests/`: an `#[ignore]` lives in test code by definition.
+//! "all" is every token of every file the analyzer loads, the root
+//! files included (`tests/`, `examples/`, `crates/*/tests`,
+//! `perfbench/src`): an `#[ignore]` lives in test code by definition.
 
 use super::items::{FileAst, Workspace};
 use super::lexer::{matches_at, Tok, TokKind};
@@ -37,11 +38,6 @@ pub fn check(ws: &Workspace, findings: &mut Vec<Finding>) {
         }
         ignore_rule(file, &mut hits);
         report(file, hits, |k| ws.enclosing_fn(fi, k), findings);
-    }
-    for file in &ws.tests {
-        let mut hits = Vec::new();
-        ignore_rule(file, &mut hits);
-        report(file, hits, |_| String::new(), findings);
     }
 }
 

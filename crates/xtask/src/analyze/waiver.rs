@@ -71,7 +71,7 @@ pub fn apply(ws: &Workspace, findings: Vec<Finding>) -> (Vec<Finding>, usize) {
     };
     let mut out = Vec::new();
     let mut waivers = Vec::new();
-    for file in ws.files.iter().chain(&ws.tests) {
+    for file in &ws.files {
         for (line, text) in &file.comments {
             match parse(text) {
                 None => {}

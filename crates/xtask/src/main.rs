@@ -11,8 +11,9 @@
 //! XL011), the metric-registry and trace-phase catalogues checked
 //! against DESIGN.md (XL010, XA103, XL012), the linked golden-value rules
 //! (XL007/XL008, see [`golden`]), and a workspace call graph with
-//! transitive panic/alloc-freedom proofs over the named hot paths and an
-//! atomic-ordering audit (XA100–XA102, XL009). Findings are waived only
+//! transitive panic/alloc-freedom proofs over the named hot paths, an
+//! atomic-ordering audit (XA100–XA102, XL009) and the dead public surface
+//! no root reaches (XA104). Findings are waived only
 //! in source, by a `// xed-analyze: allow(RULE) — reason` comment. Exits
 //! nonzero if any error-severity finding survives.
 //!

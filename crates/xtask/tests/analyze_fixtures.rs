@@ -5,7 +5,9 @@
 //! (`tests/fixtures/mini_ws/`) defines every hot entry point and
 //! boundary fn the analyzer names, with exactly one seeded violation
 //! per XA rule arm, plus seeded token-rule (XL001–XL003) and catalogue
-//! (XL010, XL012) findings. The golden JSON
+//! (XL010, XL012) findings. Its root test (`tests/roots.rs`) reaches
+//! every item meant to be live, so XA104 reports only the seeded cases
+//! of `crates/faultsim/src/surface.rs`. The golden JSON
 //! (`tests/fixtures/golden.json`) is asserted byte-for-byte modulo the
 //! elapsed-time field, so any change to finding wording, ordering,
 //! grouping, or closure sizes is a deliberate golden update. The waiver
@@ -98,10 +100,27 @@ fn fixture_detects_every_seeded_rule() {
     assert_eq!(count("XA101"), 3, "format!, vec!, untyped push");
     assert_eq!(
         count("XA102"),
-        3,
-        "hot Acquire, stray SeqCst, boundary Relaxed"
+        4,
+        "hot Acquire, stray SeqCst in a library and in a bin, boundary Relaxed"
     );
     assert_eq!(count("XA103"), 1, "dead metric");
+    assert_eq!(
+        count("XA104"),
+        4,
+        "unreached fn, fn called by its own tests only, dead `new`, dead const"
+    );
+    for live in [
+        "reached_from_a_root",
+        "reached_from_a_bin",
+        "seed_limit",
+        "SEEDED",
+        "Ring::scaled",
+        "Ring::head",
+        "LIVE_LIMIT",
+        "kept_on_purpose",
+    ] {
+        assert!(!json.contains(live), "{live} is reached, named or waived");
+    }
     for rule in ["XL001", "XL002", "XL003", "XL010", "XL012"] {
         assert_eq!(count(rule), 1, "{rule}");
     }
@@ -189,7 +208,7 @@ fn hot_findings_cannot_be_waived() {
     // XL003 on the same line is waived.
     assert!(text.contains("`panic!` is reachable"), "{text}");
     assert!(!text.contains("error[XL003]"), "{text}");
-    assert!(text.contains("1 waived"), "{text}");
+    assert!(text.contains("2 waived"), "{text}");
 }
 
 #[test]
@@ -218,7 +237,7 @@ fn boundary_finding_can_be_waived_and_stale_waivers_are_reported() {
     // Still findings left, so still gating.
     assert_eq!(out.status.code(), Some(1));
     let json = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(json.contains("\"suppressed\":1"), "{json}");
+    assert!(json.contains("\"suppressed\":2"), "{json}");
     assert!(
         !json.contains("xed_telemetry::Counter::value"),
         "boundary finding should be waived: {json}"
@@ -230,6 +249,41 @@ fn boundary_finding_can_be_waived_and_stale_waivers_are_reported() {
         "{json}"
     );
     assert!(json.contains("stale waiver: no XA103 finding"), "{json}");
+}
+
+#[test]
+fn value_references_trait_impls_and_initializers_keep_fns_reached() {
+    // `map(Ring::scaled)` names a fn without calling it, `Ring::head` is
+    // called only from a trait-impl method, and `seed_limit` only from a
+    // static's initializer. Take any away and the fn is reported.
+    let root = fixture_copy(
+        "no_value_reference",
+        &[
+            ("tests/roots.rs", ".map(Ring::scaled)", ".map(|v| v * 2)"),
+            (
+                "crates/faultsim/src/surface.rs",
+                "impl Iterator for Ring {",
+                "impl Ring {",
+            ),
+            (
+                "crates/faultsim/src/surface.rs",
+                "SEEDED: u64 = seed_limit();",
+                "SEEDED: u64 = 9;",
+            ),
+        ],
+    );
+    let out = run_analyze(&[
+        "--root",
+        root.to_str().expect("utf-8 path"),
+        "--format",
+        "json",
+    ]);
+    let json = String::from_utf8_lossy(&out.stdout).into_owned();
+    let count = json.matches(r#""rule":"XA104""#).count();
+    assert_eq!(count, 7, "{json}");
+    assert!(json.contains(r#""symbol":"xed_faultsim::surface::Ring::scaled""#));
+    assert!(json.contains(r#""symbol":"xed_faultsim::surface::Ring::head""#));
+    assert!(json.contains(r#""symbol":"xed_faultsim::surface::seed_limit""#));
 }
 
 #[test]
