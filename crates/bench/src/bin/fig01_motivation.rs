@@ -10,7 +10,7 @@
 //! (`--samples N` to change the Monte-Carlo size, `--show-fits` to print
 //! the Table I input rates.)
 
-use xed_bench::{rule, sci, throughput_footer, write_reliability_sidecar, Options};
+use xed_bench::{Options, ReliabilityTable};
 use xed_faultsim::engine::Sweep;
 use xed_faultsim::fit::FitRates;
 use xed_faultsim::schemes::Scheme;
@@ -25,26 +25,8 @@ fn main() {
 
     println!("Figure 1: effectiveness of reliability solutions in presence of On-Die ECC");
     println!("({} systems/scheme, 7-year lifetime)\n", opts.samples);
-    println!(
-        "{:42} {:>10}  cumulative by year 1..7",
-        "scheme", "P(fail,7y)"
-    );
-    rule(100);
-
-    let schemes = [Scheme::NonEcc, Scheme::EccDimm, Scheme::Chipkill];
-    let (results, stats) = sweep.run_all(&schemes);
-    let mut probs = Vec::new();
-    for (scheme, r) in schemes.iter().zip(&results) {
-        let curve: Vec<String> = r.curve().iter().map(|&p| sci(p)).collect();
-        println!(
-            "{:42} {:>10}  [{}]",
-            scheme.label(),
-            sci(r.failure_probability(7.0)),
-            curve.join(", ")
-        );
-        probs.push(r.failure_probability(7.0));
-    }
-    rule(100);
+    let table = ReliabilityTable::run(&sweep, &[Scheme::NonEcc, Scheme::EccDimm, Scheme::Chipkill]);
+    let probs = &table.p7;
     if probs[2] > 0.0 {
         println!(
             "Chipkill vs ECC-DIMM: {:.0}x more reliable (paper: 43x)",
@@ -55,18 +37,7 @@ fn main() {
         "ECC-DIMM vs Non-ECC:  {:.2}x (paper: \"almost no reliability benefit\")",
         probs[0] / probs[1]
     );
-    throughput_footer(&stats);
-
-    let labels: Vec<String> = schemes.iter().map(|s| s.label().to_string()).collect();
-    write_reliability_sidecar(
-        "fig01_motivation",
-        "results/fig01.json",
-        opts.samples,
-        opts.seed,
-        &labels,
-        &results,
-        &stats,
-    );
+    table.finish("fig01_motivation", "results/fig01.json");
 }
 
 fn print_table_i() {

@@ -7,7 +7,7 @@
 //!
 //! `cargo run --release -p xed-bench --bin fig07_reliability`
 
-use xed_bench::{rule, sci, throughput_footer, write_reliability_sidecar, Options};
+use xed_bench::{Options, ReliabilityTable};
 use xed_faultsim::engine::Sweep;
 use xed_faultsim::schemes::Scheme;
 
@@ -20,27 +20,8 @@ fn main() {
         "({} systems/scheme, 7-year lifetime, Table I FITs)\n",
         opts.samples
     );
-    println!(
-        "{:42} {:>10}  cumulative by year 1..7",
-        "scheme", "P(fail,7y)"
-    );
-    rule(100);
-
-    let schemes = [Scheme::EccDimm, Scheme::Chipkill, Scheme::Xed];
-    let (results, stats) = sweep.run_all(&schemes);
-    let mut probs = Vec::new();
-    for (scheme, r) in schemes.iter().zip(&results) {
-        let curve: Vec<String> = r.curve().iter().map(|&p| sci(p)).collect();
-        println!(
-            "{:42} {:>10}  [{}]",
-            scheme.label(),
-            sci(r.failure_probability(7.0)),
-            curve.join(", ")
-        );
-        probs.push(r.failure_probability(7.0));
-    }
-    rule(100);
-    let (ecc, ck, xed) = (probs[0], probs[1], probs[2]);
+    let table = ReliabilityTable::run(&sweep, &[Scheme::EccDimm, Scheme::Chipkill, Scheme::Xed]);
+    let (ecc, ck, xed) = (table.p7[0], table.p7[1], table.p7[2]);
     if xed > 0.0 {
         println!("XED vs ECC-DIMM:   {:.0}x   (paper: 172x)", ecc / xed);
         println!("XED vs Chipkill:   {:.1}x   (paper: 4x)", ck / xed);
@@ -48,16 +29,5 @@ fn main() {
     if ck > 0.0 {
         println!("Chipkill vs ECC:   {:.0}x   (paper: 43x)", ecc / ck);
     }
-    throughput_footer(&stats);
-
-    let labels: Vec<String> = schemes.iter().map(|s| s.label().to_string()).collect();
-    write_reliability_sidecar(
-        "fig07_reliability",
-        "results/fig07.json",
-        opts.samples,
-        opts.seed,
-        &labels,
-        &results,
-        &stats,
-    );
+    table.finish("fig07_reliability", "results/fig07.json");
 }

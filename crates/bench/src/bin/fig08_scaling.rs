@@ -8,7 +8,7 @@
 //!
 //! `cargo run --release -p xed-bench --bin fig08_scaling`
 
-use xed_bench::{rule, sci, throughput_footer, write_reliability_sidecar, Options};
+use xed_bench::{Options, ReliabilityTable};
 use xed_faultsim::engine::Sweep;
 use xed_faultsim::scaling::ScalingFaults;
 use xed_faultsim::schemes::{ModelParams, Scheme};
@@ -23,27 +23,8 @@ fn main() {
 
     println!("Figure 8: reliability with scaling faults at 1e-4");
     println!("({} systems/scheme, 7-year lifetime)\n", opts.samples);
-    println!(
-        "{:42} {:>10}  cumulative by year 1..7",
-        "scheme", "P(fail,7y)"
-    );
-    rule(100);
-
-    let schemes = [Scheme::EccDimm, Scheme::Chipkill, Scheme::Xed];
-    let (batch, stats) = sweep.run_all(&schemes);
-    let mut results = Vec::new();
-    for (scheme, r) in schemes.iter().zip(&batch) {
-        let curve: Vec<String> = r.curve().iter().map(|&p| sci(p)).collect();
-        println!(
-            "{:42} {:>10}  [{}]",
-            scheme.label(),
-            sci(r.failure_probability(7.0)),
-            curve.join(", ")
-        );
-        results.push(r.failure_probability(7.0));
-    }
-    rule(100);
-    let (ecc, ck, xed) = (results[0], results[1], results[2]);
+    let table = ReliabilityTable::run(&sweep, &[Scheme::EccDimm, Scheme::Chipkill, Scheme::Xed]);
+    let (ecc, ck, xed) = (table.p7[0], table.p7[1], table.p7[2]);
     if xed > 0.0 && ck > 0.0 {
         println!("XED vs ECC-DIMM:  {:.0}x  (paper: 172x)", ecc / xed);
         println!("Chipkill vs ECC:  {:.0}x  (paper: 43x)", ecc / ck);
@@ -54,16 +35,5 @@ fn main() {
          XED turns them into catch-words,\nECC-DIMM suffers extra DUEs.",
         ScalingFaults::paper_default().p_word_faulty()
     );
-    throughput_footer(&stats);
-
-    let labels: Vec<String> = schemes.iter().map(|s| s.label().to_string()).collect();
-    write_reliability_sidecar(
-        "fig08_scaling",
-        "results/fig08.json",
-        opts.samples,
-        opts.seed,
-        &labels,
-        &batch,
-        &stats,
-    );
+    table.finish("fig08_scaling", "results/fig08.json");
 }

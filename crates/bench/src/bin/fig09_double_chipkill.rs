@@ -7,7 +7,7 @@
 //!
 //! `cargo run --release -p xed-bench --bin fig09_double_chipkill`
 
-use xed_bench::{rule, sci, throughput_footer, write_reliability_sidecar, Options};
+use xed_bench::{Options, ReliabilityTable};
 use xed_faultsim::engine::Sweep;
 use xed_faultsim::schemes::Scheme;
 
@@ -19,31 +19,15 @@ fn main() {
 
     println!("Figure 9: Single-Chipkill, Double-Chipkill, and XED-based Single-Chipkill (x4)");
     println!("({samples} systems/scheme, 7-year lifetime)\n");
-    println!(
-        "{:42} {:>10}  cumulative by year 1..7",
-        "scheme", "P(fail,7y)"
+    let table = ReliabilityTable::run(
+        &sweep,
+        &[
+            Scheme::ChipkillX4,
+            Scheme::DoubleChipkill,
+            Scheme::XedChipkill,
+        ],
     );
-    rule(100);
-
-    let schemes = [
-        Scheme::ChipkillX4,
-        Scheme::DoubleChipkill,
-        Scheme::XedChipkill,
-    ];
-    let (batch, stats) = sweep.run_all(&schemes);
-    let mut results = Vec::new();
-    for (scheme, r) in schemes.iter().zip(&batch) {
-        let curve: Vec<String> = r.curve().iter().map(|&p| sci(p)).collect();
-        println!(
-            "{:42} {:>10}  [{}]",
-            scheme.label(),
-            sci(r.failure_probability(7.0)),
-            curve.join(", ")
-        );
-        results.push(r.failure_probability(7.0));
-    }
-    rule(100);
-    let (single, double, xed) = (results[0], results[1], results[2]);
+    let (single, double, xed) = (table.p7[0], table.p7[1], table.p7[2]);
     if double > 0.0 {
         println!(
             "Double-CK vs Single-CK:  {:.1}x  (paper: ~10x)",
@@ -58,16 +42,5 @@ fn main() {
     } else {
         println!("XED+CK saw no failures at this sample count; increase --samples.");
     }
-    throughput_footer(&stats);
-
-    let labels: Vec<String> = schemes.iter().map(|s| s.label().to_string()).collect();
-    write_reliability_sidecar(
-        "fig09_double_chipkill",
-        "results/fig09.json",
-        samples,
-        opts.seed,
-        &labels,
-        &batch,
-        &stats,
-    );
+    table.finish("fig09_double_chipkill", "results/fig09.json");
 }

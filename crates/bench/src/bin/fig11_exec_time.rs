@@ -9,81 +9,23 @@
 //! `cargo run --release -p xed-bench --bin fig11_exec_time`
 //! (`--instructions N` per core; `--show-config` prints Table V.)
 
-use xed_bench::{Options, Report, J};
-use xed_memsim::overlay::ReliabilityScheme;
-use xed_memsim::sim::{SimConfig, Simulation};
-use xed_memsim::workloads::{geometric_mean, ALL};
+use xed_bench::{roster_figure, Options};
+use xed_memsim::workloads::ALL;
 
 fn main() {
     let opts = Options::from_args();
     if std::env::args().any(|a| a == "--show-config") {
         print_table_v();
     }
-    let schemes = ReliabilityScheme::figure11_set();
-
-    println!(
-        "Figure 11: normalized execution time (8 cores x {} instructions, DDR3-1600)\n",
-        opts.instructions
+    roster_figure(
+        &opts,
+        ALL,
+        |r| r.cycles as f64,
+        "Figure 11: normalized execution time",
+        "paper Gmeans: XED 1.00, Chipkill 1.21, XED+Chipkill 1.21, Double-Chipkill 1.82",
+        "fig11_exec_time",
+        "results/fig11.json",
     );
-    print!("{:12}", "benchmark");
-    for s in &schemes[1..] {
-        print!(" {:>12}", short(s.name));
-    }
-    println!();
-
-    let mut report = Report::new("fig11_exec_time");
-    report
-        .param("instructions", J::U(opts.instructions))
-        .param("seed", J::U(opts.seed))
-        .param("baseline", J::S(schemes[0].name.to_string()));
-
-    let mut per_scheme: Vec<Vec<f64>> = vec![Vec::new(); schemes.len() - 1];
-    let mut suite = None;
-    for w in ALL {
-        if suite != Some(w.suite) {
-            suite = Some(w.suite);
-            println!("--- {} ---", w.suite.label());
-        }
-        let base = run(w.name, schemes[0], opts.instructions, opts.seed);
-        print!("{:12}", w.name);
-        let mut row: Vec<(&str, J)> = vec![("benchmark", J::S(w.name.to_string()))];
-        for (i, s) in schemes[1..].iter().enumerate() {
-            let r = run(w.name, *s, opts.instructions, opts.seed);
-            let ratio = r as f64 / base as f64;
-            per_scheme[i].push(ratio);
-            print!(" {:>12.3}", ratio);
-            row.push((short(s.name), J::F(ratio)));
-        }
-        report.row(&row);
-        println!();
-    }
-
-    let mut gmean_row: Vec<(&str, J)> = vec![("benchmark", J::S("Gmean".to_string()))];
-    print!("{:12}", "Gmean");
-    for (i, ratios) in per_scheme.iter().enumerate() {
-        let g = geometric_mean(ratios.iter().copied());
-        print!(" {g:>12.3}");
-        gmean_row.push((short(schemes[1 + i].name), J::F(g)));
-    }
-    println!("\n\npaper Gmeans: XED 1.00, Chipkill 1.21, XED+Chipkill 1.21, Double-Chipkill 1.82");
-    report.row(&gmean_row);
-    report.write("results/fig11.json");
-}
-
-fn run(name: &str, scheme: ReliabilityScheme, instructions: u64, seed: u64) -> u64 {
-    Simulation::new(SimConfig {
-        workload: xed_memsim::workloads::Workload::by_name(name).unwrap(),
-        scheme,
-        instructions_per_core: instructions,
-        seed,
-        ..Default::default()
-    })
-    .run()
-    .cycles
-}
-
-fn short(name: &str) -> &str {
-    name.split(' ').next().unwrap_or(name)
 }
 
 fn print_table_v() {

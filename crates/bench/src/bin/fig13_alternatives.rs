@@ -9,10 +9,9 @@
 //!
 //! `cargo run --release -p xed-bench --bin fig13_alternatives`
 
-use xed_bench::{Options, Report, J};
+use xed_bench::{simulate, Options, Report, J};
 use xed_memsim::overlay::ReliabilityScheme;
-use xed_memsim::sim::{SimConfig, SimResult, Simulation};
-use xed_memsim::workloads::{geometric_mean, ALL};
+use xed_memsim::workloads::{geometric_mean, Workload};
 
 fn main() {
     let opts = Options::from_args();
@@ -41,7 +40,7 @@ fn main() {
 
     // A representative subset keeps the sweep fast; pass --instructions to
     // deepen it.
-    let names = [
+    let workloads = [
         "libquantum",
         "mcf",
         "lbm",
@@ -50,12 +49,13 @@ fn main() {
         "sphinx",
         "dealII",
         "stream",
-    ];
+    ]
+    .map(|name| Workload::by_name(name).expect("a roster benchmark"));
 
     println!(
         "Figure 13: alternatives to catch-words, normalized to the XED implementation\n\
          of the same protection level ({} benchmarks x {} instructions)\n",
-        names.len(),
+        workloads.len(),
         opts.instructions
     );
     println!(
@@ -67,14 +67,14 @@ fn main() {
     report
         .param("instructions", J::U(opts.instructions))
         .param("seed", J::U(opts.seed))
-        .param("benchmarks", J::U(names.len() as u64));
+        .param("benchmarks", J::U(workloads.len() as u64));
 
     for (label, xed_base, alt) in variants {
         let mut time_ratios = Vec::new();
         let mut power_ratios = Vec::new();
-        for name in names {
-            let base = run(name, xed_base, opts.instructions, opts.seed);
-            let r = run(name, alt, opts.instructions, opts.seed);
+        for w in workloads {
+            let base = simulate(w, xed_base, &opts);
+            let r = simulate(w, alt, &opts);
             time_ratios.push(r.cycles as f64 / base.cycles as f64);
             power_ratios.push(r.power_mw() / base.power_mw());
         }
@@ -92,16 +92,4 @@ fn main() {
          while XED itself is 1.00 by construction."
     );
     report.write("results/fig13.json");
-    let _ = ALL; // roster available for --full variants
-}
-
-fn run(name: &str, scheme: ReliabilityScheme, instructions: u64, seed: u64) -> SimResult {
-    Simulation::new(SimConfig {
-        workload: xed_memsim::workloads::Workload::by_name(name).unwrap(),
-        scheme,
-        instructions_per_core: instructions,
-        seed,
-        ..Default::default()
-    })
-    .run()
 }

@@ -7,9 +7,8 @@
 //!
 //! `cargo run --release -p xed-bench --bin fig14_lotecc`
 
-use xed_bench::{Options, Report, J};
+use xed_bench::{simulate, Options, Report, J};
 use xed_memsim::overlay::ReliabilityScheme;
-use xed_memsim::sim::{SimConfig, Simulation};
 use xed_memsim::workloads::{geometric_mean, Suite, ALL};
 
 fn main() {
@@ -34,19 +33,9 @@ fn main() {
         Suite::Commercial,
     ] {
         let mut ratios = Vec::new();
-        for w in ALL.iter().filter(|w| w.suite == suite) {
-            let xed = run(
-                w.name,
-                ReliabilityScheme::xed(),
-                opts.instructions,
-                opts.seed,
-            );
-            let lot = run(
-                w.name,
-                ReliabilityScheme::lot_ecc(),
-                opts.instructions,
-                opts.seed,
-            );
+        for &w in ALL.iter().filter(|w| w.suite == suite) {
+            let xed = simulate(w, ReliabilityScheme::xed(), &opts).cycles;
+            let lot = simulate(w, ReliabilityScheme::lot_ecc(), &opts).cycles;
             ratios.push(lot as f64 / xed as f64);
         }
         let g = geometric_mean(ratios.iter().copied());
@@ -65,16 +54,4 @@ fn main() {
         ("lotecc_over_xed", J::F(gmean)),
     ]);
     report.write("results/fig14.json");
-}
-
-fn run(name: &str, scheme: ReliabilityScheme, instructions: u64, seed: u64) -> u64 {
-    Simulation::new(SimConfig {
-        workload: xed_memsim::workloads::Workload::by_name(name).unwrap(),
-        scheme,
-        instructions_per_core: instructions,
-        seed,
-        ..Default::default()
-    })
-    .run()
-    .cycles
 }

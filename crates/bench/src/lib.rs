@@ -2,15 +2,17 @@
 //!
 //! Each paper table/figure has a binary under `src/bin/` (see DESIGN.md §5
 //! for the experiment index). The binaries share simple command-line
-//! handling (`--samples`, `--instructions`, `--seed`, `--quick`) and small
+//! handling (`--samples`, `--instructions`, `--seed`, `--quick`), small
 //! formatting helpers used to render results the way the paper reports
-//! them.
+//! them, and one driver per figure family ([`figures`]).
 
 use std::env;
 
+pub mod figures;
 pub mod timing;
 
-pub use timing::{engine_footer, write_reliability_sidecar, Report, J};
+pub use figures::{roster_figure, simulate, throughput_footer, ReliabilityTable};
+pub use timing::{Report, J};
 
 /// Command-line options shared by the reproduction binaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,13 +75,6 @@ impl Options {
 /// Prints a rule line sized to `width`.
 pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
-}
-
-/// Prints the engine-throughput footer shared by the Monte-Carlo
-/// binaries (the text twin of [`Report::engine`]; both render from
-/// [`timing::engine_footer`]'s data).
-pub fn throughput_footer(stats: &xed_faultsim::montecarlo::RunStats) {
-    println!("{}", engine_footer(stats));
 }
 
 /// Formats a probability in the scientific style the paper's figures use.

@@ -1,6 +1,5 @@
-//! The run-report pipeline shared by the reproduction binaries: the
-//! `[engine]` wall-clock footer ([`engine_footer`]) and the
-//! machine-readable [`Report`].
+//! The machine-readable run [`Report`] shared by the reproduction
+//! binaries.
 //!
 //! Every JSON artifact the binaries write — the `results/fig*.json`
 //! sidecars — shares the `xed-report-v1` envelope (schema documented on
@@ -9,7 +8,7 @@
 
 use std::fmt::Write as _;
 use std::path::Path;
-use xed_faultsim::montecarlo::{RunStats, SchemeResult};
+use xed_faultsim::montecarlo::RunStats;
 use xed_telemetry::export::json_string;
 
 /// A JSON value in a [`Report`] (hand-rendered; the workspace carries no
@@ -22,21 +21,18 @@ pub enum J {
     F(f64),
     /// String (escaped on render).
     S(String),
-    /// Boolean.
-    B(bool),
     /// Pre-rendered JSON fragment, embedded verbatim (e.g. a nested
     /// array from [`xed_telemetry::Snapshot::active_to_json_array`]).
     Raw(String),
 }
 
 impl J {
-    fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         match self {
             J::U(v) => v.to_string(),
             J::F(v) if v.is_finite() => format!("{v}"),
             J::F(_) => "null".to_string(),
             J::S(s) => json_string(s),
-            J::B(b) => b.to_string(),
             J::Raw(s) => s.clone(),
         }
     }
@@ -98,7 +94,7 @@ impl Report {
     }
 
     /// Attaches the Monte-Carlo engine stats (the JSON twin of the text
-    /// [`engine_footer`]).
+    /// [`crate::throughput_footer`]).
     pub fn engine(&mut self, stats: &RunStats) -> &mut Self {
         self.engine = Some(format!(
             "{{\"samples\": {}, \"threads\": {}, \"wall_seconds\": {:.6}, \
@@ -164,67 +160,6 @@ impl Report {
     }
 }
 
-/// Writes the JSON sidecar shared by the reliability figures
-/// (`results/figNN.json` next to the checked-in `figNN.txt`): one series
-/// row per scheme with the 7-year failure probability, the raw DUE/SDC
-/// tallies, and the cumulative year-1..7 failure curve, plus the engine
-/// stats and active telemetry of the run that produced them.
-pub fn write_reliability_sidecar(
-    name: &str,
-    out: &str,
-    samples: u64,
-    seed: u64,
-    labels: &[String],
-    results: &[SchemeResult],
-    stats: &RunStats,
-) {
-    let mut report = Report::new(name);
-    report
-        .param("samples", J::U(samples))
-        .param("seed", J::U(seed));
-    for (label, r) in labels.iter().zip(results) {
-        let curve: Vec<String> = r.curve().iter().map(|&p| J::F(p).render()).collect();
-        // Binomial confidence half-widths on the lifetime probability; the
-        // relative width (ci95 / p) is the per-scheme precision figure the
-        // rare-event engine is benchmarked against (renders null when no
-        // failure was observed).
-        let p = r.lifetime_failure_probability();
-        let rel = if p > 0.0 {
-            J::F(r.confidence95() / p)
-        } else {
-            J::F(f64::INFINITY)
-        };
-        report.row(&[
-            ("scheme", J::S(label.clone())),
-            ("p_fail_7y", J::F(r.failure_probability(7.0))),
-            ("due", J::U(r.due)),
-            ("sdc", J::U(r.sdc)),
-            ("ci95", J::F(r.confidence95())),
-            ("ci99", J::F(r.confidence99())),
-            ("relative_ci95", rel),
-            ("curve", J::Raw(format!("[{}]", curve.join(",")))),
-        ]);
-    }
-    report.engine(stats);
-    report.write(out);
-}
-
-/// Formats the engine-throughput footer shared by the Monte-Carlo
-/// binaries: wall time and samples/sec for the invocation that produced
-/// the figures above it (the simulated results themselves are
-/// thread-count-invariant; see `xed_faultsim::montecarlo`).
-pub fn engine_footer(stats: &RunStats) -> String {
-    format!(
-        "\n[engine] {:.3e} samples/sec — {} samples in {:.2} s on {} thread(s), \
-         {:.1}% zero-fault fast path",
-        stats.samples_per_sec,
-        stats.samples,
-        stats.wall_seconds,
-        stats.threads,
-        100.0 * stats.zero_fault_samples as f64 / stats.samples as f64
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,7 +170,7 @@ mod tests {
         r.param("samples", J::U(42))
             .param("label", J::S("a \"quoted\" name".into()))
             .row(&[("scheme", J::S("Xed".into())), ("p", J::F(1.5e-7))])
-            .row(&[("ok", J::B(true)), ("nested", J::Raw("[1,2]".into()))]);
+            .row(&[("n", J::U(7)), ("nested", J::Raw("[1,2]".into()))]);
         let json = r.render();
         assert!(json.starts_with("{\n  \"schema\": \"xed-report-v1\",\n"));
         assert!(json.contains("\"report\": \"unit_test\""));
@@ -252,21 +187,5 @@ mod tests {
         assert_eq!(J::F(f64::NAN).render(), "null");
         assert_eq!(J::F(f64::INFINITY).render(), "null");
         assert_eq!(J::F(0.25).render(), "0.25");
-    }
-
-    #[test]
-    fn engine_footer_formats() {
-        let stats = RunStats {
-            samples: 1000,
-            zero_fault_samples: 900,
-            wall_seconds: 0.5,
-            samples_per_sec: 2000.0,
-            threads: 4,
-        };
-        let footer = engine_footer(&stats);
-        assert!(footer.contains("samples/sec"));
-        assert!(footer.contains("1000 samples"));
-        assert!(footer.contains("4 thread(s)"));
-        assert!(footer.contains("90.0% zero-fault"));
     }
 }

@@ -33,8 +33,8 @@
 //! * [`datapath`] — realization of each model outcome class through the
 //!   functional hardware models (`SecdedDimm`, `XedController`,
 //!   `XedChipkillSystem`, `Chipkill`/`DoubleChipkill` decoders);
-//! * [`seeds`] — the workspace's named seed constants (the de-flake
-//!   audit asserts every seeded sweep uses them).
+//! * [`seeds`] — the workspace's named seed constants (`xed-analyze`
+//!   rule XL013 asserts every seeded sweep uses them).
 //!
 //! The `cargo xtask verify-matrix` driver runs all of the above; its
 //! `--quick` form is a tier-1 CI gate.

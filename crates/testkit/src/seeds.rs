@@ -1,7 +1,6 @@
 //! Named seed constants for every seeded sweep in the workspace.
 //!
-//! The de-flake audit (part of `cargo xtask verify-matrix` and of the
-//! tier-1 suite) asserts that `tests/proptests.rs` and
+//! `xed-analyze` rule XL013 asserts that `tests/proptests.rs` and
 //! `tests/reliability_consistency.rs` draw their seeds from this module
 //! instead of scattering magic numbers: a seed that lives here is
 //! documented, greppable, and cannot silently drift between two tests
@@ -44,75 +43,9 @@ pub const DATAPATH_SEARCH: u64 = 0x0DDB;
 /// stream).
 pub const INFER_ROUNDTRIP: u64 = 0xBEE0;
 
-/// Flags seed literals in test source that bypass the named constants.
-///
-/// Returns one message per offending line. The audit looks for the two
-/// ways a seed enters a sweep — `seed_from_u64(<literal>)` and a
-/// `seed: <literal>` struct field — and accepts anything that mentions
-/// `seeds::` on the same line. Lines may opt out with a
-/// `de-flake: allow` comment (none currently do).
-pub fn audit_source(file: &str, text: &str) -> Vec<String> {
-    let mut findings = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let code = line.split("//").next().unwrap_or(line);
-        if line.contains("de-flake: allow") || code.contains("seeds::") {
-            continue;
-        }
-        let offends = ["seed_from_u64(", "seed: "].iter().any(|pat| {
-            code.find(pat).is_some_and(|at| {
-                code[at + pat.len()..]
-                    .trim_start()
-                    .starts_with(|c: char| c.is_ascii_digit())
-            })
-        });
-        if offends {
-            findings.push(format!(
-                "{file}:{}: raw seed literal; use a named constant from xed_testkit::seeds",
-                i + 1
-            ));
-        }
-    }
-    findings
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn audit_flags_raw_literals_and_accepts_named_constants() {
-        let bad = "let mut rng = StdRng::seed_from_u64(42);\nlet c = Config { seed: 7, x: 1 };\n";
-        let f = audit_source("t.rs", bad);
-        assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f[0].contains("t.rs:1"));
-        assert!(f[1].contains("t.rs:2"));
-
-        let good = "let mut rng = StdRng::seed_from_u64(seeds::PROPTEST_BASE ^ salt);\n\
-                    let c = Config { seed: seeds::RELIABILITY_CONSISTENCY, x: 1 };\n\
-                    let d = reseed(seed); // derives from a named constant\n";
-        assert!(audit_source("t.rs", good).is_empty());
-    }
-
-    #[test]
-    fn audit_honors_comments_and_waivers() {
-        // A literal inside a comment is not a seed.
-        assert!(audit_source("t.rs", "// e.g. seed_from_u64(5)\n").is_empty());
-        assert!(audit_source("t.rs", "seed_from_u64(5) // de-flake: allow\n").is_empty());
-    }
-
-    #[test]
-    fn the_workspace_test_sweeps_use_named_seeds() {
-        // The de-flake audit itself, run against the repo's integration
-        // tests. CARGO_MANIFEST_DIR = crates/testkit.
-        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        for file in ["tests/proptests.rs", "tests/reliability_consistency.rs"] {
-            let path = format!("{root}/{file}");
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-            let findings = audit_source(file, &text);
-            assert!(findings.is_empty(), "{findings:#?}");
-        }
-    }
 
     #[test]
     fn named_seeds_are_distinct_where_independence_matters() {

@@ -8,7 +8,7 @@
 //! parser is strict about what it does accept — malformed request lines
 //! and unknown query parameters are errors, never guesses.
 
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, Write};
 use std::net::TcpStream;
 use xed_faultsim::engine::{Query, QueryKind};
 use xed_faultsim::fault::FaultExtent;
@@ -421,11 +421,7 @@ pub struct ClientResponse {
 impl ClientResponse {
     /// Case-insensitive header lookup.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 }
 
@@ -434,8 +430,8 @@ impl ClientResponse {
 /// what lets the selftest *hold a flight open* — attach followers after
 /// the leader's first partial but before its last.
 #[derive(Debug)]
-pub struct ChunkStream {
-    reader: std::io::BufReader<TcpStream>,
+pub struct ChunkStream<R = std::io::BufReader<TcpStream>> {
+    reader: R,
     /// HTTP status code.
     pub status: u16,
     /// Response headers, lowercased names.
@@ -456,39 +452,18 @@ impl ChunkStream {
         target: &str,
         extra_headers: &[(&str, &str)],
     ) -> Result<ChunkStream, String> {
-        let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-        let mut extra = String::new();
-        for (name, value) in extra_headers {
-            extra.push_str(&format!("{name}: {value}\r\n"));
-        }
-        write!(
-            stream,
-            "GET {target} HTTP/1.1\r\nHost: xedd\r\nConnection: close\r\n{extra}\r\n"
-        )
-        .map_err(|e| format!("send request: {e}"))?;
-        let mut reader = std::io::BufReader::new(stream);
-        let status_line = read_line(&mut reader)?;
-        let status = status_line
-            .split_ascii_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse::<u16>().ok())
-            .ok_or_else(|| format!("bad status line {status_line:?}"))?;
-        let mut headers = Vec::new();
-        loop {
-            let line = read_line(&mut reader)?;
-            if line.is_empty() {
-                break;
-            }
-            let (name, value) = line
-                .split_once(':')
-                .ok_or_else(|| format!("bad header line {line:?}"))?;
-            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-        }
-        let chunked = headers
-            .iter()
-            .any(|(n, v)| n == "transfer-encoding" && v.eq_ignore_ascii_case("chunked"));
-        if !chunked {
-            return Err(format!("response to {target} is not chunked"));
+        Self::from_reader(send_get(addr, target, extra_headers)?)
+            .map_err(|e| format!("GET {target}: {e}"))
+    }
+}
+
+impl<R: BufRead> ChunkStream<R> {
+    /// Parses the response head from `reader`; the response must be
+    /// chunked.
+    fn from_reader(mut reader: R) -> Result<Self, String> {
+        let (status, headers) = read_head(&mut reader)?;
+        if !is_chunked(&headers) {
+            return Err("response is not chunked".to_string());
         }
         Ok(ChunkStream {
             reader,
@@ -499,31 +474,13 @@ impl ChunkStream {
 
     /// Case-insensitive header lookup.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 
     /// Reads the next chunk (newline framing stripped); `None` marks the
     /// terminating zero-length chunk.
     pub fn next_chunk(&mut self) -> Result<Option<String>, String> {
-        let size_line = read_line(&mut self.reader)?;
-        let size = parse_hex(size_line.trim())
-            .and_then(|n| usize::try_from(n).ok())
-            .ok_or_else(|| format!("bad chunk size {size_line:?}"))?;
-        if size == 0 {
-            let _trailer = read_line(&mut self.reader)?;
-            return Ok(None);
-        }
-        let mut chunk = vec![0u8; size];
-        self.reader
-            .read_exact(&mut chunk)
-            .map_err(|e| format!("chunk read: {e}"))?;
-        let _crlf = read_line(&mut self.reader)?;
-        let text = String::from_utf8(chunk).map_err(|_| "chunk is not UTF-8".to_string())?;
-        Ok(Some(text.trim_end_matches('\n').to_string()))
+        Ok(read_chunk(&mut self.reader)?.map(|text| text.trim_end_matches('\n').to_string()))
     }
 
     /// Drains every remaining chunk.
@@ -550,6 +507,16 @@ pub fn client_get_with(
     target: &str,
     extra_headers: &[(&str, &str)],
 ) -> Result<ClientResponse, String> {
+    read_client_response(&mut send_get(addr, target, extra_headers)?)
+}
+
+/// Connects to `addr` and sends a `GET target` with `extra_headers`;
+/// the response is left unread.
+fn send_get(
+    addr: &str,
+    target: &str,
+    extra_headers: &[(&str, &str)],
+) -> Result<std::io::BufReader<TcpStream>, String> {
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let mut extra = String::new();
     for (name, value) in extra_headers {
@@ -560,53 +527,19 @@ pub fn client_get_with(
         "GET {target} HTTP/1.1\r\nHost: xedd\r\nConnection: close\r\n{extra}\r\n"
     )
     .map_err(|e| format!("send request: {e}"))?;
-    let mut reader = std::io::BufReader::new(stream);
-    read_client_response(&mut reader)
+    Ok(std::io::BufReader::new(stream))
 }
 
 /// Parses a response (status line, headers, identity or chunked body)
 /// from a buffered stream.
 pub fn read_client_response(reader: &mut impl BufRead) -> Result<ClientResponse, String> {
-    let status_line = read_line(reader)?;
-    let status = status_line
-        .split_ascii_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| format!("bad status line {status_line:?}"))?;
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(reader)?;
-        if line.is_empty() {
-            break;
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| format!("bad header line {line:?}"))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-    let chunked = headers
-        .iter()
-        .any(|(n, v)| n == "transfer-encoding" && v.eq_ignore_ascii_case("chunked"));
-    if chunked {
+    let (status, headers) = read_head(reader)?;
+    if is_chunked(&headers) {
         let mut chunks = Vec::new();
         let mut body = String::new();
-        loop {
-            let size_line = read_line(reader)?;
-            let size = parse_hex(size_line.trim())
-                .and_then(|n| usize::try_from(n).ok())
-                .ok_or_else(|| format!("bad chunk size {size_line:?}"))?;
-            if size == 0 {
-                let _trailer = read_line(reader)?;
-                break;
-            }
-            let mut chunk = vec![0u8; size];
-            reader
-                .read_exact(&mut chunk)
-                .map_err(|e| format!("chunk read: {e}"))?;
-            let _crlf = read_line(reader)?;
-            let text = String::from_utf8(chunk).map_err(|_| "chunk is not UTF-8".to_string())?;
-            body.push_str(&text);
+        while let Some(text) = read_chunk(reader)? {
             chunks.push(text.trim_end_matches('\n').to_string());
+            body.push_str(&text);
         }
         return Ok(ClientResponse {
             status,
@@ -641,6 +574,65 @@ pub fn read_client_response(reader: &mut impl BufRead) -> Result<ClientResponse,
         body,
         chunks: Vec::new(),
     })
+}
+
+/// Reads a response head: the status code and the headers, names
+/// lowercased, up to the blank line.
+fn read_head(reader: &mut impl BufRead) -> Result<(u16, Vec<(String, String)>), String> {
+    let status_line = read_line(reader)?;
+    let status = status_line
+        .split_ascii_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse::<u16>().ok())
+        .ok_or_else(|| format!("bad status line {status_line:?}"))?;
+    let mut headers = Vec::new();
+    loop {
+        let line = read_line(reader)?;
+        if line.is_empty() {
+            break;
+        }
+        let (name, value) = line
+            .split_once(':')
+            .ok_or_else(|| format!("bad header line {line:?}"))?;
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+    }
+    Ok((status, headers))
+}
+
+/// Case-insensitive lookup in headers with lowercased names.
+fn find_header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    let name = name.to_ascii_lowercase();
+    headers
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, v)| v.as_str())
+}
+
+fn is_chunked(headers: &[(String, String)]) -> bool {
+    headers
+        .iter()
+        .any(|(n, v)| n == "transfer-encoding" && v.eq_ignore_ascii_case("chunked"))
+}
+
+/// Reads one chunk of a chunked body as sent (its text, trailing newline
+/// included); `None` marks the terminating zero-length chunk.
+fn read_chunk(reader: &mut impl BufRead) -> Result<Option<String>, String> {
+    let size_line = read_line(reader)?;
+    let size = parse_hex(size_line.trim())
+        .and_then(|n| usize::try_from(n).ok())
+        .ok_or_else(|| format!("bad chunk size {size_line:?}"))?;
+    if size == 0 {
+        let _trailer = read_line(reader)?;
+        return Ok(None);
+    }
+    let mut chunk = vec![0u8; size];
+    reader
+        .read_exact(&mut chunk)
+        .map_err(|e| format!("chunk read: {e}"))?;
+    let _crlf = read_line(reader)?;
+    String::from_utf8(chunk)
+        .map(Some)
+        .map_err(|_| "chunk is not UTF-8".to_string())
 }
 
 #[cfg(test)]
@@ -833,5 +825,27 @@ mod tests {
         assert_eq!(resp.status, 200);
         assert_eq!(resp.chunks, ["{\"trials\":1}", "{\"trials\":2}"]);
         assert_eq!(resp.body, "{\"trials\":1}\n{\"trials\":2}\n");
+    }
+
+    #[test]
+    fn chunk_streams_read_one_chunk_at_a_time() {
+        let mut wire = Vec::new();
+        write_chunked_head(&mut wire, &[("X-Xedd-Cache", "miss")]).expect("head");
+        write_chunk(&mut wire, "{\"trials\":1}").expect("chunk");
+        write_chunk(&mut wire, "{\"trials\":2}").expect("chunk");
+        write_chunked_end(&mut wire).expect("end");
+        let mut stream = ChunkStream::from_reader(Cursor::new(wire)).expect("chunked head");
+        assert_eq!(stream.status, 200);
+        assert_eq!(stream.header("X-Xedd-Cache"), Some("miss"));
+        assert_eq!(
+            stream.next_chunk().expect("chunk").as_deref(),
+            Some("{\"trials\":1}")
+        );
+        assert_eq!(stream.drain().expect("rest"), ["{\"trials\":2}"]);
+
+        let mut plain = Vec::new();
+        write_response(&mut plain, 200, &[], "{}").expect("write");
+        let err = ChunkStream::from_reader(Cursor::new(plain)).expect_err("not chunked");
+        assert_eq!(err, "response is not chunked");
     }
 }

@@ -125,8 +125,8 @@ pub enum FileKind {
     Bin,
     /// A root of XA104 outside every crate's `src/` (the root `tests/`
     /// and `examples/`, every `crates/*/tests`, `perfbench/src`): only
-    /// XA104 and XL011 read it, and its fns are never candidates of the
-    /// call graph.
+    /// XA104, XL011 and XL013 read it, and its fns are never candidates
+    /// of the call graph.
     Outside,
 }
 

@@ -13,8 +13,8 @@
 //! 2. [`items`] + [`graph`] — item extraction (fn/impl/trait/struct,
 //!    `#[cfg(test)]` regions) and a sound-over-precise workspace call
 //!    graph with an explicit unresolved bucket;
-//! 3. the rules — [`source`] (XL001–XL006 and XL011, predicates over
-//!    each file's tokens), [`rules`] (the
+//! 3. the rules — [`source`] (XL001–XL006, XL011 and XL013, predicates
+//!    over each file's tokens), [`rules`] (the
 //!    XA100–XA102 hot-path proofs over the call graph, XL009, and XA104
 //!    over the same graph walked from the root files),
 //!    [`catalogue`] (XL010/XA103 over the metric registry, XL012 over the
@@ -45,9 +45,9 @@ use items::{FileKind, Workspace};
 use xed_telemetry::export::json_string;
 
 /// Every rule id `xed-analyze` reports; a waiver may name any of them.
-pub const RULES: [&str; 17] = [
+pub const RULES: [&str; 18] = [
     "XL001", "XL002", "XL003", "XL004", "XL005", "XL006", "XL007", "XL008", "XL009", "XL010",
-    "XL011", "XL012", "XA100", "XA101", "XA102", "XA103", "XA104",
+    "XL011", "XL012", "XL013", "XA100", "XA101", "XA102", "XA103", "XA104",
 ];
 
 /// Severity of a finding. Errors make the process exit nonzero.

@@ -10,6 +10,7 @@
 //! | XL005 | error    | lib   | nondeterminism: `thread_rng`, `from_entropy`, `rand::random`, `SystemTime::now`, `Instant::now` |
 //! | XL006 | warning  | lib   | iteration over a `HashMap`/`HashSet` binding (unstable order) |
 //! | XL011 | error    | all   | `#[ignore]` without an `issue:` comment on its line or one of the two above |
+//! | XL013 | error    | seeded | a raw seed literal, `seed_from_u64(<digit>…` or `seed: <digit>…`, on a line that does not name `seeds::` |
 //!
 //! "lib" is the non-test code of the library crates
 //! (`crates/{ecc,faultsim,core,memsim,telemetry,xedd}/src`), code outside
@@ -17,6 +18,8 @@
 //! "all" is every token of every file the analyzer loads, the root
 //! files included (`tests/`, `examples/`, `crates/*/tests`,
 //! `perfbench/src`): an `#[ignore]` lives in test code by definition.
+//! "seeded" is the workspace test sweeps of [`SEEDED_TESTS`], which draw
+//! their seeds from `xed_testkit::seeds`.
 
 use super::items::{FileAst, Workspace};
 use super::lexer::{matches_at, Tok, TokKind};
@@ -25,6 +28,9 @@ use super::{Finding, Severity};
 
 /// The library crates the `lib`-scoped rules scan.
 pub const LIBRARY_CRATES: [&str; 6] = ["ecc", "faultsim", "core", "memsim", "telemetry", "xedd"];
+
+/// The workspace test sweeps XL013 holds to the named seeds.
+const SEEDED_TESTS: [&str; 2] = ["tests/proptests.rs", "tests/reliability_consistency.rs"];
 
 /// One rule hit: rule, severity, token index, message.
 type Hit = (&'static str, Severity, usize, String);
@@ -37,6 +43,9 @@ pub fn check(ws: &Workspace, findings: &mut Vec<Finding>) {
             library_rules(file, &mut hits);
         }
         ignore_rule(file, &mut hits);
+        if SEEDED_TESTS.contains(&file.rel_path.as_str()) {
+            seed_rule(file, &mut hits);
+        }
         report(file, hits, |k| ws.enclosing_fn(fi, k), findings);
     }
 }
@@ -162,6 +171,30 @@ fn ignore_rule(file: &FileAst, hits: &mut Vec<Hit>) {
                 k,
                 "`#[ignore]` without a linked issue; add an `// issue: <link>` comment on \
                  the attribute or one of the two lines above it"
+                    .to_string(),
+            ));
+        }
+    }
+}
+
+/// XL013 over every token: a seed enters a sweep as
+/// `seed_from_u64(<literal>)` or as a `seed: <literal>` field, and a
+/// line that names `seeds::` draws it from a named constant.
+fn seed_rule(file: &FileAst, hits: &mut Vec<Hit>) {
+    let t = &file.toks;
+    let literal = |j: usize| t.get(j).is_some_and(|x| x.kind == TokKind::Num);
+    let names_seeds = |line: u32| {
+        (0..t.len()).any(|j| t[j].line == line && matches_at(t, j, &["seeds", ":", ":"]))
+    };
+    for k in 0..t.len() {
+        let raw = matches_at(t, k, &["seed_from_u64", "("]) || matches_at(t, k, &["seed", ":"]);
+        if raw && literal(k + 2) && !names_seeds(t[k].line) {
+            hits.push((
+                "XL013",
+                Severity::Error,
+                k,
+                "raw seed literal in a seeded test sweep; use a named constant from \
+                 `xed_testkit::seeds`"
                     .to_string(),
             ));
         }
@@ -540,6 +573,32 @@ mod tests {
         assert!(rules("#[cfg(test)]\nmod tests {\n  fn f() { y.unwrap(); }\n}\n").is_empty());
         // Outside the library crates nothing but XL011 applies.
         assert!(rules_in("crates/bench/src/x.rs", "let x = y.unwrap();").is_empty());
+    }
+
+    #[test]
+    fn raw_seed_literals_in_the_seeded_sweeps_are_flagged() {
+        let sweep = SEEDED_TESTS[0];
+        let bad = "let mut rng = StdRng::seed_from_u64(42);\nlet c = Config { seed: 7, x: 1 };\n";
+        let f = scan_file(sweep, bad);
+        let sites: Vec<_> = f.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(sites, vec![("XL013", 1), ("XL013", 2)], "{f:?}");
+
+        // A line that names `seeds::` draws from a named constant.
+        let good = "let mut rng = StdRng::seed_from_u64(seeds::PROPTEST_BASE ^ salt);\n\
+                    let c = Config { seed: seeds::RELIABILITY_CONSISTENCY, x: 1 };\n\
+                    let d = StdRng::seed_from_u64(7 ^ xed::testkit::seeds::METAMORPHIC);\n\
+                    let e = reseed(seed);\n";
+        assert!(scan_file(sweep, good).is_empty());
+
+        // A literal in a comment is not a seed; the ordinary waiver
+        // applies; files outside the seeded sweeps are out of scope.
+        assert!(scan_file(sweep, "// e.g. seed_from_u64(5)\n").is_empty());
+        assert!(scan_file(
+            sweep,
+            "seed_from_u64(5); // xed-analyze: allow(XL013) — fixed stream\n"
+        )
+        .is_empty());
+        assert!(scan_file("tests/ecc_interop.rs", bad).is_empty());
     }
 
     #[test]

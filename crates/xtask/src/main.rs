@@ -3,12 +3,11 @@
 //! ```text
 //! cargo run -p xtask -- analyze [--format text|json] [--root PATH]
 //! cargo run -p xtask -- verify-matrix [--quick|--full] [--regen-golden]
-//!                                     [--format text|json]
 //! ```
 //!
 //! `analyze` runs `xed-analyze` (see [`analyze`]), the workspace's one
 //! static-analysis pass: token rules over the library crates (XL001–XL006,
-//! XL011), the metric-registry and trace-phase catalogues checked
+//! XL011) and the seeded test sweeps (XL013), the metric-registry and trace-phase catalogues checked
 //! against DESIGN.md (XL010, XA103, XL012), the linked golden-value rules
 //! (XL007/XL008, see [`golden`]), and a workspace call graph with
 //! transitive panic/alloc-freedom proofs over the named hot paths, an
@@ -19,8 +18,8 @@
 //!
 //! `verify-matrix` runs the `xed-testkit` cross-validation matrix (see
 //! [`verify`]): exhaustive small-geometry oracle, analytic gate,
-//! metamorphic laws, golden conformance traces, de-flake audit. Exits
-//! nonzero if any oracle disagrees with the simulator.
+//! metamorphic laws, golden conformance traces. Exits nonzero if any
+//! oracle disagrees with the simulator.
 
 mod analyze;
 mod golden;
@@ -48,4 +47,4 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage: cargo run -p xtask -- analyze [--format text|json] [--root PATH]\n\
                      \x20      cargo run -p xtask -- verify-matrix [--quick|--full] \
-                     [--regen-golden] [--format text|json]";
+                     [--regen-golden]";

@@ -1,35 +1,35 @@
 //! `cargo xtask verify-matrix`: the cross-validation driver.
 //!
-//! Runs the `xed-testkit` verification matrix — four independent oracles
-//! checking the simulator from four angles — and exits nonzero if any
+//! Runs the `xed-testkit` verification matrix — independent oracles
+//! checking the simulator from several angles — and exits nonzero if any
 //! disagrees:
 //!
-//! 1. **de-flake audit** — the workspace's seeded test sweeps draw their
-//!    seeds from `xed_testkit::seeds` (no magic numbers);
-//! 2. **exhaustive oracle** — every fault placement and 2-fault
+//! 1. **exhaustive oracle** — every fault placement and 2-fault
 //!    combination on a tiny geometry, classifier vs hardware data path;
-//! 3. **analytic gate** — Monte-Carlo estimates vs closed forms at 99%
+//! 2. **analytic gate** — Monte-Carlo estimates vs closed forms at 99%
 //!    binomial confidence plus documented model bands;
-//! 4. **tail gate** — the importance-sampled rare-event estimates vs the
+//! 3. **tail gate** — the importance-sampled rare-event estimates vs the
 //!    same closed forms, plus clique-forced vs count-conditioned
 //!    cross-mode agreement (the reweighting math on trial);
-//! 5. **metamorphic laws** — invariances, monotonicities and dominance
+//! 4. **metamorphic laws** — invariances, monotonicities and dominance
 //!    orderings between runs;
-//! 6. **infer gate** — BEER-style code inference against every
+//! 5. **infer gate** — BEER-style code inference against every
 //!    registered `xed_ecc` matrix (bit-exact recovery or certified
 //!    ambiguity) and the miscorrection profiler against brute-force
 //!    decoder enumeration (DESIGN.md §17);
-//! 7. **golden traces** — byte-exact `xed-trace-v1` conformance (plus
+//! 6. **golden traces** — byte-exact `xed-trace-v1` conformance (plus
 //!    the `xed-trace-spans-v1` span-export golden, `xedd`'s
 //!    `/debug/flight` wire format) and a live telemetry-snapshot diff
 //!    pinned against the replayed trials.
+//!
+//! The seeded test sweeps' named seeds are checked statically, by
+//! `xed-analyze` rule XL013.
 //!
 //! `--quick` (the default) is the tier-1 CI setting; `--full` widens the
 //! enumerations and sample counts for nightly runs. `--regen-golden`
 //! rewrites the golden trace files in the source tree instead of
 //! comparing against them.
 
-use std::path::Path;
 use std::process::ExitCode;
 use xed_faultsim::engine::Sweep;
 use xed_faultsim::schemes::Scheme;
@@ -50,20 +50,11 @@ struct Section {
 pub fn run(args: &[String]) -> ExitCode {
     let mut full = false;
     let mut regen = false;
-    let mut format = "text".to_string();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    for arg in args {
         match arg.as_str() {
             "--quick" => full = false,
             "--full" => full = true,
             "--regen-golden" => regen = true,
-            "--format" => match it.next() {
-                Some(v) if v == "text" || v == "json" => format = v.clone(),
-                _ => {
-                    eprintln!("--format takes `text` or `json`");
-                    return ExitCode::from(2);
-                }
-            },
             other => {
                 eprintln!("unknown argument `{other}`");
                 eprintln!("{}", crate::USAGE);
@@ -73,7 +64,6 @@ pub fn run(args: &[String]) -> ExitCode {
     }
 
     let mut sections = vec![
-        deflake_audit(),
         exhaustive_oracle(full),
         analytic(full),
         analytic_tail(full),
@@ -88,35 +78,23 @@ pub fn run(args: &[String]) -> ExitCode {
     sections.push(telemetry_cross_check());
 
     let pass = sections.iter().all(|s| s.pass);
-    if format == "json" {
-        let items: Vec<String> = sections
-            .iter()
-            .map(|s| format!(r#"{{"section":"{}","pass":{}}}"#, s.name, s.pass))
-            .collect();
+    for s in &sections {
         println!(
-            r#"{{"mode":"{}","sections":[{}],"pass":{pass}}}"#,
-            if full { "full" } else { "quick" },
-            items.join(",")
-        );
-    } else {
-        for s in &sections {
-            println!(
-                "==> {} {}\n{}",
-                s.name,
-                if s.pass { "ok" } else { "FAILED" },
-                s.detail
-            );
-        }
-        println!(
-            "verify-matrix ({}): {}",
-            if full { "full" } else { "quick" },
-            if pass {
-                "all sections passed"
-            } else {
-                "FAILED"
-            }
+            "==> {} {}\n{}",
+            s.name,
+            if s.pass { "ok" } else { "FAILED" },
+            s.detail
         );
     }
+    println!(
+        "verify-matrix ({}): {}",
+        if full { "full" } else { "quick" },
+        if pass {
+            "all sections passed"
+        } else {
+            "FAILED"
+        }
+    );
     if pass {
         ExitCode::SUCCESS
     } else {
@@ -124,34 +102,7 @@ pub fn run(args: &[String]) -> ExitCode {
     }
 }
 
-/// Section 1: no raw seed literals in the workspace test sweeps.
-fn deflake_audit() -> Section {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut findings = Vec::new();
-    let mut detail = String::new();
-    for file in ["tests/proptests.rs", "tests/reliability_consistency.rs"] {
-        match std::fs::read_to_string(root.join(file)) {
-            Ok(text) => {
-                let f = seeds::audit_source(file, &text);
-                detail.push_str(&format!("  {file}: {} finding(s)\n", f.len()));
-                findings.extend(f);
-            }
-            Err(e) => {
-                findings.push(format!("{file}: unreadable: {e}"));
-            }
-        }
-    }
-    for f in &findings {
-        detail.push_str(&format!("  {f}\n"));
-    }
-    Section {
-        name: "de-flake audit",
-        pass: findings.is_empty(),
-        detail,
-    }
-}
-
-/// Section 2: the exhaustive small-geometry oracle.
+/// Section 1: the exhaustive small-geometry oracle.
 fn exhaustive_oracle(full: bool) -> Section {
     let scope = if full {
         OracleScope::Full
@@ -173,7 +124,7 @@ fn exhaustive_oracle(full: bool) -> Section {
     }
 }
 
-/// Section 3: analytic closed forms vs Monte-Carlo.
+/// Section 2: analytic closed forms vs Monte-Carlo.
 fn analytic(full: bool) -> Section {
     let scope = if full {
         GateScope::Full
@@ -188,7 +139,7 @@ fn analytic(full: bool) -> Section {
     }
 }
 
-/// Section 3b: the importance-sampled tail estimator vs closed forms
+/// Section 3: the importance-sampled tail estimator vs closed forms
 /// and vs its own count-conditioned mode (DESIGN.md §14).
 fn analytic_tail(full: bool) -> Section {
     let scope = if full {
@@ -215,7 +166,7 @@ fn laws(full: bool) -> Section {
     }
 }
 
-/// Section 4b: BEER-style code inference vs the registered matrices
+/// Section 5: BEER-style code inference vs the registered matrices
 /// (bit-exact recovery or certified ambiguity) and the miscorrection
 /// profiler vs brute-force enumeration (DESIGN.md §17).
 fn infer(full: bool) -> Section {
@@ -232,7 +183,7 @@ fn infer(full: bool) -> Section {
     }
 }
 
-/// Section 5 (check mode): golden `xed-trace-v1` conformance.
+/// Section 6 (check mode): golden `xed-trace-v1` conformance.
 fn golden_traces() -> Section {
     let checks = trace::check_all();
     let mut detail = String::new();
@@ -269,7 +220,7 @@ fn golden_traces() -> Section {
     }
 }
 
-/// Section 5 (regen mode): rewrite the golden files in the source tree.
+/// Section 6 (regen mode): rewrite the golden files in the source tree.
 fn regenerate_golden() -> Section {
     match trace::regenerate().and_then(|mut paths| {
         paths.push(spans::regenerate()?);
@@ -288,7 +239,7 @@ fn regenerate_golden() -> Section {
     }
 }
 
-/// Section 6: a live run's telemetry-snapshot diff must equal the
+/// Section 6 (both modes): a live run's telemetry-snapshot diff must equal the
 /// counters derived from replaying its trials. Single-process and
 /// sequential by construction (this driver), so the diff window contains
 /// exactly the one run.

@@ -4,8 +4,9 @@
 //! A checked-in fixture mini-workspace
 //! (`tests/fixtures/mini_ws/`) defines every hot entry point and
 //! boundary fn the analyzer names, with exactly one seeded violation
-//! per XA rule arm, plus seeded token-rule (XL001–XL003) and catalogue
-//! (XL010, XL012) findings. Its root test (`tests/roots.rs`) reaches
+//! per XA rule arm, plus seeded token-rule (XL001–XL003, and XL013 in
+//! its seeded test sweep `tests/proptests.rs`) and catalogue (XL010,
+//! XL012) findings. Its root test (`tests/roots.rs`) reaches
 //! every item meant to be live, so XA104 reports only the seeded cases
 //! of `crates/faultsim/src/surface.rs`. The golden JSON
 //! (`tests/fixtures/golden.json`) is asserted byte-for-byte modulo the
@@ -121,7 +122,7 @@ fn fixture_detects_every_seeded_rule() {
     ] {
         assert!(!json.contains(live), "{live} is reached, named or waived");
     }
-    for rule in ["XL001", "XL002", "XL003", "XL010", "XL012"] {
+    for rule in ["XL001", "XL002", "XL003", "XL010", "XL012", "XL013"] {
         assert_eq!(count(rule), 1, "{rule}");
     }
 

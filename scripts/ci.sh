@@ -94,7 +94,8 @@ cargo test -q --release -p xed-memsim --lib -- scheduler::reference::
 
 # Gating: the xed-testkit cross-validation matrix (DESIGN.md §12) —
 # exhaustive small-geometry oracle, analytic gate, metamorphic laws,
-# golden xed-trace-v1 conformance, de-flake audit, telemetry-diff pin.
+# golden xed-trace-v1 conformance, telemetry-diff pin. The seed audit
+# of the seeded test sweeps runs in the xed-analyze step (XL013).
 step "verify-matrix --quick"
 cargo run -q -p xtask -- verify-matrix --quick
 
