@@ -8,31 +8,31 @@
 //!
 //! `cargo run --release -p xed-bench --bin ablation_serial_mode`
 
-use xed_bench::{ratio, rule, Options};
+use xed_bench::{ratio, rule, simulate, Options};
 use xed_memsim::overlay::ReliabilityScheme;
-use xed_memsim::sim::{SimConfig, Simulation};
 use xed_memsim::workloads::{geometric_mean, Workload};
 
 fn main() {
     let opts = Options::from_args();
-    let names = ["libquantum", "mcf", "comm1"];
+    let workloads = ["libquantum", "mcf", "comm1"]
+        .map(|name| Workload::by_name(name).expect("a roster benchmark"));
     println!(
         "Ablation: XED execution time vs serial-mode frequency\n\
          (normalized to SECDED baseline; {} benchmarks x {} instructions)\n",
-        names.len(),
+        workloads.len(),
         opts.instructions
     );
     println!("{:>22} {:>12}", "serial mode every", "exec time");
     rule(38);
     for every in [200_000u64, 20_000, 2_000, 200, 20] {
         let mut ratios = Vec::new();
-        for name in names {
-            let base = run(name, ReliabilityScheme::baseline_secded(), opts);
+        for w in workloads {
+            let base = simulate(w, ReliabilityScheme::baseline_secded(), &opts).cycles;
             let scheme = ReliabilityScheme {
                 serial_mode_every: Some(every),
                 ..ReliabilityScheme::xed()
             };
-            let xed = run_scheme(name, scheme, opts);
+            let xed = simulate(w, scheme, &opts).cycles;
             ratios.push(xed as f64 / base as f64);
         }
         println!(
@@ -47,20 +47,4 @@ fn main() {
          percent — the serial-mode design is robust far beyond the 1e-4 scaling\n\
          rates it was sized for."
     );
-}
-
-fn run(name: &str, scheme: ReliabilityScheme, opts: Options) -> u64 {
-    run_scheme(name, scheme, opts)
-}
-
-fn run_scheme(name: &str, scheme: ReliabilityScheme, opts: Options) -> u64 {
-    Simulation::new(SimConfig {
-        workload: Workload::by_name(name).unwrap(),
-        scheme,
-        instructions_per_core: opts.instructions,
-        seed: opts.seed,
-        ..Default::default()
-    })
-    .run()
-    .cycles
 }

@@ -137,6 +137,11 @@ pub fn simulate(workload: Workload, scheme: ReliabilityScheme, opts: &Options) -
     .run()
 }
 
+/// The column names of `ReliabilityScheme::figure11_set()[1..]` in
+/// stdout and the sidecars: the display name up to the chip count, with
+/// the 18-chip XED scheme spelled as the paper-ratio lines spell it.
+const ROSTER_COLUMNS: [&str; 4] = ["XED", "Chipkill", "XED+Chipkill", "Double-Chipkill"];
+
 /// Prints and records one Figure 11-style roster table: `metric` of
 /// every `ReliabilityScheme::figure11_set` scheme over every workload,
 /// divided by the SECDED baseline's, with suite separators and a Gmean
@@ -153,15 +158,14 @@ pub fn roster_figure(
 ) {
     let schemes = ReliabilityScheme::figure11_set();
     let (base_scheme, schemes) = (schemes[0], &schemes[1..]);
-    let short = |s: &ReliabilityScheme| s.name.split(' ').next().unwrap_or(s.name);
 
     println!(
         "{title} (8 cores x {} instructions, DDR3-1600)\n",
         opts.instructions
     );
     print!("{:12}", "benchmark");
-    for s in schemes {
-        print!(" {:>12}", short(s));
+    for column in ROSTER_COLUMNS {
+        print!(" {column:>12}");
     }
     println!();
 
@@ -180,11 +184,11 @@ pub fn roster_figure(
         let base = metric(&simulate(w, base_scheme, opts));
         print!("{:12}", w.name);
         let mut row = vec![("benchmark", J::S(w.name.to_string()))];
-        for (ratios, s) in per_scheme.iter_mut().zip(schemes) {
+        for ((ratios, s), column) in per_scheme.iter_mut().zip(schemes).zip(ROSTER_COLUMNS) {
             let ratio = metric(&simulate(w, *s, opts)) / base;
             ratios.push(ratio);
             print!(" {ratio:>12.3}");
-            row.push((short(s), J::F(ratio)));
+            row.push((column, J::F(ratio)));
         }
         out.row(&row);
         println!();
@@ -192,10 +196,10 @@ pub fn roster_figure(
 
     let mut gmean_row = vec![("benchmark", J::S("Gmean".to_string()))];
     print!("{:12}", "Gmean");
-    for (ratios, s) in per_scheme.iter().zip(schemes) {
+    for (ratios, column) in per_scheme.iter().zip(ROSTER_COLUMNS) {
         let g = geometric_mean(ratios.iter().copied());
         print!(" {g:>12.3}");
-        gmean_row.push((short(s), J::F(g)));
+        gmean_row.push((column, J::F(g)));
     }
     println!("\n\n{paper}");
     out.row(&gmean_row);
@@ -219,17 +223,26 @@ mod tests {
     }
 
     /// The `(key, rendered value)` pairs of a one-line series row, in
-    /// order (the roster rows repeat the short name `XED`).
+    /// order; asserts that no key repeats, since a JSON reader keeps only
+    /// the last of a repeated key.
     fn fields(row: &str) -> Vec<(&str, &str)> {
         let body = row
             .trim_end_matches(',')
             .trim_matches(|c| c == '{' || c == '}');
-        body.split(", \"")
+        let fields: Vec<(&str, &str)> = body
+            .split(", \"")
             .map(|kv| {
                 let (k, v) = kv.split_once("\": ").expect("key: value");
                 (k.trim_start_matches('"'), v)
             })
-            .collect()
+            .collect();
+        for (i, (key, _)) in fields.iter().enumerate() {
+            assert!(
+                fields[..i].iter().all(|(k, _)| k != key),
+                "key {key} repeats in {row}"
+            );
+        }
+        fields
     }
 
     fn field<'a>(row: &'a str, key: &str) -> &'a str {
@@ -296,6 +309,12 @@ mod tests {
         let schemes = ReliabilityScheme::figure11_set();
         let base = simulate(ALL[0], schemes[0], &opts).cycles as f64;
         let xed = simulate(ALL[0], schemes[1], &opts).cycles as f64;
+        let keys: Vec<&str> = fields(&rows[0]).iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys[1..], ROSTER_COLUMNS);
+        for (s, column) in schemes[1..].iter().zip(ROSTER_COLUMNS) {
+            let lead = column.split('+').next().expect("a name");
+            assert!(s.name.starts_with(lead), "{column} names {}", s.name);
+        }
         assert_eq!(
             fields(&rows[0])[1],
             ("XED", J::F(xed / base).render().as_str())

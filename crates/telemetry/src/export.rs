@@ -284,27 +284,82 @@ pub fn json_string(s: &str) -> String {
     out
 }
 
-/// Validates Prometheus text-exposition output: line grammar, metric
-/// name charset, and histogram series invariants (monotone cumulative
-/// buckets ending in `+Inf`, with `_count` equal to the `+Inf` sample).
-/// This is the independent format self-check `xedd --selftest` runs over
-/// the daemon's own `/metrics?format=prometheus` response.
+/// One sample line of a Prometheus text exposition, `name[{labels}]
+/// value`, as [`parse_sample_line`] splits it.
+#[derive(Debug)]
+pub struct PromSample<'a> {
+    /// Metric name.
+    pub name: &'a str,
+    /// Label pairs in line order, each value without its quotes.
+    pub labels: Vec<(&'a str, &'a str)>,
+    /// The value as written (`+Inf`, `-Inf` and `NaN` included).
+    pub text: &'a str,
+    /// The value as a number.
+    pub value: f64,
+}
+
+fn valid_metric_name(name: &str) -> bool {
+    name.chars()
+        .next()
+        .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
+        && name
+            .chars()
+            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+}
+
+/// Parses one sample line (not a comment, not blank): the value after
+/// the last space, a metric name of `[a-zA-Z_:][a-zA-Z0-9_:]*`, and an
+/// optional `{k="v",...}` label set with names of the same charset.
+///
+/// # Errors
+///
+/// Returns the violated rule, naming the line.
+pub fn parse_sample_line(line: &str) -> Result<PromSample<'_>, String> {
+    let (series, text) = line
+        .rsplit_once(' ')
+        .ok_or_else(|| format!("sample line has no value: {line}"))?;
+    let value = text
+        .parse::<f64>()
+        .map_err(|_| format!("unparseable sample value `{text}`: {line}"))?;
+    let (name, label_set) = match series.split_once('{') {
+        Some((name, rest)) => {
+            let labels = rest
+                .strip_suffix('}')
+                .ok_or_else(|| format!("unterminated label set: {line}"))?;
+            (name, Some(labels))
+        }
+        None => (series, None),
+    };
+    if !valid_metric_name(name) {
+        return Err(format!("invalid metric name `{name}`: {line}"));
+    }
+    let mut labels = Vec::new();
+    for pair in label_set.into_iter().flat_map(|set| set.split(',')) {
+        let label = pair.split_once('=').and_then(|(k, v)| {
+            let v = v.strip_prefix('"')?.strip_suffix('"')?;
+            valid_metric_name(k).then_some((k, v))
+        });
+        labels.push(label.ok_or_else(|| format!("malformed label `{pair}`: {line}"))?);
+    }
+    Ok(PromSample {
+        name,
+        labels,
+        text,
+        value,
+    })
+}
+
+/// Validates Prometheus text-exposition output: line grammar (each
+/// sample line through [`parse_sample_line`]), metric name charset, and
+/// histogram series invariants (monotone cumulative buckets ending in
+/// `+Inf`, with `_count` equal to the `+Inf` sample). This is the
+/// independent format self-check `xedd --selftest` runs over the
+/// daemon's own `/metrics?format=prometheus` response.
 ///
 /// # Errors
 ///
 /// Returns the first violated rule, naming the offending line.
 pub fn prometheus_check(text: &str) -> Result<(), String> {
-    fn valid_name(name: &str) -> bool {
-        !name.is_empty()
-            && name
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
-            && name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-    }
-
     // (histogram base name) -> (last cumulative, saw +Inf, inf value)
     let mut histograms: Vec<(String, Option<u64>, Option<u64>)> = Vec::new();
     let mut counts: Vec<(String, u64)> = Vec::new();
@@ -318,13 +373,13 @@ pub fn prometheus_check(text: &str) -> Result<(), String> {
             let name = parts.next().unwrap_or_default();
             match keyword {
                 "HELP" => {
-                    if !valid_name(name) || parts.next().is_none() {
+                    if !valid_metric_name(name) || parts.next().is_none() {
                         return Err(format!("malformed HELP line: {line}"));
                     }
                 }
                 "TYPE" => {
                     let kind = parts.next().unwrap_or_default();
-                    if !valid_name(name) {
+                    if !valid_metric_name(name) {
                         return Err(format!("malformed TYPE line: {line}"));
                     }
                     match kind {
@@ -337,47 +392,22 @@ pub fn prometheus_check(text: &str) -> Result<(), String> {
             }
             continue;
         }
-        // Sample line: `name[{labels}] value`.
-        let (series, value) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| format!("sample line has no value: {line}"))?;
-        if value != "+Inf" && value != "-Inf" && value != "NaN" && value.parse::<f64>().is_err() {
-            return Err(format!("unparseable sample value `{value}`: {line}"));
-        }
-        let (name, labels) = match series.split_once('{') {
-            Some((n, rest)) => {
-                let labels = rest
-                    .strip_suffix('}')
-                    .ok_or_else(|| format!("unterminated label set: {line}"))?;
-                (n, Some(labels))
-            }
-            None => (series, None),
-        };
-        if !valid_name(name) {
-            return Err(format!("invalid metric name `{name}`: {line}"));
-        }
-        if let Some(labels) = labels {
-            for pair in labels.split(',') {
-                let Some((k, v)) = pair.split_once('=') else {
-                    return Err(format!("malformed label `{pair}`: {line}"));
-                };
-                if !valid_name(k) || !v.starts_with('"') || !v.ends_with('"') || v.len() < 2 {
-                    return Err(format!("malformed label `{pair}`: {line}"));
-                }
-            }
-        }
+        let sample = parse_sample_line(line)?;
         // Histogram series bookkeeping.
-        if let Some(base) = name.strip_suffix("_bucket") {
+        if let Some(base) = sample.name.strip_suffix("_bucket") {
             let Some(h) = histograms.iter_mut().find(|(n, _, _)| n == base) else {
                 return Err(format!(
-                    "`{name}` has no TYPE histogram declaration: {line}"
+                    "`{}` has no TYPE histogram declaration: {line}",
+                    sample.name
                 ));
             };
-            let le = labels
-                .and_then(|l| l.strip_prefix("le=\""))
-                .and_then(|l| l.strip_suffix('"'))
+            let (_, le) = sample
+                .labels
+                .iter()
+                .find(|(k, _)| *k == "le")
                 .ok_or_else(|| format!("bucket without an le label: {line}"))?;
-            let cum: u64 = value
+            let cum: u64 = sample
+                .text
                 .parse()
                 .map_err(|_| format!("non-integer bucket count: {line}"))?;
             if let Some(prev) = h.1 {
@@ -389,12 +419,13 @@ pub fn prometheus_check(text: &str) -> Result<(), String> {
                 return Err(format!("bucket after the +Inf terminal: {line}"));
             }
             h.1 = Some(cum);
-            if le == "+Inf" {
+            if *le == "+Inf" {
                 h.2 = Some(cum);
             }
-        } else if let Some(base) = name.strip_suffix("_count") {
+        } else if let Some(base) = sample.name.strip_suffix("_count") {
             if histograms.iter().any(|(n, _, _)| n == base) {
-                let c: u64 = value
+                let c: u64 = sample
+                    .text
                     .parse()
                     .map_err(|_| format!("non-integer _count: {line}"))?;
                 counts.push((base.to_string(), c));
@@ -617,6 +648,20 @@ mod tests {
         assert!(text.contains("memsim_sched_queue_depth_count 3\n"));
         metrics::ECC_DUE_WORDS.reset();
         metrics::MEMSIM_SCHED_QUEUE_DEPTH.reset();
+    }
+
+    #[test]
+    fn sample_lines_split_into_name_labels_and_value() {
+        let s = parse_sample_line("m_bucket{le=\"+Inf\",shard=\"2\"} 7").expect("valid");
+        assert_eq!(s.name, "m_bucket");
+        assert_eq!(s.labels, [("le", "+Inf"), ("shard", "2")]);
+        assert_eq!((s.text, s.value), ("7", 7.0));
+        let s = parse_sample_line("m -Inf").expect("valid");
+        assert!(s.labels.is_empty());
+        assert_eq!(s.value, f64::NEG_INFINITY);
+        for bad in ["m", "m{le=1} 1", "m{le=\"1\",} 1", "1m 1", "m x"] {
+            assert!(parse_sample_line(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -91,20 +91,6 @@ impl Flight {
     pub fn leader_trace(&self) -> u64 {
         self.leader_trace.load(Ordering::Acquire)
     }
-
-    /// Blocks until the flight completes (no partial replay).
-    pub fn wait(&self) -> FlightResult {
-        let mut state = lock_state(self);
-        loop {
-            if let Some(result) = &state.done {
-                return result.clone();
-            }
-            state = match self.cv.wait(state) {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
-    }
 }
 
 /// The in-flight table: canonical key → live flight.
@@ -303,7 +289,7 @@ mod tests {
             Join::Leader(_) => panic!("must follow"),
         };
         drop(leader);
-        let result = flight.wait();
+        let result = flight.follow(|_| {});
         assert!(result.is_err(), "abandoned flight must error, not hang");
         assert!(c.table.lock().expect("table lock").is_empty());
     }
@@ -319,7 +305,7 @@ mod tests {
         for _ in 0..8 {
             let c = Arc::clone(&c);
             handles.push(std::thread::spawn(move || match c.join(key(7)) {
-                Join::Follower(f) => f.wait().expect("ok").body.clone(),
+                Join::Follower(f) => f.follow(|_| {}).expect("ok").body.clone(),
                 Join::Leader(_) => panic!("leader already exists"),
             }));
         }

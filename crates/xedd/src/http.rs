@@ -226,7 +226,7 @@ fn parse_num<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, String>
         .map_err(|_| format!("parameter {name}={value}: not a valid number"))
 }
 
-fn parse_bool(name: &str, value: &str) -> Result<bool, String> {
+pub(crate) fn parse_bool(name: &str, value: &str) -> Result<bool, String> {
     match value {
         "1" | "true" | "yes" => Ok(true),
         "0" | "false" | "no" => Ok(false),
@@ -331,6 +331,27 @@ fn status_line(status: u16) -> &'static str {
     }
 }
 
+/// The head both framings share, up to its last header: status line,
+/// `Content-Type`, `Transfer-Encoding: chunked` if `chunked`,
+/// `Connection: close` and `extra_headers`.
+fn head(status: u16, content_type: &str, chunked: bool, extra_headers: &[(&str, &str)]) -> String {
+    let mut head = String::with_capacity(256);
+    head.push_str(status_line(status));
+    head.push_str("\r\nContent-Type: ");
+    head.push_str(content_type);
+    head.push_str("\r\n");
+    if chunked {
+        head.push_str("Transfer-Encoding: chunked\r\n");
+    }
+    head.push_str("Connection: close\r\n");
+    for (name, value) in extra_headers {
+        for part in [*name, ": ", *value, "\r\n"] {
+            head.push_str(part);
+        }
+    }
+    head
+}
+
 /// Writes a complete (non-chunked) response with optional extra headers.
 pub fn write_response(
     stream: &mut impl Write,
@@ -351,17 +372,7 @@ pub fn write_response_typed(
     extra_headers: &[(&str, &str)],
     body: &str,
 ) -> std::io::Result<()> {
-    let mut head = String::with_capacity(256);
-    head.push_str(status_line(status));
-    head.push_str("\r\nContent-Type: ");
-    head.push_str(content_type);
-    head.push_str("\r\nConnection: close\r\n");
-    for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
+    let mut head = head(status, content_type, false, extra_headers);
     head.push_str("Content-Length: ");
     head.push_str(&body.len().to_string());
     head.push_str("\r\n\r\n");
@@ -375,17 +386,7 @@ pub fn write_chunked_head(
     stream: &mut impl Write,
     extra_headers: &[(&str, &str)],
 ) -> std::io::Result<()> {
-    let mut head = String::with_capacity(256);
-    head.push_str(status_line(200));
-    head.push_str(
-        "\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n",
-    );
-    for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
+    let mut head = head(200, "application/x-ndjson", true, extra_headers);
     head.push_str("\r\n");
     stream.write_all(head.as_bytes())?;
     stream.flush()

@@ -28,9 +28,9 @@
 //! dumpable via `/debug/flight` or on panic / shed bursts.
 
 use crate::cache::MemoCache;
-use crate::coalesce::{Coalescer, Join, LeaderGuard};
+use crate::coalesce::{Coalescer, FlightResult, Join, LeaderGuard};
 use crate::http;
-use crate::render::{self, CachedResponse};
+use crate::render;
 use std::collections::VecDeque;
 use std::io::{BufReader, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -338,7 +338,7 @@ fn accept_loop(listener: &TcpListener, inner: &Inner) {
                 &mut stream,
                 503,
                 &[("Retry-After", "1")],
-                "{\"error\":\"overloaded: request queue is full\"}",
+                &error_body("overloaded: request queue is full", false),
             );
             continue;
         }
@@ -375,16 +375,18 @@ fn worker_loop(inner: &Inner) {
 }
 
 /// Per-request trace identity: the id (honored from `X-Xedd-Trace` or
-/// freshly assigned), the root span id that phase spans parent to, and
-/// the id pre-rendered for the response echo header.
+/// freshly assigned), the root span id that phase spans parent to, the
+/// id pre-rendered for the response echo header, and the start time.
 struct ReqCtx {
     trace_id: u64,
     root: u32,
     hex: String,
+    /// When the worker began serving the request (latency telemetry).
+    started: Instant,
 }
 
 impl ReqCtx {
-    fn new(request: &http::Request, enqueued_ns: u64, dequeued_ns: u64) -> Self {
+    fn new(request: &http::Request, enqueued_ns: u64, dequeued_ns: u64, started: Instant) -> Self {
         let trace_id = request.trace.unwrap_or_else(trace::next_trace_id);
         let root = trace::next_span_id();
         // The queue wait becomes the admission span only now: the trace
@@ -402,6 +404,7 @@ impl ReqCtx {
             trace_id,
             root,
             hex: format!("{trace_id:016x}"),
+            started,
         }
     }
 
@@ -440,12 +443,12 @@ fn handle_connection(inner: &Inner, stream: TcpStream, enqueued_ns: u64) {
     let mut stream = stream;
     match http::read_request(&mut reader) {
         Ok(request) if request.method == "GET" => {
-            let ctx = ReqCtx::new(&request, enqueued_ns, dequeued_ns);
+            let ctx = ReqCtx::new(&request, enqueued_ns, dequeued_ns, started);
             trace::set_current(Some(SpanCtx {
                 trace_id: ctx.trace_id,
                 span_id: ctx.root,
             }));
-            route(inner, &mut stream, &request, started, &ctx);
+            route(inner, &mut stream, &request, &ctx);
             trace::set_current(None);
             trace::record_span(SpanEvent {
                 trace_id: ctx.trace_id,
@@ -459,31 +462,18 @@ fn handle_connection(inner: &Inner, stream: TcpStream, enqueued_ns: u64) {
         }
         Ok(request) => {
             metrics::XEDD_HTTP_ERRORS.incr();
-            let body = format!(
-                "{{\"error\":\"method {} not supported; use GET\"}}",
-                request.method
-            );
-            let _ = http::write_response(&mut stream, 400, &[], &body);
+            let reason = format!("method {} not supported; use GET", request.method);
+            let _ = http::write_response(&mut stream, 400, &[], &error_body(&reason, false));
         }
         Err(reason) => {
             metrics::XEDD_HTTP_ERRORS.incr();
-            let body = format!(
-                "{{\"error\":{}}}",
-                xed_telemetry::export::json_string(&reason)
-            );
-            let _ = http::write_response(&mut stream, 400, &[], &body);
+            let _ = http::write_response(&mut stream, 400, &[], &error_body(&reason, false));
         }
     }
     metrics::XEDD_REQUEST_NS.record(started.elapsed().as_nanos() as u64);
 }
 
-fn route(
-    inner: &Inner,
-    stream: &mut TcpStream,
-    request: &http::Request,
-    started: Instant,
-    ctx: &ReqCtx,
-) {
+fn route(inner: &Inner, stream: &mut TcpStream, request: &http::Request, ctx: &ReqCtx) {
     match request.path.as_str() {
         "/healthz" => {
             let features: Vec<String> = TARGET_FEATURES
@@ -497,7 +487,7 @@ fn route(
                 inner.started.elapsed().as_secs()
             );
             let _ = http::write_response(stream, 200, &[ctx.echo()], &body);
-            metrics::XEDD_ENDPOINT_HEALTHZ_NS.record(started.elapsed().as_nanos() as u64);
+            metrics::XEDD_ENDPOINT_HEALTHZ_NS.record(ctx.started.elapsed().as_nanos() as u64);
         }
         "/metrics" => {
             let prometheus = request
@@ -519,7 +509,7 @@ fn route(
                 );
                 let _ = http::write_response(stream, 200, &[ctx.echo()], &body);
             }
-            metrics::XEDD_ENDPOINT_METRICS_NS.record(started.elapsed().as_nanos() as u64);
+            metrics::XEDD_ENDPOINT_METRICS_NS.record(ctx.started.elapsed().as_nanos() as u64);
         }
         "/debug/flight" => {
             metrics::XEDD_FLIGHT_DUMPS.incr();
@@ -532,89 +522,176 @@ fn route(
                 &xed_telemetry::export::collect_spans(filter),
             );
             let _ = http::write_response(stream, 200, &[ctx.echo()], &body);
-            metrics::XEDD_ENDPOINT_FLIGHT_NS.record(started.elapsed().as_nanos() as u64);
+            metrics::XEDD_ENDPOINT_FLIGHT_NS.record(ctx.started.elapsed().as_nanos() as u64);
         }
         "/v1/query" => {
-            handle_query(inner, stream, &request.params, started, ctx);
-            metrics::XEDD_ENDPOINT_QUERY_NS.record(started.elapsed().as_nanos() as u64);
+            handle_query(inner, stream, &request.params, ctx);
+            metrics::XEDD_ENDPOINT_QUERY_NS.record(ctx.started.elapsed().as_nanos() as u64);
         }
         _ => {
             metrics::XEDD_HTTP_ERRORS.incr();
-            let _ = http::write_response(stream, 404, &[], "{\"error\":\"no such route\"}");
+            let _ = http::write_response(
+                stream,
+                404,
+                &[ctx.echo()],
+                &error_body("no such route", false),
+            );
         }
     }
 }
 
-/// Records time-to-first-content once per request.
-#[derive(Debug)]
-struct Ttfc {
-    started: Instant,
-    recorded: bool,
+/// Which path answered a query: the `X-Xedd-Cache` tag it is sent
+/// under, and the status its failure is sent with.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// Replayed from the memo cache.
+    Hit,
+    /// Evaluated by this request as the flight leader (a query rejected
+    /// before lookup is answered like one).
+    Miss,
+    /// Relayed from another request's flight.
+    Coalesced,
 }
 
-impl Ttfc {
-    fn new(started: Instant) -> Self {
+impl Source {
+    fn tag(self) -> &'static str {
+        match self {
+            Source::Hit => "hit",
+            Source::Miss => "miss",
+            Source::Coalesced => "coalesced",
+        }
+    }
+
+    /// A leader's failure is the query's fault; a follower only relays
+    /// the flight it joined, so its failure is the server's.
+    fn error_status(self) -> u16 {
+        match self {
+            Source::Hit | Source::Miss => 400,
+            Source::Coalesced => 500,
+        }
+    }
+}
+
+/// The one error body: `{"error":<reason>}`, or, as the last chunk of a
+/// stream, `{"error":<reason>,"done":true}`.
+fn error_body(reason: &str, last_chunk: bool) -> String {
+    let reason = xed_telemetry::export::json_string(reason);
+    if last_chunk {
+        format!("{{\"error\":{reason},\"done\":true}}")
+    } else {
+        format!("{{\"error\":{reason}}}")
+    }
+}
+
+/// The one writer of a `/v1/query` answer: progress lines, then the final
+/// body or an error, framed plain (`Content-Length`; the lines are
+/// dropped) or chunked (one NDJSON line per chunk). The chunked head goes
+/// out at [`Reply::open`]; after the first failed write nothing more is
+/// sent.
+struct Reply<'a, W: Write> {
+    out: &'a mut W,
+    streaming: bool,
+    source: Source,
+    ctx: &'a ReqCtx,
+    /// Whether `xedd.ttfc_ns` has been recorded for this request.
+    ttfc_recorded: bool,
+    /// Cleared by the first failed write.
+    writable: bool,
+}
+
+impl<'a, W: Write> Reply<'a, W> {
+    fn open(out: &'a mut W, streaming: bool, source: Source, ctx: &'a ReqCtx) -> Self {
+        let writable = !streaming
+            || http::write_chunked_head(out, &[("X-Xedd-Cache", source.tag()), ctx.echo()]).is_ok();
         Self {
-            started,
-            recorded: false,
+            out,
+            streaming,
+            source,
+            ctx,
+            ttfc_recorded: false,
+            writable,
         }
     }
 
-    fn mark(&mut self) {
-        if !self.recorded {
-            self.recorded = true;
-            metrics::XEDD_TTFC_NS.record(self.started.elapsed().as_nanos() as u64);
+    /// Sends one progress line as a chunk; the plain framing drops it.
+    fn line(&mut self, line: &str) {
+        if self.streaming && self.writable {
+            self.content();
+            metrics::XEDD_STREAM_CHUNKS.incr();
+            self.writable = http::write_chunk(self.out, line).is_ok();
+        }
+    }
+
+    /// Sends the final body, or the error the query failed with, and
+    /// ends the response.
+    fn finish(mut self, result: &FlightResult) {
+        match result {
+            Ok(response) if self.streaming => self.line(&response.body),
+            Ok(response) => {
+                self.content();
+                let _ = http::write_response(
+                    self.out,
+                    200,
+                    &[("X-Xedd-Cache", self.source.tag()), self.ctx.echo()],
+                    &response.body,
+                );
+            }
+            Err(reason) => {
+                metrics::XEDD_HTTP_ERRORS.incr();
+                if !self.streaming {
+                    let _ = http::write_response(
+                        self.out,
+                        self.source.error_status(),
+                        &[self.ctx.echo()],
+                        &error_body(reason, false),
+                    );
+                } else if self.writable {
+                    self.writable = http::write_chunk(self.out, &error_body(reason, true)).is_ok();
+                }
+            }
+        }
+        if self.streaming && self.writable {
+            let _ = http::write_chunked_end(self.out);
+        }
+    }
+
+    /// Records time-to-first-content, once per request.
+    fn content(&mut self) {
+        if !self.ttfc_recorded {
+            self.ttfc_recorded = true;
+            metrics::XEDD_TTFC_NS.record(self.ctx.started.elapsed().as_nanos() as u64);
         }
     }
 }
 
-fn handle_query(
-    inner: &Inner,
-    stream: &mut TcpStream,
-    params: &[(String, String)],
-    started: Instant,
-    ctx: &ReqCtx,
-) {
-    // `partials` is transport framing, not query identity: strip it
-    // before the canonical key is derived.
-    let mut partials: Option<bool> = None;
+/// Splits `partials` off the parameters and builds the engine query;
+/// returns it with whether to stream the answer. `partials` is transport
+/// framing, not query identity, so it never reaches the canonical key.
+fn parse_query(params: &[(String, String)]) -> Result<(Query, bool), String> {
+    let mut partials = None;
     let mut engine_params = Vec::with_capacity(params.len());
     for (name, value) in params {
         if name == "partials" {
-            match value.as_str() {
-                "1" | "true" | "yes" => partials = Some(true),
-                "0" | "false" | "no" => partials = Some(false),
-                _ => {
-                    metrics::XEDD_HTTP_ERRORS.incr();
-                    let _ = http::write_response(
-                        stream,
-                        400,
-                        &[],
-                        "{\"error\":\"parameter partials: expected a boolean\"}",
-                    );
-                    return;
-                }
-            }
+            partials = Some(http::parse_bool(name, value)?);
         } else {
             engine_params.push((name.clone(), value.clone()));
         }
     }
-    let query = match http::query_from_params(&engine_params) {
-        Ok(query) => query,
-        Err(reason) => {
-            metrics::XEDD_HTTP_ERRORS.incr();
-            let body = format!(
-                "{{\"error\":{}}}",
-                xed_telemetry::export::json_string(&reason)
-            );
-            let _ = http::write_response(stream, 400, &[], &body);
-            return;
-        }
-    };
+    let query = http::query_from_params(&engine_params)?;
     // Streamed partial-confidence framing: on by default for early-stop
     // queries (the partials are the point), overridable either way.
     let streaming = partials.unwrap_or(query.epsilon.is_some());
-    let mut ttfc = Ttfc::new(started);
+    Ok((query, streaming))
+}
+
+fn handle_query(inner: &Inner, stream: &mut TcpStream, params: &[(String, String)], ctx: &ReqCtx) {
+    let (query, streaming) = match parse_query(params) {
+        Ok(parsed) => parsed,
+        Err(reason) => {
+            Reply::open(stream, false, Source::Miss, ctx).finish(&Err(reason));
+            return;
+        }
+    };
 
     let t_cache = trace::now_ns();
     let key = query.canonical_key();
@@ -622,60 +699,29 @@ fn handle_query(
     metrics::XEDD_PHASE_CACHE_NS.record(trace::now_ns().saturating_sub(t_cache));
     ctx.child(Phase::CacheLookup, u64::from(cached.is_some()), t_cache);
     if let Some(cached) = cached {
-        serve_cached(stream, &cached, streaming, "hit", &mut ttfc, ctx);
+        // The O(1) repeat-query path, byte-for-byte the cold response in
+        // either framing.
+        let t_stream = trace::now_ns();
+        let mut reply = Reply::open(stream, streaming, Source::Hit, ctx);
+        for line in &cached.progress_lines {
+            reply.line(line);
+        }
+        let lines = cached.progress_lines.len() as u64;
+        reply.finish(&Ok(cached));
+        if streaming {
+            metrics::XEDD_PHASE_STREAM_NS.record(trace::now_ns().saturating_sub(t_stream));
+            ctx.child(Phase::Stream, lines, t_stream);
+        }
         return;
     }
     match inner.coalescer.join(key) {
-        Join::Leader(leader) => {
-            serve_as_leader(inner, stream, &query, leader, streaming, &mut ttfc, ctx);
-        }
+        Join::Leader(leader) => serve_as_leader(inner, stream, &query, leader, streaming, ctx),
         Join::Follower(flight) => {
             metrics::XEDD_COALESCED.incr();
             let t_follow = trace::now_ns();
-            if streaming {
-                if http::write_chunked_head(stream, &[("X-Xedd-Cache", "coalesced"), ctx.echo()])
-                    .is_err()
-                {
-                    let _ = flight.wait();
-                    return;
-                }
-                let result = flight.follow(|line| {
-                    ttfc.mark();
-                    metrics::XEDD_STREAM_CHUNKS.incr();
-                    let _ = http::write_chunk(stream, line);
-                });
-                match result {
-                    Ok(response) => {
-                        ttfc.mark();
-                        metrics::XEDD_STREAM_CHUNKS.incr();
-                        let _ = http::write_chunk(stream, &response.body);
-                    }
-                    Err(reason) => {
-                        let _ = http::write_chunk(stream, &error_line(&reason));
-                    }
-                }
-                let _ = http::write_chunked_end(stream);
-            } else {
-                match flight.wait() {
-                    Ok(response) => {
-                        ttfc.mark();
-                        let _ = http::write_response(
-                            stream,
-                            200,
-                            &[("X-Xedd-Cache", "coalesced"), ctx.echo()],
-                            &response.body,
-                        );
-                    }
-                    Err(reason) => {
-                        metrics::XEDD_HTTP_ERRORS.incr();
-                        let body = format!(
-                            "{{\"error\":{}}}",
-                            xed_telemetry::export::json_string(&reason)
-                        );
-                        let _ = http::write_response(stream, 500, &[], &body);
-                    }
-                }
-            }
+            let mut reply = Reply::open(stream, streaming, Source::Coalesced, ctx);
+            let result = flight.follow(|line| reply.line(line));
+            reply.finish(&result);
             metrics::XEDD_PHASE_COALESCE_NS.record(trace::now_ns().saturating_sub(t_follow));
             // `a` carries the leader's trace id: the cross-trace handoff
             // edge Perfetto can't draw but the selftest can assert.
@@ -692,17 +738,12 @@ fn serve_as_leader(
     query: &Query,
     leader: LeaderGuard<'_>,
     streaming: bool,
-    ttfc: &mut Ttfc,
     ctx: &ReqCtx,
 ) {
     metrics::XEDD_EVALUATIONS.incr();
     // Announce our trace id so followers can record the handoff edge.
     leader.set_trace(ctx.trace_id);
-    let head_ok = if streaming {
-        http::write_chunked_head(stream, &[("X-Xedd-Cache", "miss"), ctx.echo()]).is_ok()
-    } else {
-        true
-    };
+    let mut reply = Reply::open(stream, streaming, Source::Miss, ctx);
     // The evaluation runs under a CoalesceLead span so engine-side spans
     // (Evaluate, SchedulerChunk) nest beneath it, not the root.
     let lead_span = trace::next_span_id();
@@ -713,11 +754,7 @@ fn serve_as_leader(
     let t_eval = trace::now_ns();
     let result = render::evaluate_miss(query, |line| {
         leader.publish_line(line);
-        if streaming && head_ok {
-            ttfc.mark();
-            metrics::XEDD_STREAM_CHUNKS.incr();
-            let _ = http::write_chunk(stream, line);
-        }
+        reply.line(line);
     });
     metrics::XEDD_PHASE_EVALUATE_NS.record(trace::now_ns().saturating_sub(t_eval));
     trace::set_current(Some(SpanCtx {
@@ -733,99 +770,189 @@ fn serve_as_leader(
         t_start: t_eval,
         t_end: trace::now_ns(),
     });
-    match result {
-        Ok((response, early_stop)) => {
-            let response = Arc::new(response);
-            if early_stop {
-                metrics::XEDD_EARLY_STOPS.incr();
-            }
-            inner.cache.insert(*leader.key(), Arc::clone(&response));
-            leader.finish(Ok(Arc::clone(&response)));
-            if streaming {
-                if head_ok {
-                    ttfc.mark();
-                    metrics::XEDD_STREAM_CHUNKS.incr();
-                    let _ = http::write_chunk(stream, &response.body);
-                    let _ = http::write_chunked_end(stream);
-                }
-            } else {
-                ttfc.mark();
-                let _ = http::write_response(
-                    stream,
-                    200,
-                    &[("X-Xedd-Cache", "miss"), ctx.echo()],
-                    &response.body,
-                );
-            }
+    let result = result.map(|(response, early_stop)| {
+        if early_stop {
+            metrics::XEDD_EARLY_STOPS.incr();
         }
-        Err(reason) => {
-            metrics::XEDD_HTTP_ERRORS.incr();
-            leader.finish(Err(reason.clone()));
-            if streaming {
-                if head_ok {
-                    let _ = http::write_chunk(stream, &error_line(&reason));
-                    let _ = http::write_chunked_end(stream);
-                }
-            } else {
-                let body = format!(
-                    "{{\"error\":{}}}",
-                    xed_telemetry::export::json_string(&reason)
-                );
-                let _ = http::write_response(stream, 400, &[], &body);
-            }
-        }
-    }
-}
-
-/// Replays a memoized response — the O(1) repeat-query path. Byte-for-byte
-/// identical to the cold response in both framings.
-fn serve_cached(
-    stream: &mut TcpStream,
-    cached: &CachedResponse,
-    streaming: bool,
-    tag: &str,
-    ttfc: &mut Ttfc,
-    ctx: &ReqCtx,
-) {
-    if streaming {
-        let t_stream = trace::now_ns();
-        if http::write_chunked_head(stream, &[("X-Xedd-Cache", tag), ctx.echo()]).is_err() {
-            return;
-        }
-        for line in &cached.progress_lines {
-            ttfc.mark();
-            metrics::XEDD_STREAM_CHUNKS.incr();
-            if http::write_chunk(stream, line).is_err() {
-                return;
-            }
-        }
-        ttfc.mark();
-        metrics::XEDD_STREAM_CHUNKS.incr();
-        let _ = http::write_chunk(stream, &cached.body);
-        let _ = http::write_chunked_end(stream);
-        metrics::XEDD_PHASE_STREAM_NS.record(trace::now_ns().saturating_sub(t_stream));
-        ctx.child(Phase::Stream, cached.progress_lines.len() as u64, t_stream);
-    } else {
-        ttfc.mark();
-        let _ = http::write_response(
-            stream,
-            200,
-            &[("X-Xedd-Cache", tag), ctx.echo()],
-            &cached.body,
-        );
-    }
-}
-
-fn error_line(reason: &str) -> String {
-    format!(
-        "{{\"error\":{},\"done\":true}}",
-        xed_telemetry::export::json_string(reason)
-    )
+        let response = Arc::new(response);
+        inner.cache.insert(*leader.key(), Arc::clone(&response));
+        response
+    });
+    leader.finish(result.clone());
+    reply.finish(&result);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::render::CachedResponse;
+    use std::io::Cursor;
+    use xed_faultsim::engine::CanonicalKey;
+
+    const TRACE: &str = "00000000000000ab";
+
+    fn ctx() -> ReqCtx {
+        ReqCtx {
+            trace_id: 0xab,
+            root: 1,
+            hex: TRACE.to_string(),
+            started: Instant::now(),
+        }
+    }
+
+    fn answer(lines: &[&str], body: &str) -> FlightResult {
+        Ok(Arc::new(CachedResponse {
+            key: CanonicalKey { hi: 1, lo: 2 },
+            progress_lines: lines.iter().map(|l| l.to_string()).collect(),
+            body: body.to_string(),
+        }))
+    }
+
+    /// Sends `lines` then `result` through one reply and returns the wire
+    /// bytes.
+    fn wire(streaming: bool, source: Source, lines: &[&str], result: &FlightResult) -> Vec<u8> {
+        let mut out = Vec::new();
+        send(&mut out, streaming, source, lines, result);
+        out
+    }
+
+    fn send(
+        out: &mut impl Write,
+        streaming: bool,
+        source: Source,
+        lines: &[&str],
+        result: &FlightResult,
+    ) {
+        let ctx = ctx();
+        let mut reply = Reply::open(out, streaming, source, &ctx);
+        for line in lines {
+            reply.line(line);
+        }
+        reply.finish(result);
+    }
+
+    fn parse(wire: Vec<u8>) -> http::ClientResponse {
+        http::read_client_response(&mut Cursor::new(wire)).expect("well-formed response")
+    }
+
+    fn header_names(resp: &http::ClientResponse) -> Vec<&str> {
+        resp.headers.iter().map(|(n, _)| n.as_str()).collect()
+    }
+
+    #[test]
+    fn plain_and_chunked_replies_carry_the_same_body_and_tag() {
+        let lines = ["{\"trials\":1}", "{\"trials\":2}"];
+        let result = answer(&lines, "{\"p_fail\":0.5}");
+        for source in [Source::Hit, Source::Miss, Source::Coalesced] {
+            let plain = parse(wire(false, source, &lines, &result));
+            assert_eq!(plain.status, 200);
+            assert_eq!(
+                header_names(&plain),
+                [
+                    "content-type",
+                    "connection",
+                    "x-xedd-cache",
+                    "x-xedd-trace",
+                    "content-length"
+                ]
+            );
+            assert_eq!(plain.header("x-xedd-cache"), Some(source.tag()));
+            assert_eq!(plain.header("x-xedd-trace"), Some(TRACE));
+            assert_eq!(plain.body, "{\"p_fail\":0.5}");
+            assert!(plain.chunks.is_empty(), "the plain framing drops the lines");
+
+            let chunked = parse(wire(true, source, &lines, &result));
+            assert_eq!(chunked.status, 200);
+            assert_eq!(
+                header_names(&chunked),
+                [
+                    "content-type",
+                    "transfer-encoding",
+                    "connection",
+                    "x-xedd-cache",
+                    "x-xedd-trace"
+                ]
+            );
+            assert_eq!(chunked.header("x-xedd-cache"), Some(source.tag()));
+            assert_eq!(chunked.header("x-xedd-trace"), Some(TRACE));
+            assert_eq!(chunked.chunks, [lines[0], lines[1], plain.body.as_str()]);
+        }
+    }
+
+    #[test]
+    fn errors_are_framed_like_answers_and_echo_the_trace() {
+        let failed: FlightResult = Err("no \"such\" scheme".to_string());
+        for (source, status) in [(Source::Miss, 400), (Source::Coalesced, 500)] {
+            let plain = parse(wire(false, source, &[], &failed));
+            assert_eq!(plain.status, status);
+            assert_eq!(plain.header("x-xedd-trace"), Some(TRACE));
+            assert_eq!(plain.header("x-xedd-cache"), None);
+            assert_eq!(plain.body, "{\"error\":\"no \\\"such\\\" scheme\"}");
+
+            let chunked = parse(wire(true, source, &["{\"trials\":1}"], &failed));
+            assert_eq!(chunked.status, 200, "the head went out before the failure");
+            assert_eq!(chunked.header("x-xedd-trace"), Some(TRACE));
+            assert_eq!(
+                chunked.chunks,
+                [
+                    "{\"trials\":1}",
+                    "{\"error\":\"no \\\"such\\\" scheme\",\"done\":true}"
+                ]
+            );
+        }
+    }
+
+    /// A writer whose `fail_at`-th `write` call and every later one fail,
+    /// as a socket does once the client has gone.
+    struct FailsAt {
+        fail_at: usize,
+        calls: usize,
+        wire: Vec<u8>,
+    }
+
+    impl Write for FailsAt {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls >= self.fail_at {
+                return Err(std::io::Error::other("client gone"));
+            }
+            self.wire.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn nothing_is_written_after_the_first_failed_write() {
+        let lines = ["{\"trials\":1}", "{\"trials\":2}", "{\"trials\":3}"];
+        for result in [answer(&lines, "{\"p_fail\":0.5}"), Err("boom".to_string())] {
+            for streaming in [false, true] {
+                let mut whole = FailsAt {
+                    fail_at: usize::MAX,
+                    calls: 0,
+                    wire: Vec::new(),
+                };
+                send(&mut whole, streaming, Source::Miss, &lines, &result);
+                assert!(whole.calls > 1);
+                for fail_at in 1..=whole.calls {
+                    let mut out = FailsAt {
+                        fail_at,
+                        calls: 0,
+                        wire: Vec::new(),
+                    };
+                    send(&mut out, streaming, Source::Miss, &lines, &result);
+                    assert_eq!(
+                        out.calls, fail_at,
+                        "streaming={streaming}: a write after the failure"
+                    );
+                    assert!(whole.wire.starts_with(&out.wire));
+                }
+            }
+        }
+    }
 
     #[test]
     fn stop_returns_when_no_wake_connection_lands() {

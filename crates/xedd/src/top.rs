@@ -9,6 +9,7 @@
 //! exposition instead of the JSON snapshot is deliberate dogfooding: if
 //! `/metrics?format=prometheus` regresses, `xedtop` goes blank.
 
+use xed_telemetry::export;
 use xed_telemetry::trace::Phase;
 
 /// One parsed Prometheus sample line (`name{labels} value`).
@@ -23,52 +24,24 @@ pub struct Sample {
 }
 
 /// Parses Prometheus text exposition into samples, skipping comments and
-/// blank lines. Malformed lines are dropped, not errors: a dashboard
-/// must keep rendering through a partially-garbled scrape.
+/// blank lines. A line [`export::parse_sample_line`] rejects is dropped,
+/// not an error: a dashboard must keep rendering through a
+/// partially-garbled scrape.
 pub fn parse_prometheus(text: &str) -> Vec<Sample> {
-    text.lines().filter_map(parse_sample).collect()
-}
-
-fn parse_sample(line: &str) -> Option<Sample> {
-    let line = line.trim();
-    if line.is_empty() || line.starts_with('#') {
-        return None;
-    }
-    let (name_part, value_part) = match line.find('{') {
-        Some(open) => {
-            let close = line.rfind('}')?;
-            let labels = &line[open + 1..close];
-            let value = line[close + 1..].trim();
-            return Some(Sample {
-                name: line[..open].to_string(),
-                labels: parse_labels(labels)?,
-                value: value.parse().ok()?,
-            });
-        }
-        None => {
-            let mut parts = line.split_whitespace();
-            (parts.next()?, parts.next()?)
-        }
-    };
-    Some(Sample {
-        name: name_part.to_string(),
-        labels: Vec::new(),
-        value: value_part.parse().ok()?,
-    })
-}
-
-fn parse_labels(body: &str) -> Option<Vec<(String, String)>> {
-    let mut labels = Vec::new();
-    for pair in body.split(',') {
-        let pair = pair.trim();
-        if pair.is_empty() {
-            continue;
-        }
-        let (name, value) = pair.split_once('=')?;
-        let value = value.strip_prefix('"')?.strip_suffix('"')?;
-        labels.push((name.to_string(), value.to_string()));
-    }
-    Some(labels)
+    text.lines()
+        .map(str::trim)
+        .filter(|line| !line.is_empty() && !line.starts_with('#'))
+        .filter_map(|line| export::parse_sample_line(line).ok())
+        .map(|s| Sample {
+            name: s.name.to_string(),
+            labels: s
+                .labels
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            value: s.value,
+        })
+        .collect()
 }
 
 /// The value of the first unlabeled sample named `name`, if present.

@@ -54,6 +54,32 @@ fn non_get_methods_are_rejected() {
     server.shutdown();
 }
 
+#[test]
+fn error_responses_echo_the_trace_id() {
+    let server = start(1, 4);
+    let trace = [("X-Xedd-Trace", "00000000000000ab")];
+    for (target, status) in [
+        ("/v1/query?scheme=no-such-scheme", 400),
+        ("/v1/query?scheme=xed&samples=1000&partials=maybe", 400),
+        ("/no/such/route", 404),
+    ] {
+        let resp = http::client_get_with(&server.addr(), target, &trace).expect(target);
+        assert_eq!(resp.status, status, "{target}: {}", resp.body);
+        assert_eq!(
+            resp.header("x-xedd-trace"),
+            Some("00000000000000ab"),
+            "{target}"
+        );
+        if target.contains("partials") {
+            assert_eq!(
+                resp.body,
+                "{\"error\":\"parameter partials=maybe: expected a boolean\"}"
+            );
+        }
+    }
+    server.shutdown();
+}
+
 /// `true` once the server has sent `stream` something (or closed it):
 /// a 20 ms peek, so callers can poll several connections in turn and act
 /// on whichever the server answers first.

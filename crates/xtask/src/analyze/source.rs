@@ -10,7 +10,7 @@
 //! | XL005 | error    | lib   | nondeterminism: `thread_rng`, `from_entropy`, `rand::random`, `SystemTime::now`, `Instant::now` |
 //! | XL006 | warning  | lib   | iteration over a `HashMap`/`HashSet` binding (unstable order) |
 //! | XL011 | error    | all   | `#[ignore]` without an `issue:` comment on its line or one of the two above |
-//! | XL013 | error    | seeded | a raw seed literal, `seed_from_u64(<digit>…` or `seed: <digit>…`, on a line that does not name `seeds::` |
+//! | XL013 | error    | seeded | a raw seed literal, `seed_from_u64(<digit>…`, `seed: <digit>…` or a `<digit>…` second argument of `Sweep::new(`, on a line that does not name `seeds::` |
 //!
 //! "lib" is the non-test code of the library crates
 //! (`crates/{ecc,faultsim,core,memsim,telemetry,xedd}/src`), code outside
@@ -178,8 +178,9 @@ fn ignore_rule(file: &FileAst, hits: &mut Vec<Hit>) {
 }
 
 /// XL013 over every token: a seed enters a sweep as
-/// `seed_from_u64(<literal>)` or as a `seed: <literal>` field, and a
-/// line that names `seeds::` draws it from a named constant.
+/// `seed_from_u64(<literal>)`, as a `seed: <literal>` field or as the
+/// second argument of `Sweep::new(<samples>, <literal>)`, and a line
+/// that names `seeds::` draws it from a named constant.
 fn seed_rule(file: &FileAst, hits: &mut Vec<Hit>) {
     let t = &file.toks;
     let literal = |j: usize| t.get(j).is_some_and(|x| x.kind == TokKind::Num);
@@ -187,8 +188,15 @@ fn seed_rule(file: &FileAst, hits: &mut Vec<Hit>) {
         (0..t.len()).any(|j| t[j].line == line && matches_at(t, j, &["seeds", ":", ":"]))
     };
     for k in 0..t.len() {
-        let raw = matches_at(t, k, &["seed_from_u64", "("]) || matches_at(t, k, &["seed", ":"]);
-        if raw && literal(k + 2) && !names_seeds(t[k].line) {
+        let seed_at =
+            if matches_at(t, k, &["seed_from_u64", "("]) || matches_at(t, k, &["seed", ":"]) {
+                Some(k + 2)
+            } else if matches_at(t, k, &["Sweep", ":", ":", "new", "("]) {
+                second_argument(t, k + 5)
+            } else {
+                None
+            };
+        if seed_at.is_some_and(literal) && !names_seeds(t[k].line) {
             hits.push((
                 "XL013",
                 Severity::Error,
@@ -199,6 +207,25 @@ fn seed_rule(file: &FileAst, hits: &mut Vec<Hit>) {
             ));
         }
     }
+}
+
+/// The first token of the second argument of the call whose arguments
+/// start at token `open` (right after its `(`), if it has one.
+fn second_argument(t: &[Tok], open: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    for (j, tok) in t.iter().enumerate().skip(open) {
+        if ['(', '[', '{'].iter().any(|&c| tok.is_punct(c)) {
+            depth += 1;
+        } else if [')', ']', '}'].iter().any(|&c| tok.is_punct(c)) {
+            if depth == 0 {
+                return None;
+            }
+            depth -= 1;
+        } else if depth == 0 && tok.is_punct(',') {
+            return Some(j + 1);
+        }
+    }
+    None
 }
 
 /// `name` if tokens `k..` are `panic!(`, `unreachable!(`, `todo!(` or
@@ -578,16 +605,24 @@ mod tests {
     #[test]
     fn raw_seed_literals_in_the_seeded_sweeps_are_flagged() {
         let sweep = SEEDED_TESTS[0];
-        let bad = "let mut rng = StdRng::seed_from_u64(42);\nlet c = Config { seed: 7, x: 1 };\n";
+        let bad = "let mut rng = StdRng::seed_from_u64(42);\nlet c = Config { seed: 7, x: 1 };\n\
+                   let m = Sweep::new(300_000, 5).with_params(p);\n\
+                   let n = engine::Sweep::new(f(a, b), 0x9E37);\n";
         let f = scan_file(sweep, bad);
         let sites: Vec<_> = f.iter().map(|f| (f.rule, f.line)).collect();
-        assert_eq!(sites, vec![("XL013", 1), ("XL013", 2)], "{f:?}");
+        assert_eq!(
+            sites,
+            vec![("XL013", 1), ("XL013", 2), ("XL013", 3), ("XL013", 4)],
+            "{f:?}"
+        );
 
         // A line that names `seeds::` draws from a named constant.
         let good = "let mut rng = StdRng::seed_from_u64(seeds::PROPTEST_BASE ^ salt);\n\
                     let c = Config { seed: seeds::RELIABILITY_CONSISTENCY, x: 1 };\n\
                     let d = StdRng::seed_from_u64(7 ^ xed::testkit::seeds::METAMORPHIC);\n\
-                    let e = reseed(seed);\n";
+                    let e = reseed(seed);\n\
+                    let m = Sweep::new(300_000, seeds::SCALING_ORDERING);\n\
+                    let n = Sweep::new(samples, seed + 1);\n";
         assert!(scan_file(sweep, good).is_empty());
 
         // A literal in a comment is not a seed; the ordinary waiver
