@@ -22,8 +22,7 @@
 use crate::chip::{ChipGeometry, WordAddr};
 use crate::fault::{FaultKind, InjectedFault};
 use std::collections::{BTreeMap, HashSet};
-use xed_ecc::secded32::CodeWord40;
-use xed_ecc::CodeWord72;
+use xed_ecc::codeword::{CodeWord40, CodeWord72};
 
 /// Words per page of the store.
 const PAGE_WORDS: u64 = 1 << 12;

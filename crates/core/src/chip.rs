@@ -15,8 +15,8 @@
 use crate::catch_word::CatchWord;
 use crate::cells::CellArray;
 use crate::fault::InjectedFault;
-use xed_ecc::secded::{DecodeOutcome, SecDed};
-use xed_ecc::{CodeWord72, Crc8Atm, Hamming7264};
+use xed_ecc::secded::{Code, DecodeOutcome, SecDed, CRC8_ATM, HAMMING};
+use xed_ecc::CodeWord72;
 
 /// Address of one on-die ECC word (one chip's contribution to one cache
 /// line).
@@ -100,34 +100,12 @@ pub enum OnDieCode {
     Crc8Atm,
 }
 
-// The codecs differ in table footprint; both are built once per chip and
-// boxed storage would only add indirection on the hot read path.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-enum Engine {
-    Hamming(Hamming7264),
-    Crc8(Crc8Atm),
-}
-
-impl Engine {
-    fn new(code: OnDieCode) -> Self {
-        match code {
-            OnDieCode::Hamming => Engine::Hamming(Hamming7264::new()),
-            OnDieCode::Crc8Atm => Engine::Crc8(Crc8Atm::new()),
-        }
-    }
-
-    fn encode(&self, data: u64) -> CodeWord72 {
+impl OnDieCode {
+    /// The code's kernel table.
+    fn code(self) -> &'static Code<64> {
         match self {
-            Engine::Hamming(c) => c.encode(data),
-            Engine::Crc8(c) => c.encode(data),
-        }
-    }
-
-    fn decode(&self, w: CodeWord72) -> DecodeOutcome {
-        match self {
-            Engine::Hamming(c) => c.decode(w),
-            Engine::Crc8(c) => c.decode(w),
+            OnDieCode::Hamming => &HAMMING,
+            OnDieCode::Crc8Atm => &CRC8_ATM,
         }
     }
 }
@@ -146,7 +124,7 @@ pub struct BusWord {
 /// A functional DRAM chip with on-die ECC.
 #[derive(Debug, Clone)]
 pub struct DramChip {
-    engine: Engine,
+    code: &'static Code<64>,
     /// Stored codewords, injected faults and heal state (unwritten words
     /// read as encode(0); see [`crate::cells`]).
     cells: CellArray<CodeWord72>,
@@ -157,10 +135,10 @@ pub struct DramChip {
 impl DramChip {
     /// Builds a chip with the given geometry and on-die code.
     pub fn new(geometry: ChipGeometry, code: OnDieCode) -> Self {
-        let engine = Engine::new(code);
-        let cells = CellArray::new(geometry, engine.encode(0));
+        let code = code.code();
+        let cells = CellArray::new(geometry, code.encode(0));
         Self {
-            engine,
+            code,
             cells,
             xed_enable: false,
             catch_word: None,
@@ -202,7 +180,7 @@ impl DramChip {
     ///
     /// Panics if `addr` is outside the chip geometry.
     pub fn write(&mut self, addr: WordAddr, data: u64) {
-        self.cells.write(addr, self.engine.encode(data));
+        self.cells.write(addr, self.code.encode(data));
     }
 
     /// The raw (possibly corrupted) codeword currently at `addr`, before
@@ -223,7 +201,7 @@ impl DramChip {
     /// Panics if `addr` is outside the chip geometry.
     pub fn read(&self, addr: WordAddr) -> BusWord {
         let received = self.raw_codeword(addr);
-        let outcome = self.engine.decode(received);
+        let outcome = self.code.decode(received);
         let event = outcome.is_event();
         let value = if event && self.xed_enable {
             // invariant: the controller programs the Catch-Word Register

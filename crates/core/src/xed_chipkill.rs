@@ -5,7 +5,7 @@
 //!
 //! Each x4 device supplies a 32-bit word per cache-line access, protected
 //! internally by a (40,32) CRC8-ATM on-die code
-//! ([`xed_ecc::secded32::Crc8Atm32`]). Sixteen data chips carry the 64-byte
+//! ([`xed_ecc::secded::Crc8Atm32`]). Sixteen data chips carry the 64-byte
 //! line; two check chips carry RS(18,16) check symbols computed per byte
 //! plane over GF(2^8). When a chip's on-die ECC detects or corrects an
 //! error, the chip transmits its 32-bit catch-word (Section IX-A notes the
@@ -22,9 +22,10 @@ use crate::error::XedError;
 use crate::fault::{FaultRegion, InjectedFault};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use xed_ecc::codeword::CodeWord40;
 use xed_ecc::gf::Field;
 use xed_ecc::rs::{ReedSolomon, RsScratch};
-use xed_ecc::secded32::{CodeWord40, Crc8Atm32};
+use xed_ecc::secded::Crc8Atm32;
 use xed_telemetry::registry::metrics;
 
 /// Data chips per access.
@@ -68,7 +69,7 @@ impl X4Chip {
     /// DC-Mux read: data, or the catch-word on any on-die event. Panics if
     /// `addr` is outside the geometry.
     fn read(&self, addr: WordAddr) -> u32 {
-        use xed_ecc::secded32::Decode32;
+        use xed_ecc::secded::Decode32;
         let received = self.cells.read(addr);
         match self.code.decode(received) {
             Decode32::Clean { data } => data,

@@ -1,9 +1,9 @@
-//! A 72-bit codeword: 64 data bits plus 8 check bits.
+//! Codewords of 8 check bits: 72-bit (64 data bits) and 40-bit (32).
 //!
-//! Both SECDED codes in this crate ([`crate::hamming`] and [`crate::crc8`])
-//! operate on (72,64) codewords, matching the paper's assumption of 8 bits of
-//! on-die ECC per 64-bit word (Section II-B) and the layout of a 72-bit wide
-//! ECC-DIMM beat.
+//! The (72,64) SECDED codes of [`crate::secded`] operate on [`CodeWord72`],
+//! matching the paper's assumption of 8 bits of on-die ECC per 64-bit word
+//! (Section II-B) and the layout of a 72-bit wide ECC-DIMM beat. The
+//! (40,32) code of x4 devices (Section IX) operates on [`CodeWord40`].
 
 use std::fmt;
 
@@ -134,6 +134,66 @@ impl fmt::Display for CodeWord72 {
     }
 }
 
+/// A 40-bit codeword: 32 data bits plus 8 check bits, physical order
+/// MSB-first (data bit `31 − i` at physical `i`, check bit `39 − i` for
+/// `i ≥ 32`), matching [`CodeWord72`]'s convention.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct CodeWord40 {
+    data: u32,
+    check: u8,
+}
+
+impl CodeWord40 {
+    /// Total bits.
+    pub const BITS: u32 = 40;
+
+    /// Creates a codeword from its parts.
+    #[inline]
+    pub fn new(data: u32, check: u8) -> Self {
+        Self { data, check }
+    }
+
+    /// The 32 data bits.
+    #[inline]
+    pub fn data(self) -> u32 {
+        self.data
+    }
+
+    /// The 8 check bits.
+    #[inline]
+    pub fn check(self) -> u8 {
+        self.check
+    }
+
+    /// Returns a copy with physical bit `i` flipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= 40`.
+    #[inline]
+    #[must_use]
+    pub fn with_bit_flipped(self, i: u32) -> Self {
+        assert!(i < Self::BITS, "bit index {i} out of range");
+        let mut w = self;
+        if i < 32 {
+            w.data ^= 1u32 << (31 - i);
+        } else {
+            w.check ^= 1u8 << (39 - i);
+        }
+        w
+    }
+}
+
+impl fmt::Debug for CodeWord40 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "CodeWord40 {{ data: {:#010x}, check: {:#04x} }}",
+            self.data, self.check
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,5 +247,12 @@ mod tests {
         assert!(s.contains('|'));
         let d = format!("{:?}", CodeWord72::default());
         assert!(d.contains("CodeWord72"));
+        assert!(format!("{:?}", CodeWord40::new(1, 2)).contains("CodeWord40"));
+    }
+
+    #[test]
+    fn flip40_is_involution() {
+        let w = CodeWord40::new(0x1357_9BDF, 0x42);
+        assert!((0u32..40).all(|i| w.with_bit_flipped(i).with_bit_flipped(i) == w));
     }
 }

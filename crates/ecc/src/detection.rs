@@ -127,8 +127,7 @@ pub fn table2_rows<C: SecDed>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crc8::Crc8Atm;
-    use crate::hamming::Hamming7264;
+    use crate::{Crc8Atm, Hamming7264};
 
     const TRIALS: u64 = 4_000;
 

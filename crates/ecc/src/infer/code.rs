@@ -418,8 +418,7 @@ impl SyndromeCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crc8::Crc8Atm;
-    use crate::hamming::Hamming7264;
+    use crate::{Crc8Atm, Hamming7264};
 
     #[test]
     fn construction_rejects_invalid_column_sets() {

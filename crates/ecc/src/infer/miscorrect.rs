@@ -200,8 +200,7 @@ pub fn profile_brute_force(code: &SyndromeCode, data: u64) -> MiscorrectionProfi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crc8::Crc8Atm;
-    use crate::hamming::Hamming7264;
+    use crate::{Crc8Atm, Hamming7264};
 
     #[test]
     fn secded_codes_profile_clean() {

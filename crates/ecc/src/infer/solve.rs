@@ -482,8 +482,7 @@ fn starved(resolved_rows: u32, resolved_cols: u32, r: u32, probes_used: u64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crc8::Crc8Atm;
-    use crate::hamming::Hamming7264;
+    use crate::{Crc8Atm, Hamming7264};
 
     fn recover(oracle: &mut dyn RetentionOracle) -> InferredCode {
         match infer(oracle, &InferConfig::default()).unwrap() {

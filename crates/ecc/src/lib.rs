@@ -4,11 +4,13 @@
 //! *"XED: Exposing On-Die Error Detection Information for Strong Memory
 //! Reliability"* (ISCA 2016) relies on:
 //!
-//! * [`hamming`] — a (72,64) extended Hamming SECDED code, the conventional
-//!   choice for on-die ECC and DIMM-level ECC.
-//! * [`crc8`] — a (72,64) CRC8-ATM based SECDED code, the paper's
+//! * [`secded`] — the SECDED codes, as one syndrome-table kernel
+//!   ([`secded::Code`]) and three column tables: the (72,64) extended
+//!   Hamming code ([`Hamming7264`]), the conventional choice for on-die and
+//!   DIMM-level ECC; the (72,64) CRC8-ATM code ([`Crc8Atm`]), the paper's
 //!   recommended on-die code because it detects **all** burst errors of
-//!   length ≤ 8 (Section V-E, Table II).
+//!   length ≤ 8 (Section V-E, Table II); and the (40,32) CRC8-ATM code of
+//!   x4 devices ([`secded::Crc8Atm32`], Section IX).
 //! * [`parity`] — RAID-3 style XOR parity across the chips of an ECC-DIMM,
 //!   used by the XED memory controller for erasure correction.
 //! * [`gf`] — GF(2^m) arithmetic (m = 4, 8) backed by log/antilog tables.
@@ -29,10 +31,14 @@
 //! # Quick example
 //!
 //! ```
-//! use xed_ecc::secded::{SecDed, DecodeOutcome};
-//! use xed_ecc::crc8::Crc8Atm;
+//! use xed_ecc::secded::{SecDed, DecodeOutcome, CRC8_ATM, HAMMING};
+//! use xed_ecc::Crc8Atm;
 //!
+//! // The named codec and its kernel table are the same code.
 //! let code = Crc8Atm::new();
+//! assert_eq!(code.encode(42), CRC8_ATM.encode(42));
+//! // Hamming and CRC8-ATM differ only in their column tables.
+//! assert_ne!(HAMMING.encode(42), CRC8_ATM.encode(42));
 //! let word = code.encode(0xDEAD_BEEF_0BAD_F00D);
 //! // Flip one bit: the code corrects it.
 //! let corrupted = word.with_bit_flipped(17);
@@ -48,18 +54,13 @@
 pub mod bits;
 pub mod chipkill;
 pub mod codeword;
-pub mod crc8;
 pub mod detection;
 pub mod gf;
-pub mod hamming;
 pub mod infer;
 pub mod parity;
 pub mod reference;
 pub mod rs;
 pub mod secded;
-pub mod secded32;
 
 pub use codeword::CodeWord72;
-pub use crc8::Crc8Atm;
-pub use hamming::Hamming7264;
-pub use secded::{DecodeOutcome, SecDed};
+pub use secded::{Crc8Atm, DecodeOutcome, Hamming7264, SecDed};

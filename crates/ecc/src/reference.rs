@@ -1,7 +1,6 @@
 //! Pre-optimization reference implementations of the ECC kernels.
 //!
-//! The word-parallel kernels in [`crate::hamming`], [`crate::crc8`],
-//! [`crate::secded32`], and [`crate::rs`] replaced the seed's bit-serial /
+//! The word-parallel kernels in [`crate::secded`] and [`crate::rs`] replaced the seed's bit-serial /
 //! `Vec`-allocating implementations. Those originals live here, verbatim,
 //! for two reasons:
 //!
@@ -21,13 +20,10 @@
 //! this crate, and this module is the designated home for everything the
 //! rule banishes.
 
-use crate::codeword::CodeWord72;
-use crate::crc8::POLY;
+use crate::codeword::{CodeWord40, CodeWord72};
 use crate::gf::Field;
-use crate::hamming::{DATA_POS, POS_TO_DATABIT};
 use crate::rs::{Decoded, ReedSolomon, RsError};
-use crate::secded::{DecodeOutcome, SecDed};
-use crate::secded32::{CodeWord40, Decode32};
+use crate::secded::{Decode32, DecodeOutcome, SecDed, DATA_POS, POLY, POS_TO_DATABIT};
 
 /// Number of Hamming positions (1..=71) in the inner (71,64) code.
 const POSITIONS: usize = 71;
@@ -237,7 +233,7 @@ impl SecDed for RefCrc8Atm {
 }
 
 /// The (40,32) CRC8-ATM SECDED codec, bit-serial (mirrors
-/// [`crate::secded32::Crc8Atm32`]'s API).
+/// [`crate::secded::Crc8Atm32`]'s API).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RefCrc8Atm32;
 
@@ -537,7 +533,7 @@ mod tests {
 
     #[test]
     fn ref_crc8_matches_table_crc() {
-        let fast = crate::crc8::Crc8Atm::new();
+        let fast = crate::Crc8Atm::new();
         for d in [0u64, 1, u64::MAX, 0xDEAD_BEEF, 0x0123_4567_89AB_CDEF] {
             assert_eq!(crc8_u64_bitserial(d), fast.crc8(d));
         }

@@ -776,15 +776,7 @@ impl<'a> TailPlan<'a> {
             };
             scratch.events.clear();
             self.plant_clique(plan, rng, &mut scratch.events);
-            self.sampler.events_append(
-                n - plan.j as u32,
-                rng,
-                &mut scratch.events,
-                self.model.bit_always_benign(),
-            );
-            self.model.retain_walked(&mut scratch.events);
-            sort_by_arrival(&mut scratch.events);
-            if self.evaluate_timeline(rng, scratch).is_some() {
+            if self.finish_trial(n - plan.j as u32, rng, scratch).is_some() {
                 failures += 1;
             }
         }
@@ -887,15 +879,7 @@ impl<'a> TailPlan<'a> {
                 let normal = n - plan.j as u32;
                 scratch.events.clear();
                 let tuple_index = self.plant_clique(plan, &mut rng, &mut scratch.events);
-                self.sampler.events_append(
-                    normal,
-                    &mut rng,
-                    &mut scratch.events,
-                    self.model.bit_always_benign(),
-                );
-                self.model.retain_walked(&mut scratch.events);
-                sort_by_arrival(&mut scratch.events);
-                match self.evaluate_timeline(&mut rng, scratch) {
+                match self.finish_trial(normal, &mut rng, scratch) {
                     Some(verdict) => {
                         let s = self.count_cliques(plan, &scratch.events).max(1);
                         let pairs = choose(u64::from(n), plan.j as u64);
@@ -912,20 +896,24 @@ impl<'a> TailPlan<'a> {
             _ => {
                 let n = self.draw_count(&mut rng);
                 scratch.events.clear();
-                self.sampler.events_append(
-                    n,
-                    &mut rng,
-                    &mut scratch.events,
-                    self.model.bit_always_benign(),
-                );
-                self.model.retain_walked(&mut scratch.events);
-                sort_by_arrival(&mut scratch.events);
-                match self.evaluate_timeline(&mut rng, scratch) {
+                match self.finish_trial(n, &mut rng, scratch) {
                     Some(verdict) => (self.p_ge_k, Some(verdict)),
                     None => (0.0, None),
                 }
             }
         }
+    }
+
+    /// The body every trial and bucket probe shares, after the caller has
+    /// cleared the timeline and planted any forced clique: appends `n`
+    /// unforced faults, keeps the events the walk needs, orders them by
+    /// arrival, and walks them.
+    fn finish_trial(&self, n: u32, rng: &mut StdRng, scratch: &mut Scratch) -> Option<Verdict> {
+        self.sampler
+            .events_append(n, rng, &mut scratch.events, self.model.bit_always_benign());
+        self.model.retain_walked(&mut scratch.events);
+        sort_by_arrival(&mut scratch.events);
+        self.evaluate_timeline(rng, scratch)
     }
 
     /// Walks the event timeline against the scheme model — the plain

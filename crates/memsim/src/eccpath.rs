@@ -16,8 +16,8 @@
 //! double-bit (detected-uncorrectable) error. Two runs with the same
 //! address stream therefore produce identical [`EccPathStats`].
 
-use xed_ecc::crc8::Crc8Atm;
 use xed_ecc::secded::{LineOutcome, SecDed, BEATS_PER_LINE};
+use xed_ecc::Crc8Atm;
 use xed_telemetry::registry::metrics;
 
 /// One in `2^SINGLE_FLIP_SHIFT` lines carries a single-bit error.

@@ -3,12 +3,29 @@
 //! unit test and by `scripts/ci.sh` through `xedd --selftest`); these
 //! cover the daemon behaviors the smoke sequence leaves out — admission
 //! control, method filtering, cache behavior across distinct queries.
+//!
+//! Every test holds [`SERIAL`] for its whole run, so no two of them share
+//! the CPUs even when the harness runs tests on parallel threads: the
+//! warm/cold p50 gate's margin is under 2x, and a sibling's daemon beside
+//! it doubles the warm latency it measures.
 
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use xedd::http;
 use xedd::{Server, XeddConfig};
+
+/// The lock every test in this file holds while it runs.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`]; a sibling that panicked while holding it does not
+/// poison the rest.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn start(workers: usize, queue_limit: usize) -> Server {
     Server::start(XeddConfig {
@@ -21,6 +38,7 @@ fn start(workers: usize, queue_limit: usize) -> Server {
 
 #[test]
 fn distinct_queries_get_distinct_cached_answers() {
+    let _serial = serial();
     let server = start(2, 16);
     let addr = server.addr();
     let a = "/v1/query?scheme=xed&samples=50000&seed=1";
@@ -44,6 +62,7 @@ fn distinct_queries_get_distinct_cached_answers() {
 
 #[test]
 fn non_get_methods_are_rejected() {
+    let _serial = serial();
     let server = start(1, 4);
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     write!(stream, "POST /v1/query HTTP/1.1\r\nHost: x\r\n\r\n").expect("send");
@@ -56,6 +75,7 @@ fn non_get_methods_are_rejected() {
 
 #[test]
 fn error_responses_echo_the_trace_id() {
+    let _serial = serial();
     let server = start(1, 4);
     let trace = [("X-Xedd-Trace", "00000000000000ab")];
     for (target, status) in [
@@ -99,6 +119,7 @@ fn answered(stream: &TcpStream) -> bool {
 
 #[test]
 fn full_queue_sheds_with_503() {
+    let _serial = serial();
     // One worker, queue bound 1. Pin the worker with a connection that
     // never sends its request, let a second occupy the queue slot, and a
     // third must be shed immediately with 503 by the acceptor.
@@ -167,6 +188,7 @@ fn full_queue_sheds_with_503() {
 
 #[test]
 fn oversized_sample_counts_are_rejected_with_400() {
+    let _serial = serial();
     let server = start(1, 4);
     let addr = server.addr();
     let over = xed_faultsim::engine::MAX_SAMPLES + 1;
@@ -215,6 +237,7 @@ fn oversized_sample_counts_are_rejected_with_400() {
 
 #[test]
 fn healthz_reports_the_build_and_its_target_level() {
+    let _serial = serial();
     let server = start(1, 4);
     let body = http::client_get(&server.addr(), "/healthz")
         .expect("healthz")
@@ -260,6 +283,7 @@ fn healthz_reports_the_build_and_its_target_level() {
 
 #[test]
 fn ephemeral_servers_bind_distinct_ports() {
+    let _serial = serial();
     let a = start(1, 4);
     let b = start(1, 4);
     assert_ne!(a.port(), b.port());
@@ -281,6 +305,7 @@ fn ephemeral_servers_bind_distinct_ports() {
 
 #[test]
 fn servers_start_and_stop_in_a_loop_within_a_deadline() {
+    let _serial = serial();
     // Shutdown wakes the blocking acceptor with a connection of its own;
     // a lost wake-up used to hang the join forever. Start and stop
     // ephemeral servers back to back on a watchdog thread: the loop must
@@ -316,6 +341,7 @@ fn timed_get(addr: &str, target: &str) -> (f64, http::ClientResponse) {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
 fn warm_hits_are_a_hundred_times_faster_than_cold_misses_at_p50() {
+    let _serial = serial();
     // The memo cache's reason to exist, over real TCP: 6 distinct
     // 4M-trial queries (every one a miss that runs the full Monte-Carlo),
     // then 4 clients x 50 repeats over those keys (every one a hit). The

@@ -285,15 +285,12 @@ fn std_path_allocates(path: &str) -> bool {
 /// `ecc/reference.rs` (the designated home for the seed's `Vec`-returning
 /// pipeline) and `telemetry/export.rs` (the once-per-report snapshot
 /// layer) are exempt, as is test code everywhere.
-pub const ALLOC_FREE_HOT_MODULES: [&str; 11] = [
+pub const ALLOC_FREE_HOT_MODULES: [&str; 8] = [
     "crates/ecc/src/bits.rs",
     "crates/ecc/src/codeword.rs",
-    "crates/ecc/src/crc8.rs",
-    "crates/ecc/src/hamming.rs",
     "crates/ecc/src/parity.rs",
     "crates/ecc/src/rs.rs",
     "crates/ecc/src/secded.rs",
-    "crates/ecc/src/secded32.rs",
     "crates/telemetry/src/counter.rs",
     "crates/telemetry/src/hist.rs",
     "crates/telemetry/src/trace.rs",

@@ -106,14 +106,14 @@ pub fn check_catch_word_constants() -> Vec<Finding> {
         ));
     }
 
-    if xed_ecc::crc8::POLY != 0x07 {
+    if xed_ecc::secded::POLY != 0x07 {
         out.push(finding(
             "XL008",
-            "crates/ecc/src/crc8.rs",
+            "crates/ecc/src/secded.rs",
             format!(
                 "on-die CRC polynomial {:#04x}; the paper's recommended code is CRC8-ATM \
                  (x^8+x^2+x+1 = 0x07, §V-E)",
-                xed_ecc::crc8::POLY
+                xed_ecc::secded::POLY
             ),
         ));
     }

@@ -79,11 +79,16 @@ cargo test -q --release -p xed-faultsim --lib -- "${equivalence_tests[@]}"
 # `.cargo/config.toml` builds at x86-64-v3, and RUSTFLAGS replaces that
 # setting, so this build has no AVX2, BMI2 or POPCNT code. It must hit
 # the same pins, the tail estimates included: results may not depend on
-# the instruction set (DESIGN.md §14.1). Its own target directory keeps
-# the v3 build's artifacts intact.
-step "kernel and tail equivalence at the portable x86-64 level (release)"
+# the instruction set (DESIGN.md §14.1). The SECDED kernel's syndrome is
+# eight popcounts, one instruction each at v3 and a bit-twiddling fold
+# here, so its differential sweeps against the bit-serial oracles and the
+# exhaustive single/double sweeps run at this level too. Its own target
+# directory keeps the v3 build's artifacts intact.
+step "kernel, tail and SECDED equivalence at the portable x86-64 level (release)"
 RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/portable \
     cargo test -q --release -p xed-faultsim --lib -- "${equivalence_tests[@]}"
+RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/portable \
+    cargo test -q --release --test ecc_kernel_equivalence --test exhaustive_secded
 
 # Gating: the one-pass FR-FCFS scheduler with per-channel wake cycles
 # must match the three-pass reference controller it replaced, kept as a

@@ -6,20 +6,21 @@
 //!   and all C(72,2) = 2556 double-bit error patterns per sample word, plus
 //!   every aligned burst-8 pattern.
 //! * CRC8-ATM(40,32): exhaustive over all 40 single-bit and C(40,2) = 780
-//!   double-bit patterns.
+//!   double-bit patterns, plus all 255 nonzero check-byte patterns, which
+//!   reach every syndrome.
 //! * Reed–Solomon: `decode_with` (fixed scratch) vs the reference `decode`
 //!   (`Vec` pipeline) over seeded random error and erasure sweeps for the
 //!   RS(18,16), RS(36,32) and GF(16) RS(15,11) configurations.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use xed::ecc::codeword::CodeWord40;
 use xed::ecc::gf::Field;
 use xed::ecc::reference::{
     crc8_u32_bitserial, crc8_u64_bitserial, RefCrc8Atm, RefCrc8Atm32, RefHamming7264,
 };
 use xed::ecc::rs::{ReedSolomon, RsScratch};
-use xed::ecc::secded::SecDed;
-use xed::ecc::secded32::{CodeWord40, Crc8Atm32};
+use xed::ecc::secded::{Crc8Atm32, SecDed};
 use xed::ecc::{CodeWord72, Crc8Atm, Hamming7264};
 
 const SAMPLE_WORDS: &[u64] = &[
@@ -124,6 +125,11 @@ fn secded32_kernel_matches_reference_exhaustively() {
             for j in (i + 1)..40 {
                 received.push(wf.with_bit_flipped(i).with_bit_flipped(j));
             }
+        }
+        // Every nonzero check-byte error: the syndrome is the error itself,
+        // so these reach all 255 nonzero syndromes.
+        for pattern in 1..=255u8 {
+            received.push(CodeWord40::new(wf.data(), wf.check() ^ pattern));
         }
         for r in received {
             assert_eq!(fast.decode(r), slow.decode(r));

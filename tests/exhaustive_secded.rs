@@ -12,8 +12,7 @@
 //! * `FitRates::table_i()` is pinned to the paper's Table I values (also
 //!   enforced at analysis time by xed-analyze rule XL007).
 
-use xed::ecc::secded::{DecodeOutcome, SecDed};
-use xed::ecc::secded32::{Crc8Atm32, Decode32};
+use xed::ecc::secded::{Crc8Atm32, Decode32, DecodeOutcome, SecDed};
 use xed::ecc::{Crc8Atm, Hamming7264};
 use xed::faultsim::fault::{FaultExtent, Persistence};
 use xed::faultsim::fit::FitRates;

@@ -277,7 +277,7 @@ fn xed_roundtrips_arbitrary_lines() {
 
 #[test]
 fn crc8_32_roundtrip_and_single_bit() {
-    use xed::ecc::secded32::{Crc8Atm32, Decode32};
+    use xed::ecc::secded::{Crc8Atm32, Decode32};
     let code = Crc8Atm32::new();
     let mut r = rng(15);
     for _ in 0..CASES {
